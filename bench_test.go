@@ -9,6 +9,7 @@ package tlrsim_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tlrsim"
@@ -164,7 +165,7 @@ func BenchmarkRMWPredictor(b *testing.B) {
 // operation scale, sequentially (jobs=1) and across eight workers (jobs=8).
 // The experiments enumerate independent simulated machines, so on a >= 8
 // core host the jobs=8 variant should finish at least ~2x faster at
-// identical simulated results; on fewer cores the two converge.
+// identical simulated results; on fewer cores it measures nothing and skips.
 func BenchmarkExperimentAll(b *testing.B) {
 	experiments := []struct {
 		name string
@@ -184,6 +185,9 @@ func BenchmarkExperimentAll(b *testing.B) {
 	}
 	for _, jobs := range []int{1, 8} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			if jobs > runtime.NumCPU() {
+				b.Skipf("%d workers on %d host CPUs", jobs, runtime.NumCPU())
+			}
 			o := tlrsim.DefaultExperimentOptions()
 			o.Ops = 0.25
 			o.Jobs = jobs

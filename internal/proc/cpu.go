@@ -37,9 +37,8 @@ type CPU struct {
 	elide *core.ElisionPredictor
 	rmw   *core.RMWPredictor
 
-	tc *TC
-	// src, when non-nil, feeds the operation stream directly (scripted
-	// threads: no goroutine, no channels). Exactly one of tc/src is active.
+	// src feeds the CPU its thread's operations: a coroutine thread (*TC)
+	// or a scripted litmus state machine.
 	src    opSource
 	done   bool
 	finish sim.Time
@@ -132,37 +131,20 @@ func (cpu *CPU) Ctrl() *coherence.Controller { return cpu.ctrl }
 // Done reports whether the thread has finished.
 func (cpu *CPU) Done() bool { return cpu.done }
 
-// start launches the thread goroutine and schedules the first fetch, delay
-// cycles from now (Config.StartJitter scheduling perturbation; 0 preserves
-// the unperturbed schedule exactly).
-func (cpu *CPU) start(prog func(*TC), delay uint64) {
+// start attaches the thread and schedules its first fetch, delay cycles from
+// now (Config.StartJitter scheduling perturbation; 0 preserves the
+// unperturbed schedule exactly).
+func (cpu *CPU) start(src opSource, delay uint64) {
 	// A machine may Run more than once (snapshot/fork phases): clear the
 	// previous run's completion flag so allDone, the event budget, and the
 	// deadlock detector see this thread as live again.
 	cpu.done = false
-	cpu.src = nil
-	cpu.tc = newTC(cpu)
-	tc := cpu.tc
-	go func() {
-		defer close(tc.ops)
-		prog(tc)
-		tc.flushCompute()
-	}()
-	cpu.m.K.AtCall(cpu.m.K.Now()+sim.Time(delay), firstFetchEvent, cpu, nil, 0)
-}
-
-// startScripted launches a scripted thread: the op stream comes from src by
-// direct call, with no thread goroutine behind it. Scheduling is identical
-// to start — the first fetch fires delay cycles from now.
-func (cpu *CPU) startScripted(src opSource, delay uint64) {
-	cpu.done = false
-	cpu.tc = nil
 	cpu.src = src
 	cpu.m.K.AtCall(cpu.m.K.Now()+sim.Time(delay), firstFetchEvent, cpu, nil, 0)
 }
 
 func firstFetchEvent(recv, _ any, _ uint64) {
-	recv.(*CPU).fetchNext(true)
+	recv.(*CPU).fetchNext(result{}, true)
 }
 
 // issueEvent starts the op parked in pendingOp (the one-cycle issue stage,
@@ -172,27 +154,11 @@ func issueEvent(recv, _ any, _ uint64) {
 	cpu.startOp(cpu.pendingOp)
 }
 
-// fetchNext obtains the thread's next operation: a direct call for scripted
-// threads, a (host-side) blocking channel receive for goroutine threads —
-// the thread is guaranteed to either send or finish. inlineOK marks calls
-// made at an event tail, where the issue event may be run inline.
-func (cpu *CPU) fetchNext(inlineOK bool) {
-	if cpu.src != nil {
-		cpu.scriptNext(result{}, inlineOK)
-		return
-	}
-	o, ok := <-cpu.tc.ops
-	if !ok {
-		cpu.threadDone()
-		return
-	}
-	cpu.stats.Ops++
-	cpu.issueOp(o, inlineOK)
-}
-
-// scriptNext delivers r to the scripted source and issues the operation it
-// yields (or retires the thread).
-func (cpu *CPU) scriptNext(r result, inlineOK bool) {
+// fetchNext hands the thread r, the reply to its previous operation (zero
+// before the first), and issues the operation it returns, or retires the
+// thread. inlineOK marks calls made at an event tail, where the issue event
+// may be run inline.
+func (cpu *CPU) fetchNext(r result, inlineOK bool) {
 	o, ok := cpu.src.next(r)
 	if !ok {
 		cpu.threadDone()
@@ -361,7 +327,7 @@ func (cpu *CPU) startOp(o op) {
 }
 
 // startLead runs the pure-compute span folded into o (op batching: the span
-// never crossed the thread channel). It behaves exactly like the opCompute
+// was never an op of its own). It behaves exactly like the opCompute
 // the thread would have issued — same events, same accounting, same abort
 // semantics — then re-issues the carried operation through the normal issue
 // stage.
@@ -411,13 +377,7 @@ func computeDoneEvent(recv, _ any, seq uint64) {
 func (cpu *CPU) finishOp(r result) {
 	cpu.opActive = false
 	cpu.account(cpu.curOp, uint64(cpu.m.K.Now()-cpu.opStart))
-	if cpu.src != nil {
-		cpu.scriptNext(r, true)
-		return
-	}
-	r.at = uint64(cpu.m.K.Now())
-	cpu.tc.res <- r
-	cpu.fetchNext(true)
+	cpu.fetchNext(r, true)
 }
 
 // completeOp completes op seq from an arbitrary (possibly deep) kernel
@@ -430,13 +390,7 @@ func (cpu *CPU) completeOp(seq uint64, r result) {
 	}
 	cpu.opActive = false
 	cpu.account(cpu.curOp, uint64(cpu.m.K.Now()-cpu.opStart))
-	if cpu.src != nil {
-		cpu.scriptNext(r, false)
-		return
-	}
-	r.at = uint64(cpu.m.K.Now())
-	cpu.tc.res <- r
-	cpu.fetchNext(false)
+	cpu.fetchNext(r, false)
 }
 
 // onAbort squashes whatever operation the thread is blocked on so it can

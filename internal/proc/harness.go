@@ -59,23 +59,17 @@ func (m *Machine) RunLitmus(lock *Lock, threads []LitmusThread) ([][]uint64, err
 		}
 		loads[i] = make([]uint64, nloads)
 	}
-	var err error
-	if m.cfg.Scheme == MCS {
-		// MCS acquisition has per-CPU queue-node state the scripted state
-		// machine does not model; run it on goroutine threads.
-		progs := make([]func(*TC), len(threads))
-		for i, th := range threads {
-			progs[i] = litmusProg(th, lock, loads[i])
-		}
-		err = m.Run(progs)
-	} else {
-		srcs := make([]opSource, len(threads))
-		for i, th := range threads {
+	srcs := make([]opSource, len(threads))
+	for i, th := range threads {
+		if m.cfg.Scheme == MCS {
+			// MCS acquisition has per-CPU queue-node state the scripted
+			// state machine does not model; run it as a coroutine thread.
+			srcs[i] = newTC(m.CPUs[i], litmusProg(th, lock, loads[i]))
+		} else {
 			srcs[i] = newLitmusSM(th, lock, loads[i])
 		}
-		err = m.runScripted(srcs)
 	}
-	if err != nil {
+	if err := m.runLoop(srcs); err != nil {
 		return loads, err
 	}
 	return loads, m.CheckerErr()

@@ -2,11 +2,11 @@
 // workload threads written as ordinary Go functions against the simulated
 // memory system, in lock-step with the discrete-event kernel.
 //
-// A thread runs in its own goroutine and synchronises with its CPU through
-// an unbuffered channel pair: it sends one operation, the CPU simulates its
-// timing against the cache/bus model, and replies with the result at the
-// operation's completion cycle. Exactly one goroutine is runnable at any
-// host instant, so simulations are deterministic.
+// A thread runs as a coroutine on the goroutine that called Machine.Run: the
+// CPU pulls one operation from it, simulates its timing against the
+// cache/bus model, and resumes it with the result at the operation's
+// completion cycle. Thread and kernel strictly alternate, so simulations are
+// deterministic and thread code never races the kernel.
 //
 // Critical sections are expressed as tc.Critical(lock, body). Under BASE and
 // MCS the runtime acquires the lock with real simulated memory operations;
@@ -19,6 +19,7 @@ package proc
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 
 	"tlrsim/internal/checker"
@@ -300,20 +301,11 @@ func (m *Machine) Run(progs []func(*TC)) error {
 	if len(progs) != len(m.CPUs) {
 		return fmt.Errorf("proc: %d programs for %d CPUs", len(progs), len(m.CPUs))
 	}
+	srcs := make([]opSource, len(progs))
 	for i, p := range progs {
-		m.CPUs[i].start(p, m.startDelay(i))
+		srcs[i] = newTC(m.CPUs[i], p)
 	}
-	return m.runLoop()
-}
-
-// runScripted executes one scripted thread per CPU: identical scheduling and
-// event structure to Run, with the op streams fed by direct calls instead of
-// thread goroutines.
-func (m *Machine) runScripted(srcs []opSource) error {
-	for i, s := range srcs {
-		m.CPUs[i].startScripted(s, m.startDelay(i))
-	}
-	return m.runLoop()
+	return m.runLoop(srcs)
 }
 
 // startDelay is cpu's start-jitter delay. The delay is a seeded hash rather
@@ -328,10 +320,15 @@ func (m *Machine) startDelay(cpu int) uint64 {
 	return startDelay(m.cfg.Seed, cpu) % (m.cfg.StartJitter + 1)
 }
 
-// runLoop is the shared event loop behind Run and runScripted. All three
-// failure exits (event budget, deadlock, watchdog) return a structured
-// *StallError (stall.go) joined with any checker divergence.
-func (m *Machine) runLoop() error {
+// runLoop starts one thread per CPU and runs the event loop behind Run and
+// RunLitmus. All three failure exits (event budget, deadlock, watchdog)
+// return a structured *StallError (stall.go) joined with any checker
+// divergence.
+func (m *Machine) runLoop(srcs []opSource) error {
+	for i, s := range srcs {
+		m.CPUs[i].start(s, m.startDelay(i))
+	}
+	defer m.stopThreads()
 	m.mx.Registry().StartSamplers(m.K)
 	m.lastProgressAt = m.K.Now()
 	watchdog := m.cfg.StallCycles
@@ -343,12 +340,16 @@ func (m *Machine) runLoop() error {
 		if m.K.Fired() >= m.cfg.MaxEvents {
 			return errors.Join(m.stallError(StallEventBudget), m.CheckerErr())
 		}
-		// The watchdog check reads only host-side counters — no kernel
-		// events, so arming it cannot perturb the simulated schedule. It is
-		// checked every 1024 loop iterations to keep the hot loop clean.
+		// Every 1024 loop iterations, to keep the hot loop clean: yield the
+		// host thread, because coroutine switches never enter the Go
+		// scheduler and at GOMAXPROCS=1 the GC's background mark worker
+		// would starve; and check the watchdog, which reads only host-side
+		// counters — no kernel events, so arming it cannot perturb the
+		// simulated schedule.
 		iter++
-		if watchdog > 0 && iter&1023 == 0 {
-			if now := m.K.Now(); now > m.lastProgressAt && uint64(now-m.lastProgressAt) > watchdog {
+		if iter&1023 == 0 {
+			runtime.Gosched()
+			if now := m.K.Now(); watchdog > 0 && now > m.lastProgressAt && uint64(now-m.lastProgressAt) > watchdog {
 				return errors.Join(m.stallError(StallWatchdog), m.CheckerErr())
 			}
 		}
@@ -381,6 +382,16 @@ func startDelay(seed int64, cpu int) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
+}
+
+// stopThreads unwinds every coroutine thread that did not finish, so a run
+// that failed or panicked leaves no suspended goroutine behind.
+func (m *Machine) stopThreads() {
+	for _, c := range m.CPUs {
+		if tc, ok := c.src.(*TC); ok && !c.done {
+			tc.stop()
+		}
+	}
 }
 
 func (m *Machine) allDone() bool {

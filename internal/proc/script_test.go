@@ -30,9 +30,9 @@ func litmusCases(a, b memsys.Addr) [][]LitmusThread {
 	}
 }
 
-// runLitmusGoroutine is RunLitmus on goroutine threads (the path scripted
-// execution replaced), kept callable for equivalence testing.
-func runLitmusGoroutine(m *Machine, lock *Lock, threads []LitmusThread) ([][]uint64, error) {
+// runLitmusCoroutine is RunLitmus on coroutine threads (litmusProg through
+// Machine.Run), the reference the scripted state machine is pinned to.
+func runLitmusCoroutine(m *Machine, lock *Lock, threads []LitmusThread) ([][]uint64, error) {
 	loads := make([][]uint64, len(threads))
 	progs := make([]func(*TC), len(threads))
 	for i, th := range threads {
@@ -51,10 +51,10 @@ func runLitmusGoroutine(m *Machine, lock *Lock, threads []LitmusThread) ([][]uin
 	return loads, m.CheckerErr()
 }
 
-// TestScriptedLitmusMatchesGoroutine pins the scripted state machine to the
-// goroutine thread runtime it replaced: identical outcomes, identical cycle
-// counts, identical event counts, for every scheme and several seeds.
-func TestScriptedLitmusMatchesGoroutine(t *testing.T) {
+// TestScriptedLitmusMatchesCoroutine pins the scripted state machine to the
+// coroutine thread runtime: identical outcomes, identical cycle counts,
+// identical event counts, for every scheme and several seeds.
+func TestScriptedLitmusMatchesCoroutine(t *testing.T) {
 	for _, scheme := range []Scheme{Base, SLE, TLR} {
 		for _, seed := range []int64{1, 2, 42} {
 			cfg := BaselineConfig(2, scheme, seed)
@@ -69,29 +69,29 @@ func TestScriptedLitmusMatchesGoroutine(t *testing.T) {
 			ncases := len(litmusCases(0, 0))
 			for ci := 0; ci < ncases; ci++ {
 				ms, ls, as, bs := mk()
-				mg, lg, ag, bg := mk()
-				if as != ag || bs != bg || ls.Addr != lg.Addr {
+				mc, lc, ac, bc := mk()
+				if as != ac || bs != bc || ls.Addr != lc.Addr {
 					t.Fatal("allocator not deterministic across machines")
 				}
 				scripted, errS := ms.RunLitmus(ls, litmusCases(as, bs)[ci])
-				goroutine, errG := runLitmusGoroutine(mg, lg, litmusCases(ag, bg)[ci])
-				if (errS == nil) != (errG == nil) {
-					t.Fatalf("%v seed %d case %d: scripted err %v, goroutine err %v",
-						scheme, seed, ci, errS, errG)
+				coroutine, errC := runLitmusCoroutine(mc, lc, litmusCases(ac, bc)[ci])
+				if (errS == nil) != (errC == nil) {
+					t.Fatalf("%v seed %d case %d: scripted err %v, coroutine err %v",
+						scheme, seed, ci, errS, errC)
 				}
 				outS := ms.LitmusOutcome(scripted, []memsys.Addr{as, bs})
-				outG := mg.LitmusOutcome(goroutine, []memsys.Addr{ag, bg})
-				if outS != outG {
-					t.Errorf("%v seed %d case %d: scripted outcome %q != goroutine %q",
-						scheme, seed, ci, outS, outG)
+				outC := mc.LitmusOutcome(coroutine, []memsys.Addr{ac, bc})
+				if outS != outC {
+					t.Errorf("%v seed %d case %d: scripted outcome %q != coroutine %q",
+						scheme, seed, ci, outS, outC)
 				}
-				if ms.Cycles() != mg.Cycles() {
-					t.Errorf("%v seed %d case %d: scripted cycles %d != goroutine %d",
-						scheme, seed, ci, ms.Cycles(), mg.Cycles())
+				if ms.Cycles() != mc.Cycles() {
+					t.Errorf("%v seed %d case %d: scripted cycles %d != coroutine %d",
+						scheme, seed, ci, ms.Cycles(), mc.Cycles())
 				}
-				if ms.K.Fired() != mg.K.Fired() {
-					t.Errorf("%v seed %d case %d: scripted events %d != goroutine %d",
-						scheme, seed, ci, ms.K.Fired(), mg.K.Fired())
+				if ms.K.Fired() != mc.K.Fired() {
+					t.Errorf("%v seed %d case %d: scripted events %d != coroutine %d",
+						scheme, seed, ci, ms.K.Fired(), mc.K.Fired())
 				}
 			}
 		}

@@ -28,7 +28,7 @@ import (
 // flight — they are all back on their free lists — which is why message
 // pooling survives reuse untouched, and no event closure holds a reference
 // to live run state, which is what makes deep copy possible at all (an
-// event queue full of closures over goroutine stacks cannot be copied).
+// event queue full of closures over suspended threads cannot be copied).
 
 // allocBase is the base address NewMachine hands the allocator.
 const allocBase memsys.Addr = 0x10000
@@ -117,7 +117,7 @@ func (c Config) ResetShape() ResetShape {
 // never started), kernel drained, memory system idle, engines idle.
 func (m *Machine) requireQuiescent() error {
 	for _, c := range m.CPUs {
-		if c.tc != nil && !c.done {
+		if c.src != nil && !c.done {
 			return fmt.Errorf("proc: CPU %d thread still running", c.id)
 		}
 		if c.eng.Mode() != core.ModeIdle {
@@ -137,8 +137,8 @@ func (m *Machine) requireQuiescent() error {
 // reusing every allocation: kernel event heap, cache arrays, bus message
 // pools, controller maps, predictor tables, metrics instruments. It fails
 // (leaving the machine untouched) when the machine is not quiescent — a
-// run that errored out mid-flight leaves blocked thread goroutines and
-// pending events, and such a machine must be discarded, not recycled — or
+// run that errored out mid-flight leaves unfinished threads and pending
+// events, and such a machine must be discarded, not recycled — or
 // when cfg's shape differs from the machine's construction shape.
 //
 // Machines with a trace sink attached are not resettable: the sink is an
@@ -191,7 +191,6 @@ func (m *Machine) Reset(cfg Config) error {
 func (cpu *CPU) reset() {
 	cpu.elide.Reset()
 	cpu.rmw.Reset()
-	cpu.tc = nil
 	cpu.src = nil
 	cpu.done = false
 	cpu.finish = 0
@@ -221,7 +220,6 @@ func (cpu *CPU) reset() {
 func (cpu *CPU) adoptState(src *CPU) {
 	cpu.elide.AdoptState(src.elide)
 	cpu.rmw.AdoptState(src.rmw)
-	cpu.tc = nil
 	cpu.src = nil
 	cpu.done = src.done
 	cpu.finish = src.finish
@@ -278,7 +276,7 @@ func (s *Snapshot) Config() Config { return s.cfg }
 // micro-architectural state at a quiescent point: memory image, cache
 // contents and LRU state, L2 presence, engine clocks, predictor tables,
 // RNG position, stats. Mid-run snapshots are impossible by construction —
-// live thread goroutines and event-queue closures cannot be copied — so
+// suspended threads and event-queue closures cannot be copied — so
 // callers snapshot between Run phases; Machine.Run's final drain makes
 // every successful return such a point.
 //

@@ -1,6 +1,9 @@
+//go:build go1.23
+
 package proc
 
 import (
+	"iter"
 	"math/rand"
 
 	"tlrsim/internal/locks"
@@ -39,7 +42,7 @@ type op struct {
 	// zero identifies the restart point that may acknowledge an abort.
 	frames int
 	// lead is a folded pure-compute span (cycles) the thread ran before this
-	// operation: Compute spans don't cross the channel themselves, they ride
+	// operation: Compute spans are not issued as ops of their own, they ride
 	// on the next real operation and the CPU replays them as the compute op
 	// they stand for.
 	lead uint64
@@ -67,10 +70,6 @@ type result struct {
 	ok      bool
 	aborted bool
 	mode    CritMode
-	// at is the kernel time the op completed, stamped CPU-side before the
-	// reply is sent: the thread goroutine runs concurrently with the kernel
-	// loop between ops, so it must never read the live clock itself.
-	at uint64
 }
 
 // abortSignal unwinds the thread to the restart point of the outermost
@@ -78,46 +77,74 @@ type result struct {
 // checkpoint recovery.
 type abortSignal struct{}
 
+// threadExit unwinds a thread whose run was abandoned (Machine.stopThreads);
+// the thread's coroutine recovers it and returns.
+type threadExit struct{}
+
 // TC is the thread context: the only handle workload code uses to touch the
 // simulated machine. All methods must be called from the thread's own
-// goroutine.
+// program, which runs as a coroutine (iter.Pull) on the goroutine that called
+// Machine.Run: the CPU resumes it with the reply to its previous operation,
+// and it runs until it yields the next one. Thread and kernel strictly
+// alternate; neither runs while the other does.
 type TC struct {
 	cpu        *CPU
-	ops        chan op
-	res        chan result
 	specFrames int
 	rng        *rand.Rand
 
+	pull  func() (op, bool)
+	stop  func()
+	yield func(op) bool
+	res   result // reply to the last yielded op, stored by next
+
 	// pendingCompute accumulates the latest Compute span until the next
-	// operation carries it to the CPU (as op.lead), saving the two goroutine
-	// context switches a dedicated compute op would cost.
+	// operation carries it to the CPU (as op.lead), saving the thread
+	// switches a dedicated compute op would cost.
 	pendingCompute uint64
-	// lastAt is the completion time of the thread's most recent op, copied
-	// from the reply. It is the thread's only view of the clock: the kernel
-	// loop keeps running while the thread goroutine executes, so reading
-	// Kernel.Now directly from thread code would race.
+	// lastAt is the completion cycle of the thread's most recent op: the
+	// thread's clock, which advances only at op boundaries.
 	lastAt uint64
 }
 
 var _ locks.Ops = (*TC)(nil)
 
-func newTC(cpu *CPU) *TC {
-	return &TC{
-		cpu: cpu,
-		ops: make(chan op),
-		res: make(chan result),
-	}
+// newTC wraps prog as cpu's thread. Nothing runs until the CPU's first
+// fetch.
+func newTC(cpu *CPU, prog func(*TC)) *TC {
+	tc := &TC{cpu: cpu}
+	tc.pull, tc.stop = iter.Pull(func(yield func(op) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, exit := r.(threadExit); !exit {
+					panic(r) // pull re-raises it on Machine.Run's goroutine
+				}
+			}
+		}()
+		tc.yield = yield
+		prog(tc)
+		tc.flushCompute()
+	})
+	return tc
 }
 
-// do issues one operation and blocks the thread until the CPU completes it.
+// next implements opSource: it resumes the thread with the reply to its
+// previous op and runs it until it yields its next op or returns.
+func (tc *TC) next(prev result) (op, bool) {
+	tc.res = prev
+	return tc.pull()
+}
+
+// do issues one operation and suspends the thread until the CPU completes it.
 // Any pending compute span rides along as the operation's lead.
 func (tc *TC) do(o op) result {
 	o.lead = tc.pendingCompute
 	tc.pendingCompute = 0
-	tc.ops <- o
-	r := <-tc.res
-	tc.lastAt = r.at
-	return r
+	if !tc.yield(o) {
+		panic(threadExit{})
+	}
+	// The CPU resumes the thread at the op's completion cycle.
+	tc.lastAt = uint64(tc.cpu.m.K.Now())
+	return tc.res
 }
 
 // mem issues a memory operation, unwinding to the transaction restart point
@@ -189,11 +216,9 @@ func (tc *TC) SpinUntil(a memsys.Addr, pred func(uint64) bool) uint64 {
 }
 
 // Now returns the thread's current simulated cycle: the completion time of
-// its most recent operation plus any pending batched compute span. The
-// thread never reads the live kernel clock — the kernel loop runs
-// concurrently with thread goroutines between ops, so the thread's view of
-// time advances only at op boundaries (before the first op it is the run's
-// start, cycle 0 plus any start jitter absorbed by the first fetch).
+// its most recent operation plus any pending batched compute span. It
+// advances only at op boundaries; before the first op it counts from cycle
+// 0, whatever start delay the first fetch absorbed.
 func (tc *TC) Now() uint64 {
 	return tc.lastAt + tc.pendingCompute
 }
@@ -209,8 +234,8 @@ func (tc *TC) WaitUntil(at uint64) {
 }
 
 // Compute models n cycles of local computation. The span is batched: it is
-// carried to the CPU by the next real operation instead of crossing the
-// thread channel itself. Back-to-back spans flush the previous one as an
+// carried to the CPU by the next real operation instead of costing a thread
+// switch of its own. Back-to-back spans flush the previous one as an
 // explicit compute op, preserving the unbatched machine's exact timing.
 func (tc *TC) Compute(n uint64) {
 	if n == 0 {

@@ -224,8 +224,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // subsystem costs: the same contended workload with instruments off (the
 // default every experiment runs with — this variant is the standing guard
 // that disabled observability stays free) and with the full instrument set
-// attached (counters, histograms, per-lock profiles, samplers). The
-// off-vs-on ns/simcycle ratio is the tracing overhead BENCH_<n>.json tracks.
+// attached (counters, histograms, time-weighted gauges, per-lock profiles).
+// The instruments own no kernel events, so both variants simulate the same
+// cycles; the off-vs-on ns/simcycle ratio is the instrument overhead
+// BENCH_<n>.json tracks.
 func BenchmarkSimulatorThroughputObservability(b *testing.B) {
 	for _, metrics := range []bool{false, true} {
 		name := "off"

@@ -43,9 +43,10 @@
 //
 // -metrics FILE attaches the observability instrument set to every
 // simulated machine and writes each run's dump — counters, cycle
-// histograms, per-lock contention profiles, time-series samples — to FILE,
-// grouped per experiment. The instruments never alter simulation results;
-// the primary report is byte-identical with and without -metrics.
+// histograms, time-weighted gauges, per-lock contention profiles — to FILE,
+// grouped per experiment. The instruments schedule no simulation events, so
+// they never alter simulation results; the primary report is byte-identical
+// with and without -metrics.
 //
 // The service experiment (-experiment service) drives an open-loop
 // lock-based KV store with deterministic Poisson arrivals and reports

@@ -19,6 +19,7 @@ import (
 	"tlrsim/internal/memsys"
 	"tlrsim/internal/sim"
 	"tlrsim/internal/stamp"
+	"tlrsim/internal/telemetry"
 )
 
 // Kind enumerates address-network transaction types for the MOESI protocol.
@@ -221,11 +222,23 @@ type Bus struct {
 	// seam.
 	faults *fault.Injector
 
+	// occupancy, when non-nil, tracks queued plus outstanding transactions.
+	occupancy *telemetry.Gauge
+
 	stats Stats
 }
 
 // SetFaults attaches (or with nil detaches) the fault injector.
 func (b *Bus) SetFaults(in *fault.Injector) { b.faults = in }
+
+// SetOccupancy attaches (or with nil detaches) the occupancy gauge.
+func (b *Bus) SetOccupancy(g *telemetry.Gauge) { b.occupancy = g }
+
+// noteOccupancy moves the occupancy gauge after an enqueue or completion,
+// the only two places queued plus outstanding changes.
+func (b *Bus) noteOccupancy() {
+	b.occupancy.Set(uint64(b.k.Now()), uint64(b.outstanding+len(b.queue)))
+}
 
 // New returns a bus on kernel k.
 func New(k *sim.Kernel, cfg Config) *Bus {
@@ -322,6 +335,7 @@ func (b *Bus) Issue(t *Txn) uint64 {
 	t.issued = b.k.Now()
 	b.stats.Txns[t.Kind]++
 	b.queue = append(b.queue, t)
+	b.noteOccupancy()
 	b.pump()
 	return t.ID
 }
@@ -333,6 +347,7 @@ func (b *Bus) Complete() {
 		panic("bus: Complete without outstanding transaction")
 	}
 	b.outstanding--
+	b.noteOccupancy()
 	b.pump()
 }
 

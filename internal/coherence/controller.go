@@ -209,8 +209,9 @@ func (c *Controller) Cache() *cache.Cache { return c.cache }
 // Stats returns controller counters.
 func (c *Controller) Stats() *Stats { return &c.stats }
 
-// MSHRCount reports outstanding misses (the observability sampler probe).
-func (c *Controller) MSHRCount() int { return len(c.mshrs) }
+// noteMSHRs reports the outstanding-miss count to the instrument set after
+// an MSHR insert or delete.
+func (c *Controller) noteMSHRs() { c.sys.Metrics.NoteMSHRs(c.id, uint64(c.sys.K.Now()), len(c.mshrs)) }
 
 // WriteBufferLines reports the speculative write-buffer occupancy.
 func (c *Controller) WriteBufferLines() int { return c.wb.LineCount() }
@@ -753,6 +754,7 @@ func (c *Controller) issue(line memsys.Addr, kind bus.Kind, spec, specWrite bool
 		upstream:     bus.MemID,
 	}
 	c.mshrs[line] = m
+	c.noteMSHRs()
 	t := &bus.Txn{Kind: kind, Line: line, Src: c.id, Stamp: m.stamp}
 	m.txnID = c.sys.Bus.Issue(t)
 	// If we are speculating and just created a miss on a second line while

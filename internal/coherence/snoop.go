@@ -147,6 +147,7 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 	if m, ok := c.mshrs[line]; ok && m.ordered && m.kind == bus.GetS && t.Kind != bus.GetS {
 		m.invalidated = true
 		delete(c.mshrs, line)
+		c.noteMSHRs()
 		c.draining[m.txnID] = m
 		if c.linkValid && c.linkLine == line {
 			c.linkValid = false
@@ -266,6 +267,7 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 			dm.specWrite = false
 		}
 		c.mshrs[dm.line] = dm
+		c.noteMSHRs()
 		m = dm
 	}
 	m.ordered = false
@@ -279,6 +281,7 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 			// The request itself dies here; its waiters are squashed by the
 			// abort.
 			delete(c.mshrs, m.line)
+			c.noteMSHRs()
 			c.AbortTxn(core.ReasonResource)
 			return
 		}
@@ -402,7 +405,7 @@ func (c *Controller) snoopAsOwner(t *bus.Txn, l *cache.Line) {
 		if dec == core.Defer {
 			c.eng.PushDeferred(core.Deferred{Line: line, Stamp: t.Stamp, Payload: t, EnqueuedAt: uint64(c.sys.K.Now())})
 			c.sys.TraceStamp(c.id, trace.Deferral, line, t.Stamp)
-			c.sys.Metrics.NoteDeferral(c.id)
+			c.sys.Metrics.NoteDeferral(c.id, uint64(c.sys.K.Now()))
 			c.sys.Bus.SendMarker(t.Src, t.ID, line, c.id)
 			if t.Kind != bus.GetS {
 				// Ownership of record moves to the requester; we become a
@@ -653,6 +656,7 @@ func (c *Controller) finishMSHR(m *mshr, frame *cache.Line) {
 func (c *Controller) retireMSHR(m *mshr) {
 	if _, ok := c.mshrs[m.line]; ok {
 		delete(c.mshrs, m.line)
+		c.noteMSHRs()
 		c.sys.Bus.Complete()
 	}
 }
@@ -691,7 +695,7 @@ func (c *Controller) serviceChain(line memsys.Addr, chain []chainEntry) {
 			if dec == core.Defer {
 				c.eng.PushDeferred(core.Deferred{Line: line, Stamp: t.Stamp, Payload: t, EnqueuedAt: uint64(c.sys.K.Now())})
 				c.sys.TraceStamp(c.id, trace.Deferral, line, t.Stamp)
-				c.sys.Metrics.NoteDeferral(c.id)
+				c.sys.Metrics.NoteDeferral(c.id, uint64(c.sys.K.Now()))
 				if t.Kind != bus.GetS {
 					l.Masked = true
 				}
@@ -842,7 +846,8 @@ func (c *Controller) Deschedule() {
 func (c *Controller) serveDeferred(d core.Deferred) {
 	t := d.Payload.(*bus.Txn)
 	c.sys.TraceStamp(c.id, trace.DeferService, d.Line, d.Stamp)
-	c.sys.Metrics.NoteDeferServed(uint64(c.sys.K.Now()) - d.EnqueuedAt)
+	now := uint64(c.sys.K.Now())
+	c.sys.Metrics.NoteDeferServed(now, now-d.EnqueuedAt)
 	l := c.mustProbe(d.Line)
 	switch t.Kind {
 	case bus.GetS:

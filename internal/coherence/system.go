@@ -20,9 +20,9 @@ import (
 	"tlrsim/internal/core"
 	"tlrsim/internal/fault"
 	"tlrsim/internal/memsys"
-	"tlrsim/internal/metrics"
 	"tlrsim/internal/sim"
 	"tlrsim/internal/stamp"
+	"tlrsim/internal/telemetry"
 	"tlrsim/internal/trace"
 )
 
@@ -59,7 +59,7 @@ type System struct {
 
 	// Metrics, when attached, is the observability instrument set (nil when
 	// disabled; every method on it is nil-safe).
-	Metrics *metrics.Set
+	Metrics *telemetry.Set
 
 	// Faults, when attached, is the deterministic fault injector (nil when
 	// disabled; every method on it is nil-safe).

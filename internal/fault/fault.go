@@ -11,7 +11,7 @@
 // seeded by Spec.Seed and never touches the kernel RNG, so enabling or
 // disabling injection cannot perturb a clean run's schedule. A nil *Injector
 // is the disabled state; every method is nil-safe and costs one pointer test
-// (the same pattern as metrics.Set), keeping the disabled hot paths
+// (the same pattern as telemetry.Set), keeping the disabled hot paths
 // allocation-free and byte-identical to the pre-fault goldens.
 package fault
 

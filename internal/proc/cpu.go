@@ -497,9 +497,6 @@ func (cpu *CPU) txBeginDispatchFenced(o op, complete func(result), alive func() 
 	case Base:
 		cpu.eng.EnterCritical(false)
 		o.lock.stats.Acquired++
-		if p := o.lock.prof; p != nil {
-			p.Acquires++
-		}
 		cpu.prog.acquires++
 		cpu.noteProgress(progressAcquire)
 		complete(result{mode: CritAcquireTTS})
@@ -507,9 +504,6 @@ func (cpu *CPU) txBeginDispatchFenced(o op, complete func(result), alive func() 
 	case MCS:
 		cpu.eng.EnterCritical(false)
 		o.lock.stats.Acquired++
-		if p := o.lock.prof; p != nil {
-			p.Acquires++
-		}
 		cpu.prog.acquires++
 		cpu.noteProgress(progressAcquire)
 		complete(result{mode: CritAcquireMCS})
@@ -530,9 +524,6 @@ func (cpu *CPU) txBeginDispatchFenced(o op, complete func(result), alive func() 
 		}
 		cpu.eng.EnterCritical(false)
 		o.lock.stats.Acquired++
-		if p := o.lock.prof; p != nil {
-			p.Acquires++
-		}
 		cpu.prog.acquires++
 		cpu.noteProgress(kind)
 		complete(result{mode: CritAcquireTTS})
@@ -632,9 +623,6 @@ func (cpu *CPU) txEnd(o op, complete func(result)) {
 	if !cpu.eng.Outermost() {
 		cpu.eng.ExitCritical(true)
 		o.lock.stats.Elided++
-		if p := o.lock.prof; p != nil {
-			p.Elided++
-		}
 		complete(result{ok: true})
 		return
 	}
@@ -646,9 +634,6 @@ func (cpu *CPU) txEnd(o op, complete func(result)) {
 			return
 		}
 		o.lock.stats.Elided++
-		if p := o.lock.prof; p != nil {
-			p.Elided++
-		}
 		cpu.elide.Success(o.lock.ID)
 		cpu.rmw.EndSection()
 		cpu.eng.ResetAttempt()

@@ -28,8 +28,8 @@ import (
 	"tlrsim/internal/fault"
 	"tlrsim/internal/locks"
 	"tlrsim/internal/memsys"
-	"tlrsim/internal/metrics"
 	"tlrsim/internal/sim"
+	"tlrsim/internal/telemetry"
 	"tlrsim/internal/trace"
 )
 
@@ -134,8 +134,9 @@ type Config struct {
 	TraceSink trace.Sink
 
 	// EnableMetrics attaches the observability instrument set
-	// (Machine.Metrics): counters, power-of-two histograms, per-lock
-	// contention profiles, and periodic samplers. Disabled, the machine
+	// (Machine.Metrics): counters, latency histograms, time-weighted gauges
+	// and per-lock contention profiles. The instruments own no kernel
+	// events, so results are identical either way. Disabled, the machine
 	// carries a nil set and every instrumentation site costs one pointer
 	// test.
 	EnableMetrics bool
@@ -187,7 +188,7 @@ type Machine struct {
 
 	cfg        Config
 	nextLockID int
-	mx         *metrics.Set
+	mx         *telemetry.Set
 
 	// faults is the deterministic fault injector (nil when disabled: every
 	// injection site costs one pointer test and the machine behaves exactly
@@ -241,26 +242,9 @@ func NewMachine(cfg Config) *Machine {
 		sys.Tracer.AttachSink(cfg.TraceSink)
 	}
 	if cfg.EnableMetrics {
-		m.mx = metrics.NewSet(cfg.Procs)
+		m.mx = telemetry.NewSet(cfg.Procs)
 		sys.Metrics = m.mx
-		reg := m.mx.Registry()
-		reg.NewSampler("bus_occupancy", 512, func() uint64 {
-			return uint64(sys.Bus.Outstanding() + sys.Bus.Queued())
-		})
-		reg.NewSampler("defer_queue_depth", 512, func() uint64 {
-			var n uint64
-			for _, e := range engines {
-				n += uint64(e.DeferredLen())
-			}
-			return n
-		})
-		reg.NewSampler("outstanding_misses", 512, func() uint64 {
-			var n uint64
-			for _, c := range sys.Ctrls {
-				n += uint64(c.MSHRCount())
-			}
-			return n
-		})
+		sys.Bus.SetOccupancy(&m.mx.BusOccupancy)
 	}
 	m.CPUs = make([]*CPU, cfg.Procs)
 	for i := range m.CPUs {
@@ -281,7 +265,7 @@ func (m *Machine) Mem() *memsys.Memory { return m.Sys.Mem }
 func (m *Machine) NewLock() *Lock {
 	m.nextLockID++
 	l := &Lock{ID: m.nextLockID, Addr: m.Alloc.PaddedWord()}
-	l.prof = m.mx.RegisterLock(l.Addr, l.ID)
+	l.prof = m.mx.RegisterLock(l.Addr, l.ID, &l.stats)
 	m.Sys.RegisterLock(l.Addr)
 	if m.cfg.Scheme == MCS {
 		l.attachMCS(m)
@@ -329,7 +313,6 @@ func (m *Machine) runLoop(srcs []opSource) error {
 		m.CPUs[i].start(s, m.startDelay(i))
 	}
 	defer m.stopThreads()
-	m.mx.Registry().StartSamplers(m.K)
 	m.lastProgressAt = m.K.Now()
 	watchdog := m.cfg.StallCycles
 	var iter uint64
@@ -364,9 +347,6 @@ func (m *Machine) runLoop(srcs []opSource) error {
 			return errors.Join(m.stallError(StallDeadlock), m.CheckerErr())
 		}
 	}
-	// Stop samplers before draining: a self-rescheduling sampler tick would
-	// otherwise keep the queue populated forever.
-	m.mx.Registry().StopSamplers()
 	// Drain the memory system (in-flight write-backs etc.).
 	m.K.Run()
 	return nil
@@ -457,7 +437,7 @@ func (m *Machine) FlightDump() string {
 
 // Metrics returns the attached observability instrument set (nil unless
 // EnableMetrics was set; all methods on a nil set are no-ops).
-func (m *Machine) Metrics() *metrics.Set { return m.mx }
+func (m *Machine) Metrics() *telemetry.Set { return m.mx }
 
 // Faults returns the attached fault injector (nil unless Config.Faults is
 // enabled; all methods on a nil injector are no-ops).
@@ -498,27 +478,14 @@ type Lock struct {
 	Addr memsys.Addr
 
 	mcs   *locks.MCS
-	stats LockStats
-	// prof is the preallocated contention profile (nil when metrics are
-	// disabled, so hot sites skip it with one pointer test).
-	prof *metrics.LockProfile
-}
-
-// LockStats counts how critical sections protected by one lock actually
-// executed. §4: "The spin-wait loop of the lock acquire will only be
-// reached if TLR has failed, thus giving the programmer a method of
-// detecting when wait-freedom has not been achieved" — Acquired == 0 is
-// that detector.
-type LockStats struct {
-	// Elided counts critical sections committed lock-free.
-	Elided uint64
-	// Acquired counts real lock acquisitions (BASE/MCS always; SLE/TLR
-	// only on fallback).
-	Acquired uint64
+	stats telemetry.LockStats
+	// prof is the preallocated contention profile, reading stats in place
+	// (nil when metrics are disabled).
+	prof *telemetry.LockProfile
 }
 
 // Stats returns the lock's execution counters.
-func (l *Lock) Stats() LockStats { return l.stats }
+func (l *Lock) Stats() telemetry.LockStats { return l.stats }
 
 // WaitFree reports whether every critical section under this lock ran
 // lock-free (§4's wait-freedom detector).

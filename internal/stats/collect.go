@@ -48,6 +48,6 @@ func Collect(m *proc.Machine) *Run {
 	r.MaxRetries = m.MaxRetries()
 	r.FaultStats = m.FaultStats()
 	r.DeadlockRecoveries = m.DeadlockRecoveries()
-	r.MetricsDump = m.Metrics().Dump()
+	r.MetricsDump = m.Metrics().Dump(uint64(m.K.Now()))
 	return r
 }

@@ -1,15 +1,17 @@
-// Package telemetry is the steady-state observability layer: streaming
-// log-linear latency histograms with bounded quantile error, tumbling
-// simulated-time windows with per-window snapshot/reset, a warmup/convergence
-// detector, and window exporters that stream through a sink interface (the
-// trace.Sink pattern) so arbitrarily long runs retain no per-request state.
+// Package telemetry is the simulator's one instrument layer: streaming
+// log-linear histograms with bounded quantile error, time-weighted gauges,
+// the per-machine instrument Set (paper counters, latency histograms, gauges
+// and per-lock contention profiles behind -metrics), tumbling simulated-time
+// windows with a warmup/convergence detector, and window exporters that
+// stream through a sink interface (the trace.Sink pattern) so arbitrarily
+// long runs retain no per-request state.
 //
-// The package follows the PR 2/PR 4 observability invariants: every entry
-// point is a method on a possibly-nil receiver (a disabled run carries a nil
-// *Recorder and each observation costs one pointer test), recording never
-// allocates on the per-observation path, and nothing here schedules kernel
-// events or touches simulated state — telemetry watches completions, it never
-// participates in them, so enabling it cannot perturb simulated results.
+// Every entry point is a method on a possibly-nil receiver (a disabled run
+// carries a nil *Set or *Recorder and each update costs one pointer test),
+// recording never allocates on the per-observation path, and the package
+// does not import the simulation kernel: instruments are updated at the
+// cycle a value changes and never schedule events or touch simulated state,
+// so enabling them cannot perturb simulated results.
 package telemetry
 
 import (
@@ -136,31 +138,6 @@ func (h *Hist) Quantile(q float64) uint64 {
 		}
 	}
 	return h.max
-}
-
-// PowBucket returns the count of observations v with bits.Len64(v) == k —
-// the power-of-two view [2^(k-1), 2^k) the metrics package's dump format
-// renders (k=0 holds exact zeros).
-func (h *Hist) PowBucket(k int) uint64 {
-	switch {
-	case k < 0 || k > 64:
-		return 0
-	case k == 0:
-		return h.buckets[0]
-	case k <= subBits:
-		var n uint64
-		for i := 1 << (k - 1); i < 1<<k; i++ {
-			n += h.buckets[i]
-		}
-		return n
-	default:
-		var n uint64
-		base := subCount * (k - subBits)
-		for i := base; i < base+subCount; i++ {
-			n += h.buckets[i]
-		}
-		return n
-	}
 }
 
 // Reset zeroes the histogram in place, keeping its storage.

@@ -97,27 +97,6 @@ func TestHistQuantileErrorBound(t *testing.T) {
 	}
 }
 
-func TestHistPowBucket(t *testing.T) {
-	var h Hist
-	h.Observe(0)
-	h.Observe(1)
-	h.Observe(2)
-	h.Observe(3)
-	h.Observe(40) // len=6
-	h.Observe(70) // len=7
-	h.Observe(70)
-	cases := map[int]uint64{0: 1, 1: 1, 2: 2, 6: 1, 7: 2, 8: 0, 64: 0}
-	for k, want := range cases {
-		if got := h.PowBucket(k); got != want {
-			t.Fatalf("PowBucket(%d) = %d, want %d", k, got, want)
-		}
-	}
-	h.Observe(math.MaxUint64)
-	if got := h.PowBucket(64); got != 1 {
-		t.Fatalf("PowBucket(64) = %d, want 1", got)
-	}
-}
-
 func TestHistObserveAllocFree(t *testing.T) {
 	var h Hist
 	if n := testing.AllocsPerRun(1000, func() {

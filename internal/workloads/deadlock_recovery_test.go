@@ -1,10 +1,12 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"tlrsim/internal/fault"
 	"tlrsim/internal/proc"
+	"tlrsim/internal/stats"
 )
 
 // TestDeadlockRecoveryProbeTransitRace pins the probe-transit wait cycle the
@@ -27,22 +29,44 @@ import (
 //
 // The pinned contract: the run completes, the coherence/consistency checker
 // stays clean, and recovery actually fired (so the race is exercised, not
-// merely avoided).
+// merely avoided) — identically with the metrics instrument set on and off.
+// Instruments own no kernel events, so arming them must leave the event
+// count, every result counter and the recovery itself unchanged.
 func TestDeadlockRecoveryProbeTransitRace(t *testing.T) {
 	spec, err := fault.ParseSpec("grant=40:40,reorder=25,nack=30,abort=15:conflict,wb=20,msg=25:40,cap=24,seed=3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := proc.BaselineConfig(8, proc.TLR, 2002)
-	cfg.StallCycles = 2_000_000
-	cfg.Faults = spec
-	m, err := Run(cfg, &SingleCounter{TotalOps: 512})
-	if err != nil {
-		t.Fatalf("faulted run must terminate checker-clean, got: %v", err)
+	type outcome struct {
+		run    *stats.Run
+		fired  uint64
+		recovs uint64
 	}
-	if m.DeadlockRecoveries() == 0 {
-		t.Fatal("expected the probe-transit wait cycle to form and be recovered; " +
-			"if the protocol now avoids it outright, repoint this test at a spec that still forms it")
+	runOnce := func(metrics bool) outcome {
+		cfg := proc.BaselineConfig(8, proc.TLR, 2002)
+		cfg.StallCycles = 2_000_000
+		cfg.Faults = spec
+		cfg.EnableMetrics = metrics
+		m, err := Run(cfg, &SingleCounter{TotalOps: 512})
+		if err != nil {
+			t.Fatalf("metrics=%t: faulted run must terminate checker-clean, got: %v", metrics, err)
+		}
+		if m.DeadlockRecoveries() == 0 {
+			t.Fatalf("metrics=%t: expected the probe-transit wait cycle to form and be recovered; "+
+				"if the protocol now avoids it outright, repoint this test at a spec that still forms it", metrics)
+		}
+		r := stats.Collect(m)
+		r.MetricsDump = ""
+		return outcome{r, m.K.Fired(), m.DeadlockRecoveries()}
+	}
+	off := runOnce(false)
+	on := runOnce(true)
+	if !reflect.DeepEqual(off.run, on.run) {
+		t.Fatalf("metrics changed results:\noff: %+v\non:  %+v", off.run, on.run)
+	}
+	if off.fired != on.fired || off.recovs != on.recovs {
+		t.Fatalf("metrics changed the event stream: fired %d vs %d, recoveries %d vs %d",
+			off.fired, on.fired, off.recovs, on.recovs)
 	}
 }
 

@@ -11,6 +11,7 @@ package tlrsim_test
 //     invariant, now re-asserted with instrumentation sites in place.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -25,53 +26,61 @@ func microbenchmarks() map[string]func() tlrsim.Workload {
 	}
 }
 
-// TestMetricsDoNotPerturbResults runs each microbenchmark with and without
-// the instrument set and requires identical aggregate results. The sampler
-// events share the kernel with model events, so this is the determinism
-// argument made executable.
+// mediumFaults is the robustness ladder's medium rung: at 16 CPUs its TLR
+// run forms probe-transit wait cycles that only dry-queue deadlock recovery
+// breaks, so it exercises the failure path with instruments armed.
+const mediumFaults = "grant=25:25,reorder=10,nack=15,abort=8:conflict,wb=10,cap=24,seed=1"
+
+// TestMetricsDoNotPerturbResults runs each microbenchmark, plus the medium
+// fault rung, with and without the instrument set and requires identical
+// results and an identical number of fired kernel events: instruments own no
+// kernel events, so this is the determinism argument made executable.
 func TestMetricsDoNotPerturbResults(t *testing.T) {
+	type tcase struct {
+		name  string
+		cfg   tlrsim.Config
+		build func() tlrsim.Workload
+	}
+	var cases []tcase
 	for name, build := range microbenchmarks() {
 		for _, scheme := range []tlrsim.Scheme{tlrsim.Base, tlrsim.TLR} {
-			t.Run(name+"/"+scheme.String(), func(t *testing.T) {
-				runOnce := func(metrics bool) *tlrsim.Run {
-					cfg := tlrsim.DefaultConfig(4, scheme)
-					cfg.EnableMetrics = metrics
-					m, err := tlrsim.RunWorkload(cfg, build())
-					if err != nil {
-						t.Fatal(err)
-					}
-					r := tlrsim.Collect(m)
-					r.MetricsDump = "" // the only field allowed to differ
-					return r
-				}
-				off, on := runOnce(false), runOnce(true)
-				if !runsEqual(off, on) {
-					t.Fatalf("metrics changed results:\noff: %+v\non:  %+v", off, on)
-				}
-			})
+			cases = append(cases, tcase{name + "/" + scheme.String(), tlrsim.DefaultConfig(4, scheme), build})
 		}
 	}
-}
+	faulted := tlrsim.DefaultConfig(16, tlrsim.TLR)
+	faulted.Seed = 2002
+	faulted.StallCycles = 2_000_000
+	spec, err := tlrsim.ParseFaultSpec(mediumFaults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted.Faults = spec
+	cases = append(cases, tcase{"single-counter/faults=medium/" + tlrsim.TLR.String(), faulted,
+		func() tlrsim.Workload { return tlrsim.Benchmarks.SingleCounter(2048) }})
 
-// runsEqual compares two runs field-wise (Run contains a map, so != alone
-// cannot be used).
-func runsEqual(a, b *tlrsim.Run) bool {
-	if a.Cycles != b.Cycles || a.Starts != b.Starts || a.Commits != b.Commits ||
-		a.Aborts != b.Aborts || a.Fallbacks != b.Fallbacks || a.Deferrals != b.Deferrals ||
-		a.Busy != b.Busy || a.LockStall != b.LockStall || a.DataStall != b.DataStall ||
-		a.Loads != b.Loads || a.Stores != b.Stores || a.Misses != b.Misses ||
-		a.BusTxns != b.BusTxns || a.DataMsgs != b.DataMsgs {
-		return false
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runOnce := func(metrics bool) (*tlrsim.Run, uint64) {
+				cfg := tc.cfg
+				cfg.EnableMetrics = metrics
+				m, err := tlrsim.RunWorkload(cfg, tc.build())
+				if err != nil {
+					t.Fatalf("metrics=%t: %v", metrics, err)
+				}
+				r := tlrsim.Collect(m)
+				r.MetricsDump = "" // the only field allowed to differ
+				return r, m.K.Fired()
+			}
+			off, offFired := runOnce(false)
+			on, onFired := runOnce(true)
+			if !reflect.DeepEqual(off, on) {
+				t.Fatalf("metrics changed results:\noff: %+v\non:  %+v", off, on)
+			}
+			if offFired != onFired {
+				t.Fatalf("metrics changed the kernel event count: %d off, %d on", offFired, onFired)
+			}
+		})
 	}
-	if len(a.AbortsByReason) != len(b.AbortsByReason) {
-		return false
-	}
-	for k, v := range a.AbortsByReason {
-		if b.AbortsByReason[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // TestMetricsEmitPerLockHistograms is the acceptance check that the
@@ -87,10 +96,10 @@ func TestMetricsEmitPerLockHistograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dump := m.Metrics().Dump()
+			dump := m.Metrics().Dump(uint64(m.K.Now()))
 			for _, want := range []string{
 				"counters:", "commits", "histograms:", "crit_cycles",
-				"retries_per_commit", "samplers:", "bus_occupancy",
+				"retries_per_commit", "gauges (time-weighted", "bus_occupancy",
 				"locks (hottest first):", "hold: count=",
 			} {
 				if !strings.Contains(dump, want) {
@@ -100,7 +109,7 @@ func TestMetricsEmitPerLockHistograms(t *testing.T) {
 			if m.Metrics().CritCycles.Count() == 0 {
 				t.Fatal("no critical sections measured")
 			}
-			if m.Metrics().Commits.Value() == 0 {
+			if m.Metrics().Commits == 0 {
 				t.Fatal("no commits counted")
 			}
 		})

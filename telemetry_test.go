@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 			}
 			off, _ := runOnce(false)
 			on, rec := runOnce(true)
-			if !runsEqual(off, on) {
+			if !reflect.DeepEqual(off, on) {
 				t.Fatalf("telemetry changed results:\noff: %+v\non:  %+v", off, on)
 			}
 			if e2e, _ := rec.Summary(); e2e.Count == 0 {

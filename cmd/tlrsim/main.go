@@ -107,7 +107,7 @@ func run(args []string, stdout io.Writer) error {
 		jobs       = fs.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = sequential; results are identical at any value)")
 		verbose    = fs.Bool("v", false, "print per-job completion lines on stderr")
 		metricsOut = fs.String("metrics", "", "attach observability instruments and write per-run dumps to this file")
-		coldstart  = fs.Bool("coldstart", false, "disable warm-machine reuse and prefix forking (cross-check; output is identical either way)")
+		coldstart  = fs.Bool("coldstart", false, "disable warm-machine reuse (cross-check; output is identical either way)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 		memprofile = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 		faultSpec  = fs.String("faults", "", "fault-injection spec applied to every simulated machine (e.g. \"nack=25,abort=10:conflict,cap=16\"; see internal/fault)")

@@ -304,29 +304,6 @@ func (b *Bus) Reset() {
 	b.stats = Stats{Txns: txns}
 }
 
-// AdoptState copies src's grant clock, transaction numbering, per-endpoint
-// injection times, and stats into b (snapshot restore). Both buses must be
-// drained.
-func (b *Bus) AdoptState(src *Bus) {
-	if b.outstanding != 0 || len(b.queue) != 0 || b.granting ||
-		src.outstanding != 0 || len(src.queue) != 0 || src.granting {
-		panic("bus: AdoptState while transactions in flight")
-	}
-	b.nextGrant = src.nextGrant
-	b.nextID = src.nextID
-	clear(b.sendFree)
-	for id, t := range src.sendFree {
-		b.sendFree[id] = t
-	}
-	txns := b.stats.Txns
-	clear(txns)
-	for k, v := range src.stats.Txns {
-		txns[k] = v
-	}
-	b.stats = src.stats
-	b.stats.Txns = txns
-}
-
 // Issue queues transaction t for the address network. The bus assigns the
 // transaction ID and, at grant time, the global order.
 func (b *Bus) Issue(t *Txn) uint64 {

@@ -184,31 +184,6 @@ func (c *Cache) Reset() {
 	c.specTouched = c.specTouched[:0]
 }
 
-// AdoptState deep-copies src's frames, victim cache, LRU clock, and stats
-// into c (snapshot restore). Both caches must share the same geometry.
-func (c *Cache) AdoptState(src *Cache) {
-	if c.cfg != src.cfg {
-		panic("cache: AdoptState geometry mismatch")
-	}
-	for i := range c.sets {
-		switch {
-		case src.sets[i] == nil && c.sets[i] == nil:
-			// Both untouched.
-		case src.sets[i] == nil:
-			clear(c.sets[i])
-		default:
-			if c.sets[i] == nil {
-				c.sets[i] = make([]Line, c.cfg.Ways)
-			}
-			copy(c.sets[i], src.sets[i])
-		}
-	}
-	c.victim = append(c.victim[:0], src.victim...)
-	c.tick = src.tick
-	c.stats = src.stats
-	c.specTouched = append(c.specTouched[:0], src.specTouched...)
-}
-
 func (c *Cache) setIndex(line memsys.Addr) int {
 	return int(uint64(line) / memsys.LineBytes % uint64(c.numSets))
 }

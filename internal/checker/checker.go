@@ -116,18 +116,6 @@ func (c *Checker) Reset() {
 	c.dropped = 0
 }
 
-// AdoptState copies src's shadow memory and counters into c (snapshot
-// restore).
-func (c *Checker) AdoptState(src *Checker) {
-	clear(c.shadow)
-	for a, v := range src.shadow {
-		c.shadow[a] = v
-	}
-	c.txns, c.plainOps = src.txns, src.plainOps
-	c.violations = append(c.violations[:0], src.violations...)
-	c.dropped = src.dropped
-}
-
 // CommitTxn validates one committed transaction: reads must match the
 // shadow at this (commit) point — TLR's conflict detection guarantees no
 // writer intervened between read and commit — then writes apply atomically.

@@ -1,14 +1,12 @@
 package coherence
 
-// Machine reuse and snapshot support. Reset rewinds a quiescent system to
-// construction state without re-allocating; AdoptState makes a quiescent
-// system's observable state identical to another's (deep copy). Quiescence
-// is the precondition for both: no bus transaction in flight, no MSHRs, no
-// buffered stores, no transaction mid-flight in any engine. At such a point
-// every map the controllers own holds only either persistent architectural
-// state (copied) or per-request bookkeeping (necessarily empty), and all
-// pooled bus messages are back on their free lists — which is why pooling
-// can survive reuse untouched.
+// Machine reuse. Reset rewinds a quiescent system to construction state
+// without re-allocating. Quiescence is the precondition: no bus transaction
+// in flight, no MSHRs, no buffered stores, no transaction mid-flight in any
+// engine. At such a point every map the controllers own holds only either
+// persistent architectural state (cleared) or per-request bookkeeping
+// (necessarily empty), and all pooled bus messages are back on their free
+// lists — which is why pooling can survive reuse untouched.
 
 // reset rewinds the controller to the state newController constructs,
 // keeping every map and buffer allocation.
@@ -34,35 +32,6 @@ func (c *Controller) reset() {
 	c.stats = Stats{}
 }
 
-// adoptState copies src's persistent state — cache contents, link register,
-// write-back-pending lines, and stats — into c. Both controllers must be
-// quiescent (per-request maps empty), which System.AdoptState asserts.
-func (c *Controller) adoptState(src *Controller) {
-	c.cache.AdoptState(src.cache)
-	c.wb.Discard()
-	if c.sb != nil {
-		c.sb.reset()
-	}
-	clear(c.mshrs)
-	clear(c.draining)
-	clear(c.wbPending)
-	for a, d := range src.wbPending {
-		c.wbPending[a] = d
-	}
-	clear(c.wbSuperseded)
-	for a, v := range src.wbSuperseded {
-		c.wbSuperseded[a] = v
-	}
-	c.linkLine, c.linkValid = src.linkLine, src.linkValid
-	clear(c.specReads)
-	c.drainForwarding = false
-	c.sbLoadForward = false
-	clear(c.lineSubs)
-	c.commitWaiter = nil
-	clear(c.fillForward)
-	c.stats = src.stats
-}
-
 // reset empties the store buffer and drops its callbacks.
 func (sb *storeBuffer) reset() {
 	sb.entries = sb.entries[:0]
@@ -75,14 +44,6 @@ func (sb *storeBuffer) reset() {
 // behaviour returns to construction state — this is observable timing state,
 // so skipping it would break reuse determinism).
 func (m *MemController) reset() { clear(m.inL2) }
-
-// adoptState copies src's L2 presence set.
-func (m *MemController) adoptState(src *MemController) {
-	clear(m.inL2)
-	for a, v := range src.inL2 {
-		m.inL2[a] = v
-	}
-}
 
 // Reset rewinds the whole memory system to construction state. The caller
 // (proc.Machine.Reset) has already verified quiescence and reset the
@@ -101,27 +62,4 @@ func (s *System) Reset() {
 		s.Tracer.Reset()
 	}
 	clear(s.lockLines)
-}
-
-// AdoptState makes s's observable state identical to src's. Both systems
-// must be quiescent and share the same construction shape (processor count,
-// cache geometry, buffer sizes). The tracer is NOT copied: a forked machine
-// starts with an empty trace so per-phase traces stay per-phase.
-func (s *System) AdoptState(src *System) {
-	if !s.Quiescent() || !src.Quiescent() {
-		panic("coherence: AdoptState on a non-quiescent system")
-	}
-	s.Bus.AdoptState(src.Bus)
-	s.Mem.AdoptState(src.Mem)
-	for i, c := range s.Ctrls {
-		c.adoptState(src.Ctrls[i])
-	}
-	s.MemC.adoptState(src.MemC)
-	if s.Check != nil && src.Check != nil {
-		s.Check.AdoptState(src.Check)
-	}
-	clear(s.lockLines)
-	for a, v := range src.lockLines {
-		s.lockLines[a] = v
-	}
 }

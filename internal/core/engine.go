@@ -315,30 +315,6 @@ func (e *Engine) Reset(pol Policy) {
 	e.stats = Stats{}
 }
 
-// AdoptState copies src's cross-transaction state — logical clock,
-// transaction numbering, upgrade-violation memory, and stats — into e
-// (snapshot restore). Both engines must be idle: transaction-local state
-// (deferred queue, conflict lines, stamps) is meaningful only
-// mid-transaction, and snapshots are taken at quiescence.
-func (e *Engine) AdoptState(src *Engine) {
-	if e.mode != ModeIdle || src.mode != ModeIdle {
-		panic("core: AdoptState on a non-idle engine")
-	}
-	e.clk.AdoptState(src.clk)
-	e.txSeq = src.txSeq
-	clear(e.conflictLines)
-	for l, v := range src.conflictLines {
-		e.conflictLines[l] = v
-	}
-	e.restartsThisAttempt = src.restartsThisAttempt
-	clear(e.upgradeViolations)
-	for l, n := range src.upgradeViolations {
-		e.upgradeViolations[l] = n
-	}
-	e.karma = src.karma
-	e.stats = src.stats
-}
-
 // StampBefore compares two timestamps under the engine's configured
 // timestamp width: plain comparison for unbounded clocks, half-window
 // wrapped comparison for fixed-size hardware timestamps.

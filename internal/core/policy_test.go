@@ -323,20 +323,20 @@ func TestKarmaStampSaturates(t *testing.T) {
 	}
 }
 
-func TestKarmaSurvivesAdoptState(t *testing.T) {
-	src := engineWithCM(0, CMKarma)
-	beginTx(src)
-	src.Abort(ReasonConflict)
-	src.NoteAbortedWork(777)
-	src.AckAbort()
-	dst := engineWithCM(0, CMKarma)
-	dst.AdoptState(src)
-	if dst.Karma() != 777 {
-		t.Fatalf("fork dropped the karma bank: %d", dst.Karma())
+// TestResetClearsKarma: the karma bank is run state, so a pooled engine
+// rewound for the next run starts with none.
+func TestResetClearsKarma(t *testing.T) {
+	e := engineWithCM(0, CMKarma)
+	beginTx(e)
+	e.Abort(ReasonConflict)
+	e.NoteAbortedWork(777)
+	e.AckAbort()
+	if e.Karma() != 777 {
+		t.Fatalf("aborted work not banked: %d", e.Karma())
 	}
-	dst.Reset(dst.Policy())
-	if dst.Karma() != 0 {
-		t.Fatalf("reset kept the karma bank: %d", dst.Karma())
+	e.Reset(e.Policy())
+	if e.Karma() != 0 {
+		t.Fatalf("reset kept the karma bank: %d", e.Karma())
 	}
 }
 

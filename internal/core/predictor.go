@@ -41,15 +41,6 @@ func (p *ElisionPredictor) Reset() {
 	p.order = p.order[:0]
 }
 
-// AdoptState copies src's prediction table into p (snapshot restore).
-func (p *ElisionPredictor) AdoptState(src *ElisionPredictor) {
-	clear(p.counters)
-	for k, v := range src.counters {
-		p.counters[k] = v
-	}
-	p.order = append(p.order[:0], src.order...)
-}
-
 func (p *ElisionPredictor) get(site int) int8 {
 	if c, ok := p.counters[site]; ok {
 		return c
@@ -127,19 +118,6 @@ func (p *RMWPredictor) Reset() {
 	clear(p.counters)
 	p.order = p.order[:0]
 	clear(p.loads)
-}
-
-// AdoptState copies src's tables into p (snapshot restore).
-func (p *RMWPredictor) AdoptState(src *RMWPredictor) {
-	clear(p.counters)
-	for k, v := range src.counters {
-		p.counters[k] = v
-	}
-	p.order = append(p.order[:0], src.order...)
-	clear(p.loads)
-	for k, v := range src.loads {
-		p.loads[k] = v
-	}
 }
 
 func (p *RMWPredictor) get(site int) int8 {

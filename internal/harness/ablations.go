@@ -42,9 +42,6 @@ func NackVsDeferral(o Options) (*Result, error) {
 					c.Policy.RetentionNACK = nack
 				}),
 				build: build,
-				// Retention policy is a reset knob: both variants at one
-				// processor count fork one warm prefix.
-				fork: fmt.Sprintf("nack-p%d", p),
 			})
 		}
 	}
@@ -85,8 +82,6 @@ func DeferredQueueSweep(o Options) (*Result, error) {
 				c.Policy.MaxDeferred = size
 			}),
 			build: func() workloads.Workload { return &workloads.ReadHeavy{Rounds: rounds} },
-			// Queue size is a reset knob: all sizes fork one warm prefix.
-			fork: "deferred-queue",
 		})
 	}
 	runs, err := runPoints(o, points)
@@ -158,8 +153,6 @@ func RestartPenaltySweep(o Options) (*Result, error) {
 				c.Policy.StrictTimestamps = true // strict mode restarts more; the penalty matters
 			}),
 			build: func() workloads.Workload { return &workloads.SingleCounter{TotalOps: total} },
-			// The penalty is a reset knob: all points fork one warm prefix.
-			fork: "restart-penalty",
 		})
 	}
 	runs, err := runPoints(o, points)

@@ -50,97 +50,45 @@ func cmWorkloads(o Options) []cmWorkload {
 // per critical-section exit), and — for the open-loop service rows — the
 // end-to-end p99 request latency.
 //
-// All rows run at o.AppProcs. Closed-loop rows fork one warm prefix per
-// workload across BASE and all policy variants (scheme and policy are reset
-// knobs, not machine shape); the service rows attach a telemetry recorder
-// per point, exactly as ServiceSweep does. Options.CM is ignored: the matrix
-// enumerates the policies itself.
+// All rows run at o.AppProcs, every point on its own warm machine; the
+// service rows attach a telemetry recorder per point, exactly as
+// ServiceSweep does. Options.CM is ignored: the matrix enumerates the
+// policies itself, and its timestamp column must stay the paper's policy.
 func ContentionMatrix(o Options) (*Result, error) {
+	o.CM = core.CMTimestamp
 	cms := core.CMs()
 	rows := cmWorkloads(o)
-
-	// Closed-loop rows through the standard point runner.
-	var points []point
-	for _, row := range rows {
-		points = append(points, point{
-			label: fmt.Sprintf("cm %s BASE procs=%d", row.label, o.AppProcs),
-			cfg:   MachineConfig(o.AppProcs, proc.Base, o.Seed),
-			build: row.build,
-			fork:  "cm-" + row.label,
-		})
-		for _, cm := range cms {
-			cfg := MachineConfig(o.AppProcs, proc.TLR, o.Seed)
-			cfg.Policy.CM = cm
-			points = append(points, point{
-				label: fmt.Sprintf("cm %s %s procs=%d", row.label, cm, o.AppProcs),
-				cfg:   cfg,
-				build: row.build,
-				fork:  "cm-" + row.label,
-			})
-		}
-	}
-	closedRuns, err := runPoints(o, points)
-	if err != nil {
-		return nil, err
-	}
-
-	// Open-loop service rows: one recorder per point for the e2e tail.
 	rates := DefaultServiceOptions().Rates
-	requests := o.scaled(4096)
-	perRow := 1 + len(cms) // BASE + one column per policy
-	nSvc := len(rates) * perRow
-	svcRecs := make([]*telemetry.Recorder, nSvc)
-	var units []runner.Unit
-	addSvc := func(rate ServiceRate, scheme proc.Scheme, cm core.CM, label string) {
-		idx := len(units)
-		cfg := MachineConfig(o.AppProcs, scheme, o.Seed)
-		if scheme.Elides() {
-			cfg.Policy.CM = cm
-		}
-		cfg.EnableMetrics = o.Metrics
-		if o.Flight > 0 && cfg.TraceCapacity == 0 {
-			cfg.TraceCapacity = o.Flight
-		}
-		if o.Faults.Enabled() {
-			cfg.Faults = o.Faults
-			if cfg.StallCycles == 0 {
-				cfg.StallCycles = faultStallCycles
-			}
-		}
-		job := runner.Job{Label: label, Config: cfg}
-		units = append(units, runner.Unit{
-			Jobs: []runner.Job{job},
-			Exec: func(mc *runner.MachineCache, jobs []runner.Job) ([]*stats.Run, error) {
-				rec := telemetry.NewRecorder(telemetry.Config{})
-				w := &workloads.Service{
-					Requests: requests,
-					MeanGap:  rate.MeanGap,
-					Seed:     o.Seed,
-					Rec:      rec,
-				}
-				m := mc.Acquire(jobs[0].Config)
-				if err := workloads.RunOn(m, w); err != nil {
-					return nil, fmt.Errorf("%s: %w", jobs[0].Label, err)
-				}
-				rec.Finish(uint64(m.Cycles()))
-				run := stats.Collect(m)
-				mc.Release(m)
-				svcRecs[idx] = rec
-				return []*stats.Run{run}, nil
-			},
-		})
+
+	// A row's columns: BASE (the speedup denominator), then TLR under
+	// each policy.
+	names := []string{"BASE"}
+	configs := []proc.Config{MachineConfig(o.AppProcs, proc.Base, o.Seed)}
+	for _, cm := range cms {
+		cfg := MachineConfig(o.AppProcs, proc.TLR, o.Seed)
+		cfg.Policy.CM = cm
+		configs = append(configs, cfg)
+		names = append(names, cm.String())
 	}
-	for _, rate := range rates {
-		rate := rate
-		addSvc(rate, proc.Base, core.CMTimestamp,
-			fmt.Sprintf("cm service-%s BASE procs=%d", rate.Label, o.AppProcs))
-		for _, cm := range cms {
-			addSvc(rate, proc.TLR, cm,
-				fmt.Sprintf("cm service-%s %s procs=%d", rate.Label, cm, o.AppProcs))
+	perRow := len(configs)
+	label := func(row string, k int) string {
+		return fmt.Sprintf("cm %s %s procs=%d", row, names[k], o.AppProcs)
+	}
+	var jobs []runner.Job
+	for _, row := range rows {
+		for k, cfg := range configs {
+			jobs = append(jobs, runner.Job{Label: label(row.label, k), Config: o.apply(cfg), Build: row.build})
 		}
 	}
-	pool := &runner.Pool{Workers: o.Jobs, Progress: o.Progress, Cold: o.ColdStart}
-	byUnit, err := pool.RunUnits(units)
+	// Open-loop service rows: one recorder per point for the e2e tail.
+	svcRecs := make([]*telemetry.Recorder, len(rates)*perRow)
+	for rj, rate := range rates {
+		for k, cfg := range configs {
+			jobs = append(jobs, serviceJob(o, label("service-"+rate.Label, k), cfg, rate,
+				telemetry.Config{}, &svcRecs[rj*perRow+k]))
+		}
+	}
+	runs, err := o.pool().Run(jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +96,7 @@ func ContentionMatrix(o Options) (*Result, error) {
 	res := &Result{
 		Name:     "cm",
 		Runs:     make(map[string]map[int]*stats.Run),
-		Variants: append([]string{"BASE"}, cmLabels(cms)...),
+		Variants: names,
 		KeyCol:   "workload",
 	}
 	t := &stats.Table{Header: []string{
@@ -168,14 +116,12 @@ func ContentionMatrix(o Options) (*Result, error) {
 		}
 	}
 	for ri, row := range rows {
-		runs := closedRuns[ri*perRow : (ri+1)*perRow]
-		addRow(row.label, runs[0], runs[1:], func(int) string { return "-" })
+		cells := runs[ri*perRow : (ri+1)*perRow]
+		addRow(row.label, cells[0], cells[1:], func(int) string { return "-" })
 	}
+	svcRuns := runs[len(rows)*perRow:]
 	for rj, rate := range rates {
-		var cells []*stats.Run
-		for k := 0; k < perRow; k++ {
-			cells = append(cells, byUnit[rj*perRow+k][0])
-		}
+		cells := svcRuns[rj*perRow : (rj+1)*perRow]
 		addRow("service-"+rate.Label, cells[0], cells[1:], func(i int) string {
 			e2e, _ := svcRecs[rj*perRow+i+1].Summary()
 			return fmt.Sprintf("%d", e2e.P99)
@@ -196,12 +142,4 @@ func pct(num, den uint64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f", 100*float64(num)/float64(den))
-}
-
-func cmLabels(cms []core.CM) []string {
-	out := make([]string, len(cms))
-	for i, cm := range cms {
-		out[i] = cm.String()
-	}
-	return out
 }

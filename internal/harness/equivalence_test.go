@@ -6,11 +6,10 @@ import (
 )
 
 // The reuse contract, asserted end to end: every experiment report is
-// byte-identical whether machines are constructed cold per point, rewound
-// from a warm pool, or forked from a shared snapshotted prefix. Reset and
-// Fork are exact, so the cold path is the oracle and the warm path must
-// reproduce it bit for bit — across seeds, and for both the fork-grouped
-// ablations and a plain pooled sweep.
+// byte-identical whether machines are constructed cold per point or rewound
+// from a warm pool. Reset is exact, so the cold path is the oracle and the
+// warm path must reproduce it bit for bit — across seeds, and for ablations
+// whose points differ only in reset knobs as well as a plain sweep.
 func TestExperimentReportEquivalence(t *testing.T) {
 	experiments := []struct {
 		name string
@@ -50,28 +49,5 @@ func TestExperimentReportEquivalence(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// A fork group under parallel workers must still scatter results back by
-// enumeration order: units complete in host order, reports must not care.
-func TestForkGroupParallelEquivalence(t *testing.T) {
-	o := opts()
-	o.Ops = 0.1
-	o.Procs = []int{2, 4}
-
-	o.Jobs = 1
-	seq, err := NackVsDeferral(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Jobs = 8
-	par, err := NackVsDeferral(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Report != par.Report {
-		t.Errorf("-jobs 1 and -jobs 8 fork-group reports differ:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-			seq.Report, par.Report)
 	}
 }

@@ -51,10 +51,10 @@ type Options struct {
 	// (Result.MetricsDumps renders them per experiment). The instruments
 	// never alter simulation results.
 	Metrics bool
-	// ColdStart disables warm-machine reuse and prefix forking: every point
-	// constructs a fresh machine and simulates its full prefix. Reports are
-	// identical either way — machine reset and fork are exact — so this
-	// exists for cross-checking and benchmarking.
+	// ColdStart disables warm-machine reuse: every point constructs a fresh
+	// machine instead of rewinding a pooled one. Reports are identical
+	// either way — machine reset is exact — so this exists for
+	// cross-checking and benchmarking.
 	ColdStart bool
 	// Flight arms the post-mortem flight recorder on every simulated machine:
 	// a bounded ring of the most recent protocol events (cfg.TraceCapacity)
@@ -64,10 +64,10 @@ type Options struct {
 	Flight int
 	// Faults applies a deterministic fault-injection spec (see internal/fault)
 	// to every simulated machine: any experiment can be re-run under injected
-	// adversity to measure degradation. Faulted machines refuse snapshots, so
-	// prefix forking is disabled; each point also arms the forward-progress
-	// watchdog so a genuine stall surfaces as a structured StallError instead
-	// of grinding to the event budget. The zero Spec is fully inert.
+	// adversity to measure degradation. Each faulted point also arms the
+	// forward-progress watchdog so a genuine stall surfaces as a structured
+	// StallError instead of grinding to the event budget. The zero Spec is
+	// fully inert.
 	Faults fault.Spec
 	// CM selects the contention-management policy for every eliding-scheme
 	// (SLE/TLR) point of the experiment. The zero value is CMTimestamp — the
@@ -102,7 +102,7 @@ func (o Options) scaled(n int) int {
 
 // MachineConfig returns the paper's Table 2 target system for the given
 // processor count and scheme. It is proc.BaselineConfig — the one shared
-// construction path that machine reset/fork semantics mirror — re-exported
+// construction path that machine reset semantics mirror — re-exported
 // under the name the experiment code has always used.
 func MachineConfig(procs int, scheme proc.Scheme, seed int64) proc.Config {
 	return proc.BaselineConfig(procs, scheme, seed)
@@ -139,101 +139,42 @@ type point struct {
 	label string
 	cfg   proc.Config
 	build func() workloads.Workload
-	// fork, when non-empty, names the point's fork group. Points sharing a
-	// key differ only in reset knobs (Policy, RestartPenalty, ...) over the
-	// same workload, shape, and seed, so they simulate identical warm
-	// prefixes; runPoints executes a group by setting the workload up once,
-	// snapshotting, and forking the snapshot into every configuration.
-	fork string
+}
+
+// apply applies the machine-level options to cfg: metrics, the flight
+// recorder and fault injection (with its watchdog) where the point has not
+// set its own, and the contention-management policy on eliding points that
+// keep the default. Every experiment configures its machines through here.
+func (o Options) apply(cfg proc.Config) proc.Config {
+	cfg.EnableMetrics = o.Metrics
+	if o.CM != core.CMTimestamp && cfg.Scheme.Elides() && cfg.Policy.CM == core.CMTimestamp {
+		cfg.Policy.CM = o.CM
+	}
+	if o.Flight > 0 && cfg.TraceCapacity == 0 {
+		cfg.TraceCapacity = o.Flight
+	}
+	if o.Faults.Enabled() && !cfg.Faults.Enabled() {
+		cfg.Faults = o.Faults
+	}
+	if cfg.Faults.Enabled() && cfg.StallCycles == 0 {
+		cfg.StallCycles = faultStallCycles
+	}
+	return cfg
+}
+
+// pool returns the worker pool configured by o.
+func (o Options) pool() *runner.Pool {
+	return &runner.Pool{Workers: o.Jobs, Progress: o.Progress, Cold: o.ColdStart}
 }
 
 // runPoints executes the experiment's points on the worker pool configured
-// by o and returns the results in enumeration order. Fork-grouped points
-// share one snapshotted prefix per group (disabled under Metrics — snapshots
-// refuse metrics machines, whose per-lock profiles forks would share — under
-// ColdStart, and under fault injection — snapshots cannot carry the
-// injector's stream position).
+// by o and returns the results in enumeration order.
 func runPoints(o Options, points []point) ([]*stats.Run, error) {
 	jobs := make([]runner.Job, len(points))
-	for i := range points {
-		pt := &points[i]
-		pt.cfg.EnableMetrics = o.Metrics
-		if o.CM != core.CMTimestamp && pt.cfg.Scheme.Elides() && pt.cfg.Policy.CM == core.CMTimestamp {
-			pt.cfg.Policy.CM = o.CM
-		}
-		if o.Flight > 0 && pt.cfg.TraceCapacity == 0 {
-			pt.cfg.TraceCapacity = o.Flight
-		}
-		if o.Faults.Enabled() && !pt.cfg.Faults.Enabled() {
-			pt.cfg.Faults = o.Faults
-		}
-		if pt.cfg.Faults.Enabled() && pt.cfg.StallCycles == 0 {
-			pt.cfg.StallCycles = faultStallCycles
-		}
-		jobs[i] = runner.Job{Label: pt.label, Config: pt.cfg, Build: pt.build}
-	}
-	pool := &runner.Pool{Workers: o.Jobs, Progress: o.Progress, Cold: o.ColdStart}
-	groupable := !o.Metrics && !o.ColdStart
-	var (
-		units   []runner.Unit
-		unitIdx [][]int // unit -> original point indices, in unit job order
-		groups  = map[string]int{}
-	)
 	for i, pt := range points {
-		if groupable && pt.fork != "" && !pt.cfg.Faults.Enabled() {
-			if gi, ok := groups[pt.fork]; ok {
-				units[gi].Jobs = append(units[gi].Jobs, jobs[i])
-				unitIdx[gi] = append(unitIdx[gi], i)
-				continue
-			}
-			groups[pt.fork] = len(units)
-			units = append(units, runner.Unit{Jobs: []runner.Job{jobs[i]}, Exec: forkExec})
-			unitIdx = append(unitIdx, []int{i})
-			continue
-		}
-		units = append(units, runner.Unit{Jobs: []runner.Job{jobs[i]}})
-		unitIdx = append(unitIdx, []int{i})
+		jobs[i] = runner.Job{Label: pt.label, Config: o.apply(pt.cfg), Build: pt.build}
 	}
-	byUnit, err := pool.RunUnits(units)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*stats.Run, len(points))
-	for ui, rs := range byUnit {
-		for k, run := range rs {
-			results[unitIdx[ui][k]] = run
-		}
-	}
-	return results, nil
-}
-
-// forkExec executes one fork group: acquire a machine for the group's first
-// configuration, run the shared workload's Setup once (host-side writes
-// only — no simulated events, so the machine stays quiescent), snapshot,
-// then fork that warm prefix into every member configuration and simulate
-// only the run phase. One workload instance serves all forks: its Setup
-// state (addresses, locks, per-thread splits) describes the shared memory
-// image every fork adopts.
-func forkExec(mc *runner.MachineCache, jobs []runner.Job) ([]*stats.Run, error) {
-	base := mc.Acquire(jobs[0].Config)
-	w := jobs[0].Build()
-	w.Setup(base)
-	snap, err := base.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("%s: snapshot: %w", jobs[0].Label, err)
-	}
-	runs := make([]*stats.Run, len(jobs))
-	for i, j := range jobs {
-		if err := snap.ForkInto(base, j.Config); err != nil {
-			return nil, fmt.Errorf("%s: fork: %w", j.Label, err)
-		}
-		if err := workloads.RunPrograms(base, w); err != nil {
-			return nil, fmt.Errorf("%s: %w", j.Label, err)
-		}
-		runs[i] = stats.Collect(base)
-	}
-	mc.Release(base)
-	return runs, nil
+	return o.pool().Run(jobs)
 }
 
 // sweep runs a microbenchmark across schemes and processor counts.

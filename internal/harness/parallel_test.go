@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,27 +13,56 @@ import (
 // CSV are byte-identical whether its machines run sequentially or across
 // eight workers.
 func TestParallelEquivalence(t *testing.T) {
-	o := opts()
-	o.Ops = 0.1
-	o.Procs = []int{2, 4}
+	for _, ex := range []struct {
+		name string
+		run  func(Options) (*Result, error)
+	}{
+		{"Fig9", Fig9},
+		{"NackVsDeferral", NackVsDeferral},
+	} {
+		t.Run(ex.name, func(t *testing.T) {
+			o := opts()
+			o.Ops = 0.1
+			o.Procs = []int{2, 4}
 
+			o.Jobs = 1
+			seq, err := ex.run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Jobs = 8
+			par, err := ex.run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq.Report != par.Report {
+				t.Errorf("-jobs 1 and -jobs 8 reports differ:\n--- sequential ---\n%s\n--- parallel ---\n%s",
+					seq.Report, par.Report)
+			}
+			if seq.CSV() != par.CSV() {
+				t.Errorf("-jobs 1 and -jobs 8 CSV differ:\n--- sequential ---\n%s\n--- parallel ---\n%s",
+					seq.CSV(), par.CSV())
+			}
+		})
+	}
+}
+
+// With one worker, machines run and report in enumeration order, so a
+// progress stream (and anything timed from it) follows the experiment's own
+// point order.
+func TestSequentialProgressOrder(t *testing.T) {
+	o := opts()
+	o.Ops = 0.05
+	o.Procs = []int{2, 4}
 	o.Jobs = 1
-	seq, err := Fig9(o)
-	if err != nil {
+	var got []string
+	o.Progress = func(_, _ int, label string, _ *stats.Run) { got = append(got, label) }
+	if _, err := NackVsDeferral(o); err != nil {
 		t.Fatal(err)
 	}
-	o.Jobs = 8
-	par, err := Fig9(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Report != par.Report {
-		t.Errorf("-jobs 1 and -jobs 8 reports differ:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-			seq.Report, par.Report)
-	}
-	if seq.CSV() != par.CSV() {
-		t.Errorf("-jobs 1 and -jobs 8 CSV differ:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-			seq.CSV(), par.CSV())
+	want := []string{"deferral procs=2", "deferral procs=4", "NACK procs=2", "NACK procs=4"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("progress labels %q, want enumeration order %q", got, want)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"tlrsim/internal/core"
 	"tlrsim/internal/proc"
 	"tlrsim/internal/runner"
 	"tlrsim/internal/stats"
@@ -71,85 +70,28 @@ var serviceSchemes = []proc.Scheme{proc.Base, proc.MCS, proc.TLR}
 // order, so output is byte-identical at any Options.Jobs.
 func ServiceSweep(o Options, so ServiceOptions) (*Result, error) {
 	so = so.withDefaults()
-	requests := o.scaled(4096)
-	type pt struct {
-		label string
-		rate  ServiceRate
-	}
-	var (
-		pts   []pt
-		units []runner.Unit
-	)
 	n := len(so.Rates) * len(serviceSchemes)
+	jobs := make([]runner.Job, 0, n)
 	recs := make([]*telemetry.Recorder, n)
-	streams := make([]*bytes.Buffer, n)
+	streams := make([]bytes.Buffer, n)
 	for _, rate := range so.Rates {
 		for _, scheme := range serviceSchemes {
-			idx := len(pts)
-			rate := rate
-			cfg := MachineConfig(o.AppProcs, scheme, o.Seed)
-			if o.CM != core.CMTimestamp && scheme.Elides() {
-				cfg.Policy.CM = o.CM
-			}
-			cfg.EnableMetrics = o.Metrics
-			if o.Flight > 0 && cfg.TraceCapacity == 0 {
-				cfg.TraceCapacity = o.Flight
-			}
-			if o.Faults.Enabled() {
-				cfg.Faults = o.Faults
-				if cfg.StallCycles == 0 {
-					cfg.StallCycles = faultStallCycles
+			i := len(jobs)
+			label := fmt.Sprintf("service %s %v procs=%d", rate.Label, scheme, o.AppProcs)
+			tcfg := telemetry.Config{WindowCycles: so.WindowCycles}
+			if so.Telemetry != nil {
+				if so.CSV {
+					tcfg.Sink = telemetry.NewCSVWindows(&streams[i])
+				} else {
+					j := telemetry.NewJSONLWindows(&streams[i])
+					j.Label = label
+					tcfg.Sink = j
 				}
 			}
-			label := fmt.Sprintf("service %s %v procs=%d", rate.Label, scheme, o.AppProcs)
-			pts = append(pts, pt{label: label, rate: rate})
-			job := runner.Job{Label: label, Config: cfg}
-			units = append(units, runner.Unit{
-				Jobs: []runner.Job{job},
-				Exec: func(mc *runner.MachineCache, jobs []runner.Job) ([]*stats.Run, error) {
-					tcfg := telemetry.Config{WindowCycles: so.WindowCycles}
-					var sink interface {
-						telemetry.WindowSink
-						Close() error
-					}
-					if so.Telemetry != nil {
-						streams[idx] = &bytes.Buffer{}
-						if so.CSV {
-							sink = telemetry.NewCSVWindows(streams[idx])
-						} else {
-							j := telemetry.NewJSONLWindows(streams[idx])
-							j.Label = jobs[0].Label
-							sink = j
-						}
-						tcfg.Sink = sink
-					}
-					rec := telemetry.NewRecorder(tcfg)
-					w := &workloads.Service{
-						Requests: requests,
-						MeanGap:  rate.MeanGap,
-						Seed:     o.Seed,
-						Rec:      rec,
-					}
-					m := mc.Acquire(jobs[0].Config)
-					if err := workloads.RunOn(m, w); err != nil {
-						return nil, fmt.Errorf("%s: %w", jobs[0].Label, err)
-					}
-					rec.Finish(uint64(m.Cycles()))
-					if sink != nil {
-						if err := sink.Close(); err != nil {
-							return nil, fmt.Errorf("%s: telemetry export: %w", jobs[0].Label, err)
-						}
-					}
-					run := stats.Collect(m)
-					mc.Release(m)
-					recs[idx] = rec
-					return []*stats.Run{run}, nil
-				},
-			})
+			jobs = append(jobs, serviceJob(o, label, MachineConfig(o.AppProcs, scheme, o.Seed), rate, tcfg, &recs[i]))
 		}
 	}
-	pool := &runner.Pool{Workers: o.Jobs, Progress: o.Progress, Cold: o.ColdStart}
-	byUnit, err := pool.RunUnits(units)
+	runs, err := o.pool().Run(jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +111,7 @@ func ServiceSweep(o Options, so ServiceOptions) (*Result, error) {
 	for _, rate := range so.Rates {
 		res.Runs[rate.Label] = make(map[int]*stats.Run)
 		for vi := range serviceSchemes {
-			run := byUnit[i][0]
+			run := runs[i]
 			rec := recs[i]
 			i++
 			res.Runs[rate.Label][vi] = run
@@ -193,17 +135,17 @@ func ServiceSweep(o Options, so ServiceOptions) (*Result, error) {
 	}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "Open-loop service: tail latency at %d processors, %d requests (latencies in cycles)\n",
-		o.AppProcs, requests)
+		o.AppProcs, o.scaled(serviceRequests))
 	b.WriteString(t.String())
-	for i, p := range pts {
-		fmt.Fprintf(&b, "\n== %s ==\n%s", p.label, recs[i].Report())
+	for i, j := range jobs {
+		fmt.Fprintf(&b, "\n== %s ==\n%s", j.Label, recs[i].Report())
 	}
 	res.Report = b.String()
 
 	if so.Telemetry != nil {
-		for i, p := range pts {
+		for i, j := range jobs {
 			if so.CSV {
-				if _, err := fmt.Fprintf(so.Telemetry, "# %s\n%s", p.label, streams[i].Bytes()); err != nil {
+				if _, err := fmt.Fprintf(so.Telemetry, "# %s\n%s", j.Label, streams[i].Bytes()); err != nil {
 					return nil, fmt.Errorf("telemetry write: %w", err)
 				}
 				continue
@@ -214,6 +156,36 @@ func ServiceSweep(o Options, so ServiceOptions) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// serviceRequests is the open-loop request count at Ops 1.
+const serviceRequests = 4096
+
+// serviceJob is the runner job of one open-loop service point: the Service
+// workload at rate on cfg (with o's machine options applied) and a fresh
+// telemetry recorder attached, finished at the run's last cycle and stored
+// in *rec. A window sink in tcfg is closed after the run.
+func serviceJob(o Options, label string, cfg proc.Config, rate ServiceRate, tcfg telemetry.Config, rec **telemetry.Recorder) runner.Job {
+	requests := o.scaled(serviceRequests)
+	return runner.Job{
+		Label:  label,
+		Config: o.apply(cfg),
+		Run: func(m *proc.Machine) error {
+			r := telemetry.NewRecorder(tcfg)
+			w := &workloads.Service{Requests: requests, MeanGap: rate.MeanGap, Seed: o.Seed, Rec: r}
+			if err := workloads.RunOn(m, w); err != nil {
+				return err
+			}
+			r.Finish(uint64(m.Cycles()))
+			if c, ok := tcfg.Sink.(io.Closer); ok {
+				if err := c.Close(); err != nil {
+					return fmt.Errorf("telemetry export: %w", err)
+				}
+			}
+			*rec = r
+			return nil
+		},
+	}
 }
 
 func schemeLabels(schemes []proc.Scheme) []string {

@@ -108,24 +108,6 @@ func (m *Memory) Reset() {
 	}
 }
 
-// AdoptState makes m's architectural contents identical to src's (snapshot
-// restore): lines present only in m are zeroed, lines in src are copied.
-func (m *Memory) AdoptState(src *Memory) {
-	for a, l := range m.lines {
-		if _, ok := src.lines[a]; !ok {
-			*l = LineData{}
-		}
-	}
-	for a, l := range src.lines {
-		dst, ok := m.lines[a]
-		if !ok {
-			dst = new(LineData)
-			m.lines[a] = dst
-		}
-		*dst = *l
-	}
-}
-
 func mustAligned(a Addr) {
 	if !a.Aligned() {
 		panic(fmt.Sprintf("memsys: unaligned access at %s", a))
@@ -146,9 +128,6 @@ func NewAllocator(base Addr) *Allocator {
 
 // Reset rewinds the allocator to the state NewAllocator(base) constructs.
 func (al *Allocator) Reset(base Addr) { al.next = base.Line() + LineBytes }
-
-// AdoptState copies src's allocation position (snapshot restore).
-func (al *Allocator) AdoptState(src *Allocator) { al.next = src.next }
 
 // Word allocates one 8-byte word.
 func (al *Allocator) Word() Addr {

@@ -135,7 +135,7 @@ func (cpu *CPU) Done() bool { return cpu.done }
 // now (Config.StartJitter scheduling perturbation; 0 preserves the
 // unperturbed schedule exactly).
 func (cpu *CPU) start(src opSource, delay uint64) {
-	// A machine may Run more than once (snapshot/fork phases): clear the
+	// A machine may Run more than once (consecutive phases): clear the
 	// previous run's completion flag so allDone, the event budget, and the
 	// deadlock detector see this thread as live again.
 	cpu.done = false

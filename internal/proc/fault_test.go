@@ -226,29 +226,3 @@ func TestEventBudgetStructured(t *testing.T) {
 		t.Fatalf("report missing per-CPU lines: %v", err)
 	}
 }
-
-// TestSnapshotRefusesFaults: the snapshot image cannot carry the injector's
-// stream position, so faulted machines must refuse to snapshot (and forks
-// must refuse faulted configs) rather than silently fork a diverging stream.
-func TestSnapshotRefusesFaults(t *testing.T) {
-	c := cfg(1, TLR)
-	c.Faults, _ = fault.ParseSpec("nack=10,seed=2")
-	m := NewMachine(c)
-	if err := counterRun(t, m, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Snapshot(); err == nil {
-		t.Fatal("Snapshot of a faulted machine succeeded")
-	}
-	clean := NewMachine(cfg(1, TLR))
-	if err := counterRun(t, clean, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := clean.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snap.Fork(c); err == nil {
-		t.Fatal("Fork into a faulted config succeeded")
-	}
-}

@@ -1,17 +1,20 @@
 package proc
 
 import (
+	"io"
 	"testing"
 
 	"tlrsim/internal/memsys"
+	"tlrsim/internal/trace"
 )
 
-// Snapshot/fork equivalence gate: a machine forked at a quiescent point must
-// continue EXACTLY as the uninterrupted machine would — same observed values
-// at every load, same final memory, same clock, same kernel event count. Any
-// piece of machine state the fork fails to carry (cache contents, predictor
-// tables, RNG position, engine clocks, store-buffer metadata) shows up here
-// as a divergence in the continuation.
+// Reset equivalence gate: a machine dirtied by a run under another seed and
+// any scheme, then rewound by Reset, must run EXACTLY as a freshly constructed
+// machine would — same observed values at every load, same final memory,
+// same clock, same kernel event count, same per-CPU and engine stats. Any
+// piece of machine state Reset fails to rewind (cache contents, predictor
+// tables, RNG position, engine clocks, L2 presence, store-buffer metadata)
+// shows up here as a divergence.
 
 // snapCfg is the machine the equivalence tests run: small enough to be
 // quick, big enough to exercise caches, bus, predictors, and elision.
@@ -57,182 +60,115 @@ func runPhase(t *testing.T, m *Machine, lock *Lock, ctr memsys.Addr, iters int, 
 	}
 }
 
-// fingerprint compares every observable the continuation produced.
+// assertSameContinuation compares every observable the two runs produced.
 func assertSameContinuation(t *testing.T, want, got *Machine, ctr memsys.Addr, wantRec, gotRec [][]uint64) {
 	t.Helper()
 	if w, g := want.Sys.ArchWord(ctr), got.Sys.ArchWord(ctr); w != g {
-		t.Errorf("final counter: uninterrupted %d, forked %d", w, g)
+		t.Errorf("final counter: fresh %d, reset %d", w, g)
 	}
 	if w, g := want.Cycles(), got.Cycles(); w != g {
-		t.Errorf("cycles: uninterrupted %d, forked %d", w, g)
+		t.Errorf("cycles: fresh %d, reset %d", w, g)
 	}
 	if w, g := want.K.Fired(), got.K.Fired(); w != g {
-		t.Errorf("kernel events fired: uninterrupted %d, forked %d", w, g)
+		t.Errorf("kernel events fired: fresh %d, reset %d", w, g)
 	}
 	for i := range wantRec {
 		w, g := wantRec[i], gotRec[i]
 		if len(w) != len(g) {
-			t.Fatalf("cpu %d: recorded %d values uninterrupted, %d forked", i, len(w), len(g))
+			t.Fatalf("cpu %d: recorded %d values fresh, %d reset", i, len(w), len(g))
 		}
 		for k := range w {
 			if w[k] != g[k] {
-				t.Fatalf("cpu %d load %d: uninterrupted saw %d, forked saw %d", i, k, w[k], g[k])
+				t.Fatalf("cpu %d load %d: fresh saw %d, reset saw %d", i, k, w[k], g[k])
 			}
 		}
 	}
 	for i := range want.CPUs {
 		if w, g := want.CPUs[i].stats, got.CPUs[i].stats; w != g {
-			t.Errorf("cpu %d stats: uninterrupted %+v, forked %+v", i, w, g)
+			t.Errorf("cpu %d stats: fresh %+v, reset %+v", i, w, g)
 		}
 		if w, g := want.CPUs[i].eng.Stats(), got.CPUs[i].eng.Stats(); *w != *g {
-			t.Errorf("cpu %d engine stats: uninterrupted %+v, forked %+v", i, *w, *g)
+			t.Errorf("cpu %d engine stats: fresh %+v, reset %+v", i, *w, *g)
 		}
 	}
 }
 
-func TestSnapshotEquivalence(t *testing.T) {
-	const phaseA, phaseB = 40, 40
+func TestResetMatchesFresh(t *testing.T) {
+	const dirtyIters, iters = 30, 40
+	// Each dirtying scheme leaves different state behind: SLE trains the
+	// elision predictor down, the TLR variants advance engine clocks, every
+	// scheme fills caches, the L2 and the RNG.
+	dirtySchemes := []Scheme{Base, SLE, TLR, TLRStrictTS}
 	for _, scheme := range []Scheme{Base, SLE, TLR} {
 		for _, seed := range []int64{1, 2, 42} {
 			cfg := snapCfg(scheme, seed)
 
-			// Uninterrupted: phase A then phase B on one machine.
 			ref := NewMachine(cfg)
 			lockR := ref.NewLock()
 			ctrR := ref.Alloc.PaddedWord()
-			runPhase(t, ref, lockR, ctrR, phaseA, nil)
 			refRec := make([][]uint64, len(ref.CPUs))
-			runPhase(t, ref, lockR, ctrR, phaseB, refRec)
+			runPhase(t, ref, lockR, ctrR, iters, refRec)
 
-			// Forked: phase A, snapshot, fork, phase B on the fork.
-			src := NewMachine(cfg)
-			lockS := src.NewLock()
-			ctrS := src.Alloc.PaddedWord()
-			runPhase(t, src, lockS, ctrS, phaseA, nil)
-			snap, err := src.Snapshot()
-			if err != nil {
-				t.Fatalf("%v seed %d: %v", scheme, seed, err)
-			}
-			fork, err := snap.Fork(cfg)
-			if err != nil {
-				t.Fatalf("%v seed %d: %v", scheme, seed, err)
-			}
-			forkRec := make([][]uint64, len(fork.CPUs))
-			runPhase(t, fork, lockS, ctrS, phaseB, forkRec)
+			for _, dirty := range dirtySchemes {
+				warm := NewMachine(snapCfg(dirty, seed+100))
+				runPhase(t, warm, warm.NewLock(), warm.Alloc.PaddedWord(), dirtyIters, nil)
+				if err := warm.Reset(cfg); err != nil {
+					t.Fatalf("%v seed %d after %v: %v", scheme, seed, dirty, err)
+				}
+				lockW := warm.NewLock()
+				ctrW := warm.Alloc.PaddedWord()
+				if lockW.ID != lockR.ID || ctrW != ctrR {
+					t.Fatalf("%v seed %d after %v: reset machine allocated lock %d at %v, fresh lock %d at %v",
+						scheme, seed, dirty, lockW.ID, ctrW, lockR.ID, ctrR)
+				}
+				warmRec := make([][]uint64, len(warm.CPUs))
+				runPhase(t, warm, lockW, ctrW, iters, warmRec)
 
-			assertSameContinuation(t, ref, fork, ctrR, refRec, forkRec)
-			if t.Failed() {
-				t.Fatalf("%v seed %d: forked continuation diverged", scheme, seed)
-			}
-		}
-	}
-}
-
-// A snapshot is immutable: forking and running must not disturb it, so a
-// second fork replays the identical continuation, and the source machine
-// keeps working independently.
-func TestForkIsolation(t *testing.T) {
-	cfg := snapCfg(TLR, 7)
-	m := NewMachine(cfg)
-	lock := m.NewLock()
-	ctr := m.Alloc.PaddedWord()
-	runPhase(t, m, lock, ctr, 30, nil)
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(fm *Machine) (uint64, [][]uint64) {
-		rec := make([][]uint64, len(fm.CPUs))
-		runPhase(t, fm, lock, ctr, 30, rec)
-		return fm.Sys.ArchWord(ctr), rec
-	}
-
-	f1, err := snap.Fork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, rec1 := run(f1)
-
-	// The source machine continues past the snapshot on its own.
-	runPhase(t, m, lock, ctr, 30, nil)
-
-	f2, err := snap.Fork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, rec2 := run(f2)
-
-	if v1 != v2 {
-		t.Errorf("two forks of one snapshot ended at %d and %d", v1, v2)
-	}
-	for i := range rec1 {
-		for k := range rec1[i] {
-			if rec1[i][k] != rec2[i][k] {
-				t.Fatalf("fork replay diverged at cpu %d load %d: %d vs %d", i, k, rec1[i][k], rec2[i][k])
+				assertSameContinuation(t, ref, warm, ctrR, refRec, warmRec)
+				if t.Failed() {
+					t.Fatalf("%v seed %d: machine reset after a %v run diverged from a fresh one", scheme, seed, dirty)
+				}
 			}
 		}
 	}
-	if got, want := m.Sys.ArchWord(ctr), uint64(2*30*len(m.CPUs)); got != want {
-		t.Errorf("source machine counter = %d, want %d", got, want)
-	}
 }
 
-// ForkInto must land exactly where Fork lands, machine construction aside.
-func TestForkIntoMatchesFork(t *testing.T) {
-	cfg := snapCfg(SLE, 3)
-	src := NewMachine(cfg)
-	lock := src.NewLock()
-	ctr := src.Alloc.PaddedWord()
-	runPhase(t, src, lock, ctr, 25, nil)
-	snap, err := src.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, err := snap.Fork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshRec := make([][]uint64, len(fresh.CPUs))
-	runPhase(t, fresh, lock, ctr, 25, freshRec)
-
-	// Recycle an unrelated warm machine of the same shape.
-	warm := NewMachine(snapCfg(Base, 99))
-	wl := warm.NewLock()
-	wc := warm.Alloc.PaddedWord()
-	runPhase(t, warm, wl, wc, 10, nil)
-	if err := snap.ForkInto(warm, cfg); err != nil {
-		t.Fatal(err)
-	}
-	warmRec := make([][]uint64, len(warm.CPUs))
-	runPhase(t, warm, lock, ctr, 25, warmRec)
-
-	assertSameContinuation(t, fresh, warm, ctr, freshRec, warmRec)
-}
-
-// Snapshot and fork refuse what they cannot preserve.
-func TestSnapshotRefusals(t *testing.T) {
+// Reset refuses what it cannot rewind exactly, and a refused machine is left
+// as it was.
+func TestResetRefusals(t *testing.T) {
 	cfg := snapCfg(TLR, 1)
-	cfg.EnableMetrics = true
+
 	m := NewMachine(cfg)
-	if _, err := m.Snapshot(); err == nil {
-		t.Error("Snapshot accepted a metrics machine")
+	bad := cfg
+	bad.Procs = 8
+	if err := m.Reset(bad); err == nil {
+		t.Error("Reset accepted a shape-changing config")
 	}
 
-	cfg2 := snapCfg(TLR, 1)
-	m2 := NewMachine(cfg2)
-	snap, err := m2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	sinkCfg := cfg
+	sinkCfg.TraceSink = trace.NewJSONLWriter(io.Discard)
+	if err := NewMachine(sinkCfg).Reset(cfg); err == nil {
+		t.Error("Reset accepted a machine with a trace sink attached")
 	}
-	bad := cfg2
-	bad.Procs = 8
-	if _, err := snap.Fork(bad); err == nil {
-		t.Error("Fork accepted a shape-changing config")
+	if err := m.Reset(sinkCfg); err == nil {
+		t.Error("Reset accepted a config with a trace sink attached")
 	}
-	other := NewMachine(bad)
-	if err := snap.ForkInto(other, bad); err == nil {
-		t.Error("ForkInto accepted a shape-changing config")
+
+	// An event-budget failure leaves threads blocked mid-run and events
+	// pending: such a machine must be discarded, not recycled.
+	short := cfg
+	short.MaxEvents = 2_000
+	stuck := NewMachine(short)
+	lock := stuck.NewLock()
+	ctr := stuck.Alloc.PaddedWord()
+	progs := make([]func(*TC), len(stuck.CPUs))
+	for i := range progs {
+		progs[i] = phaseProg(lock, ctr, 1000, nil)
+	}
+	if err := stuck.Run(progs); err == nil {
+		t.Fatal("run within a 2000-event budget completed; the refusal case needs it to fail")
+	}
+	if err := stuck.Reset(short); err == nil {
+		t.Error("Reset accepted a machine left mid-run by an event-budget failure")
 	}
 }

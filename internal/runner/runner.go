@@ -9,11 +9,10 @@
 // completion order — an experiment's rendered report is a pure function of
 // its job list, not of host scheduling.
 //
-// Workers keep per-shape machine caches (proc.Machine.Reset is exact, so a
-// rewound machine is indistinguishable from a fresh one) and experiments
-// can group jobs into Units that share a simulated prefix via snapshot
-// forking — both reuse paths exist for sweep throughput and neither is
-// allowed to change a single reported byte.
+// Workers keep per-shape machine caches: every job runs on a warm machine
+// rewound by proc.Machine.Reset, which is exact, so a rewound machine is
+// indistinguishable from a fresh one. The cache exists for sweep throughput
+// and is not allowed to change a single reported byte.
 package runner
 
 import (
@@ -36,16 +35,11 @@ type Job struct {
 	Config proc.Config
 	// Build constructs the workload the machine runs.
 	Build func() workloads.Workload
-}
-
-// Unit is a group of jobs one worker executes together, in order. Exec, when
-// non-nil, runs the whole group itself (one result per job, in job order) —
-// the hook experiments use to fork a shared warm prefix across the group's
-// configurations instead of simulating it once per job. A nil Exec runs each
-// job independently on the worker's cached machines.
-type Unit struct {
-	Jobs []Job
-	Exec func(mc *MachineCache, jobs []Job) ([]*stats.Run, error)
+	// Run, when non-nil, replaces Build: it drives the whole run on the
+	// acquired machine (typically workloads.RunOn plus whatever the job
+	// attaches around it, such as a telemetry recorder). The machine's
+	// counters are collected after it returns nil.
+	Run func(m *proc.Machine) error
 }
 
 // Progress is called after each job completes. done counts completed jobs
@@ -55,35 +49,36 @@ type Progress func(done, total int, label string, run *stats.Run)
 
 // Pool is a bounded-concurrency job scheduler.
 type Pool struct {
-	// Workers caps concurrent units. <= 0 means runtime.GOMAXPROCS(0);
+	// Workers caps concurrent jobs. <= 0 means runtime.GOMAXPROCS(0);
 	// 1 runs the work strictly sequentially in order.
 	Workers int
 	// Progress, when non-nil, receives one callback per completed job.
 	Progress Progress
 	// Cold disables warm-machine reuse: every job constructs a fresh
-	// machine. Results are identical either way — Reset is exact — so this
-	// exists for cross-checking and benchmarking.
+	// machine. Results are identical either way — Reset is exact — so cold
+	// runs are the reference reuse is checked against, and a benchmarking
+	// baseline.
 	Cold bool
 }
 
-// MachineCache is one worker's pool of warm machines, keyed by construction
+// machineCache is one worker's pool of warm machines, keyed by construction
 // shape. It is single-goroutine state: each worker owns one.
-type MachineCache struct {
+type machineCache struct {
 	cold     bool
 	machines map[proc.ResetShape]*proc.Machine
 }
 
-// NewMachineCache returns an empty cache; cold caches never reuse.
-func NewMachineCache(cold bool) *MachineCache {
-	return &MachineCache{cold: cold, machines: make(map[proc.ResetShape]*proc.Machine)}
+// newMachineCache returns an empty cache; cold caches never reuse.
+func newMachineCache(cold bool) *machineCache {
+	return &machineCache{cold: cold, machines: make(map[proc.ResetShape]*proc.Machine)}
 }
 
-// Acquire returns a machine constructed (or exactly rewound) for cfg. The
-// caller owns it until Release; a machine that errors out mid-run must NOT
+// acquire returns a machine constructed (or exactly rewound) for cfg. The
+// caller owns it until release; a machine that errors out mid-run must NOT
 // be released — dropping it is how poisoned (non-quiescent) machines leave
 // the pool.
-func (c *MachineCache) Acquire(cfg proc.Config) *proc.Machine {
-	if c == nil || c.cold {
+func (c *machineCache) acquire(cfg proc.Config) *proc.Machine {
+	if c.cold {
 		return proc.NewMachine(cfg)
 	}
 	key := cfg.ResetShape()
@@ -96,9 +91,9 @@ func (c *MachineCache) Acquire(cfg proc.Config) *proc.Machine {
 	return proc.NewMachine(cfg)
 }
 
-// Release returns a successfully finished machine to the cache for reuse.
-func (c *MachineCache) Release(m *proc.Machine) {
-	if c == nil || c.cold {
+// release returns a successfully finished machine to the cache for reuse.
+func (c *machineCache) release(m *proc.Machine) {
+	if c.cold {
 		return
 	}
 	c.machines[m.Config().ResetShape()] = m
@@ -109,54 +104,25 @@ func (c *MachineCache) Release(m *proc.Machine) {
 // error does not depend on host scheduling), and jobs not yet started are
 // cancelled.
 func (p *Pool) Run(jobs []Job) ([]*stats.Run, error) {
-	units := make([]Unit, len(jobs))
-	for i, j := range jobs {
-		units[i] = Unit{Jobs: []Job{j}}
-	}
-	byUnit, err := p.RunUnits(units)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*stats.Run, len(jobs))
-	for i, rs := range byUnit {
-		results[i] = rs[0]
-	}
-	return results, nil
-}
-
-// RunUnits executes the units and returns their results in unit order (one
-// result slice per unit, one result per job). Units are the scheduling
-// grain: a unit runs entirely on one worker, so its Exec can share machines
-// and snapshots across its jobs. Error semantics match Run: the error of the
-// earliest-indexed failed unit wins, remaining units are cancelled.
-func (p *Pool) RunUnits(units []Unit) ([][]*stats.Run, error) {
-	total := 0
-	for _, u := range units {
-		total += len(u.Jobs)
-	}
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(units) {
-		workers = len(units)
+	if workers > len(jobs) {
+		workers = len(jobs)
 	}
-	results := make([][]*stats.Run, len(units))
+	results := make([]*stats.Run, len(jobs))
 	if workers <= 1 {
 		// Sequential path: identical to the pre-runner harness loops,
 		// including stopping at the first error in order.
-		mc := NewMachineCache(p.Cold)
-		done := 0
-		for i, u := range units {
-			runs, err := p.executeUnit(mc, u)
+		mc := newMachineCache(p.Cold)
+		for i, j := range jobs {
+			run, err := execute(mc, j)
 			if err != nil {
 				return nil, err
 			}
-			results[i] = runs
-			for k, run := range runs {
-				done++
-				p.report(done, total, u.Jobs[k].Label, run)
-			}
+			results[i] = run
+			p.report(i+1, len(jobs), j.Label, run)
 		}
 		return results, nil
 	}
@@ -166,15 +132,15 @@ func (p *Pool) RunUnits(units []Unit) ([][]*stats.Run, error) {
 		wg        sync.WaitGroup
 		next      int
 		done      int
-		errs      = make([]error, len(units))
+		errs      = make([]error, len(jobs))
 		cancelled bool
 	)
-	// claim hands out the next unit index, or false once the list is
-	// exhausted or a failure has cancelled the remaining units.
+	// claim hands out the next job index, or false once the list is
+	// exhausted or a failure has cancelled the remaining jobs.
 	claim := func() (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if cancelled || next >= len(units) {
+		if cancelled || next >= len(jobs) {
 			return 0, false
 		}
 		i := next
@@ -185,32 +151,28 @@ func (p *Pool) RunUnits(units []Unit) ([][]*stats.Run, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mc := NewMachineCache(p.Cold)
+			mc := newMachineCache(p.Cold)
 			for {
 				i, ok := claim()
 				if !ok {
 					return
 				}
-				runs, err := p.executeUnit(mc, units[i])
+				run, err := execute(mc, jobs[i])
 				mu.Lock()
 				if err != nil {
 					errs[i] = err
-					cancelled = true // first error wins: stop handing out units
+					cancelled = true // first error wins: stop handing out jobs
 				} else {
-					results[i] = runs
-					for k, run := range runs {
-						done++
-						if p.Progress != nil {
-							p.Progress(done, total, units[i].Jobs[k].Label, run)
-						}
-					}
+					results[i] = run
+					done++
+					p.report(done, len(jobs), jobs[i].Label, run)
 				}
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	// Several in-flight units may have failed; report the earliest-indexed
+	// Several in-flight jobs may have failed; report the earliest-indexed
 	// error so the outcome is deterministic.
 	for _, err := range errs {
 		if err != nil {
@@ -226,31 +188,17 @@ func (p *Pool) report(done, total int, label string, run *stats.Run) {
 	}
 }
 
-// executeUnit runs one unit on the worker's cache.
-func (p *Pool) executeUnit(mc *MachineCache, u Unit) ([]*stats.Run, error) {
-	if u.Exec != nil {
-		runs, err := u.Exec(mc, u.Jobs)
-		if err == nil && len(runs) != len(u.Jobs) {
-			return nil, fmt.Errorf("runner: unit produced %d results for %d jobs", len(runs), len(u.Jobs))
-		}
-		return runs, err
-	}
-	runs := make([]*stats.Run, len(u.Jobs))
-	for i, j := range u.Jobs {
-		run, err := execute(mc, j)
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = run
-	}
-	return runs, nil
-}
-
 // execute runs one job to completion on a cached machine and aggregates its
 // counters.
-func execute(mc *MachineCache, j Job) (*stats.Run, error) {
-	m := mc.Acquire(j.Config)
-	if err := workloads.RunOn(m, j.Build()); err != nil {
+func execute(mc *machineCache, j Job) (*stats.Run, error) {
+	m := mc.acquire(j.Config)
+	var err error
+	if j.Run != nil {
+		err = j.Run(m)
+	} else {
+		err = workloads.RunOn(m, j.Build())
+	}
+	if err != nil {
 		// The machine may be mid-flight (blocked threads, pending events);
 		// drop it rather than poison the cache.
 		if j.Label != "" {
@@ -259,6 +207,6 @@ func execute(mc *MachineCache, j Job) (*stats.Run, error) {
 		return nil, err
 	}
 	run := stats.Collect(m)
-	mc.Release(m)
+	mc.release(m)
 	return run, nil
 }

@@ -55,34 +55,7 @@ type Kernel struct {
 	events []event // 4-ary min-heap ordered by eventLess
 	seed   int64
 	rng    *rand.Rand
-	src    *countingSource
 	fired  uint64
-}
-
-// countingSource wraps the math/rand source so the kernel can replay its
-// stream when cloning state: every state advance of the underlying generator
-// is exactly one Int63 call, and draws counts them. Uint64 reproduces the
-// exact construction rand.New applies to a non-Source64 source
-// (uint64(Int63())>>31 | uint64(Int63())<<32, the same formula the native
-// rngSource.Uint64 uses), so the values handed out are byte-identical to
-// rand.New(rand.NewSource(seed)) while remaining countable.
-type countingSource struct {
-	src   rand.Source
-	draws uint64
-}
-
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	return uint64(c.Int63())>>31 | uint64(c.Int63())<<32
-}
-
-func (c *countingSource) Seed(s int64) {
-	c.src.Seed(s)
-	c.draws = 0
 }
 
 // New returns a kernel whose pseudo-random stream is derived from seed.
@@ -109,8 +82,7 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 // build tens of thousands of machines with all jitter disabled).
 func (k *Kernel) Rand() *rand.Rand {
 	if k.rng == nil {
-		k.src = &countingSource{src: rand.NewSource(k.seed)}
-		k.rng = rand.New(k.src)
+		k.rng = rand.New(rand.NewSource(k.seed))
 	}
 	return k.rng
 }
@@ -125,29 +97,7 @@ func (k *Kernel) Reset(seed int64) {
 	}
 	k.now, k.seq, k.fired = 0, 0, 0
 	k.seed = seed
-	k.rng, k.src = nil, nil
-}
-
-// AdoptState makes k's observable state (clock, tie-break sequence, fired
-// count, and random stream position) identical to src's, so events scheduled
-// on k after adoption fire exactly as they would have on src. Both kernels
-// must have empty queues — pending events hold closures over foreign
-// components and cannot be transplanted. The random stream is reproduced by
-// reseeding from src's seed and replaying its recorded draw count, which is
-// exact because every generator advance passes through countingSource.Int63.
-func (k *Kernel) AdoptState(src *Kernel) {
-	if len(k.events) != 0 || len(src.events) != 0 {
-		panic("sim: AdoptState with events pending")
-	}
-	k.now, k.seq, k.fired = src.now, src.seq, src.fired
-	k.seed = src.seed
-	k.rng, k.src = nil, nil
-	if src.src != nil {
-		k.Rand()
-		for k.src.draws < src.src.draws {
-			k.src.Int63()
-		}
-	}
+	k.rng = nil
 }
 
 // push inserts e, sifting up through 4-ary parents.

@@ -127,9 +127,6 @@ func (c *Clock) Skew(n uint64) {
 	c.value += n
 }
 
-// AdoptState copies the logical-clock position from src (snapshot restore).
-func (c *Clock) AdoptState(src *Clock) { c.value, c.maxSeen = src.value, src.maxSeen }
-
 // Success advances the clock after a successful TLR execution: to one more
 // than the previous value, or one more than the highest conflicting clock
 // seen, whichever is larger (§2.1.2). Restarts must NOT call this.

@@ -40,13 +40,6 @@ func Run(cfg proc.Config, w Workload) (*proc.Machine, error) {
 // a freshly built machine's.
 func RunOn(m *proc.Machine, w Workload) error {
 	w.Setup(m)
-	return RunPrograms(m, w)
-}
-
-// RunPrograms runs w's thread programs and validates, without Setup: the
-// machine already carries w's memory image — either from RunOn's Setup or
-// adopted from a snapshot of a machine w was set up on (proc.Snapshot.Fork).
-func RunPrograms(m *proc.Machine, w Workload) error {
 	procs := len(m.CPUs)
 	progs := make([]func(*proc.TC), procs)
 	for i := range progs {

@@ -14,6 +14,7 @@ package bus
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tlrsim/internal/fault"
 	"tlrsim/internal/memsys"
@@ -104,6 +105,13 @@ func (t *Txn) String() string {
 }
 
 // Snooper is a controller attached to the address network.
+//
+// The bus models a broadcast, but it only polls the controllers the
+// Holders set names for the transaction's line, plus the requester and
+// memory. A controller with no copy, outstanding request or pending
+// write-back for the line must therefore answer false to SnoopOwner and
+// SnoopShared and leave Snoop without effect: skipping it is then exactly
+// equivalent to the broadcast.
 type Snooper interface {
 	// SnoopOwner is a side-effect-free query asked at snoop time: does this
 	// controller currently hold supplier-of-record responsibility for line?
@@ -122,10 +130,20 @@ type Snooper interface {
 	SnoopNack(t *Txn) bool
 	// Snoop processes transaction t. owner is the controller that answered
 	// SnoopOwner (MemID if none); shared reports whether any controller
-	// other than t.Src answered SnoopShared. Every snooper sees every
-	// transaction, including its own (requesters learn their order point
-	// that way).
+	// other than t.Src answered SnoopShared. Snoop runs on the holders of
+	// t.Line, on t.Src (requesters learn their order point that way) and
+	// on memory, in ascending id order with memory last.
 	Snoop(t *Txn, owner int, shared bool)
+}
+
+// Holders names, per line, the controllers the bus must poll.
+type Holders interface {
+	// Holders returns a bitmask of controller ids, bit i%64 of word i/64
+	// for controller i, that includes every controller holding a copy,
+	// an outstanding request or a pending write-back for line. Extra bits
+	// cost only a wasted poll; a missing bit skips a snoop that mattered.
+	// Words past the end of the slice read as zero.
+	Holders(line memsys.Addr) []uint64
 }
 
 // Msg is a point-to-point message on the data network.
@@ -184,7 +202,7 @@ type Config struct {
 
 // Stats counts interconnect activity for the traffic results in §6.
 type Stats struct {
-	Txns      map[Kind]uint64
+	Txns      [WriteBack + 1]uint64 // indexed by Kind
 	DataMsgs  uint64
 	Markers   uint64
 	Probes    uint64
@@ -197,17 +215,19 @@ type Bus struct {
 	k   *sim.Kernel
 	cfg Config
 
-	snoopers map[int]Snooper
-	recvs    map[int]Receiver
-	order    []int // snoop dispatch order (sorted ids, memory last)
+	// Controllers sit in dense slices at index id+1, so memory (MemID)
+	// is slot 0; nil marks an id nobody attached.
+	snoopers []Snooper
+	recvs    []Receiver
+	sendFree []sim.Time // per-sender data-network injection horizon
+
+	holders Holders
 
 	queue       []*Txn
 	nextGrant   sim.Time
 	outstanding int
 	granting    bool
 	nextID      uint64
-
-	sendFree map[int]sim.Time
 
 	// Free lists for recycled data-network messages: a message is reused the
 	// moment its delivery event has run, so steady-state traffic allocates
@@ -240,48 +260,31 @@ func (b *Bus) noteOccupancy() {
 	b.occupancy.Set(uint64(b.k.Now()), uint64(b.outstanding+len(b.queue)))
 }
 
-// New returns a bus on kernel k.
-func New(k *sim.Kernel, cfg Config) *Bus {
+// New returns a bus on kernel k that polls the controllers h names.
+func New(k *sim.Kernel, cfg Config, h Holders) *Bus {
 	if cfg.MaxOutstanding <= 0 {
 		cfg.MaxOutstanding = 120
 	}
 	if cfg.ArbCycles == 0 {
 		cfg.ArbCycles = 1
 	}
-	return &Bus{
-		k:        k,
-		cfg:      cfg,
-		snoopers: make(map[int]Snooper),
-		recvs:    make(map[int]Receiver),
-		sendFree: make(map[int]sim.Time),
-		stats:    Stats{Txns: make(map[Kind]uint64)},
-	}
+	return &Bus{k: k, cfg: cfg, holders: h}
 }
 
 // Attach registers a controller under id for both snooping and data
-// delivery. The memory controller attaches as MemID. Dispatch order is
-// maintained incrementally as a sorted insert — ascending CPU ids, then
-// memory last — rather than rescanning a fixed id range per attach, which
-// made machine construction quadratic in noise for the many-tiny-machine
-// sweeps (litmus enumeration runs tens of thousands of 2-CPU machines).
+// delivery. The memory controller attaches as MemID.
 func (b *Bus) Attach(id int, s Snooper, r Receiver) {
-	if _, dup := b.snoopers[id]; dup {
+	i := id + 1
+	for len(b.snoopers) <= i {
+		b.snoopers = append(b.snoopers, nil)
+		b.recvs = append(b.recvs, nil)
+		b.sendFree = append(b.sendFree, 0)
+	}
+	if b.snoopers[i] != nil {
 		panic(fmt.Sprintf("bus: duplicate controller id %d", id))
 	}
-	b.snoopers[id] = s
-	b.recvs[id] = r
-	pos := len(b.order)
-	if id != MemID {
-		for i, v := range b.order {
-			if v == MemID || v > id {
-				pos = i
-				break
-			}
-		}
-	}
-	b.order = append(b.order, 0)
-	copy(b.order[pos+1:], b.order[pos:])
-	b.order[pos] = id
+	b.snoopers[i] = s
+	b.recvs[i] = r
 }
 
 // Stats returns accumulated interconnect counters.
@@ -299,9 +302,7 @@ func (b *Bus) Reset() {
 	b.nextGrant = 0
 	b.nextID = 0
 	clear(b.sendFree)
-	clear(b.stats.Txns)
-	txns := b.stats.Txns
-	b.stats = Stats{Txns: txns}
+	b.stats = Stats{}
 }
 
 // Issue queues transaction t for the address network. The bus assigns the
@@ -383,23 +384,29 @@ func (b *Bus) grant() {
 	b.pump()
 }
 
+// resolveSnoop polls the line's holders for the owner and sharer answers,
+// then dispatches Snoop to the holders and the requester in ascending id
+// order, and to memory last. The holder mask is read once per word: a
+// Snoop call changes only its own controller's state (anything it does to
+// others travels through Issue or the data network, both later events), so
+// the bits of controllers not yet visited cannot change during the loop.
 func (b *Bus) resolveSnoop(t *Txn) {
 	if t.Kind == Upgrade {
-		if s, ok := b.snoopers[t.Src]; ok {
-			t.SrcHolds = s.SnoopShared(t.Line)
-		}
+		t.SrcHolds = b.snoopers[t.Src+1].SnoopShared(t.Line)
 	}
+	holders := b.holders.Holders(t.Line)
 	owner := MemID
 	shared := false
-	for _, id := range b.order {
-		if id == MemID {
-			continue
-		}
-		if owner == MemID && b.snoopers[id].SnoopOwner(t.Line) {
-			owner = id
-		}
-		if id != t.Src && !shared && b.snoopers[id].SnoopShared(t.Line) {
-			shared = true
+	for w, word := range holders {
+		for ; word != 0; word &= word - 1 {
+			id := w*64 + bits.TrailingZeros64(word)
+			s := b.snoopers[id+1]
+			if owner == MemID && s.SnoopOwner(t.Line) {
+				owner = id
+			}
+			if id != t.Src && !shared && s.SnoopShared(t.Line) {
+				shared = true
+			}
 		}
 	}
 	if owner != MemID && owner != t.Src && !t.Priority && (t.Kind == GetS || t.Kind == GetX) {
@@ -409,14 +416,25 @@ func (b *Bus) resolveSnoop(t *Txn) {
 		// exempt from both — that exemption IS the forward-progress
 		// guarantee for requests the owner (or injector) would otherwise
 		// refuse forever.
-		if b.snoopers[owner].SnoopNack(t) || b.faults.ForceNack() {
+		if b.snoopers[owner+1].SnoopNack(t) || b.faults.ForceNack() {
 			t.Nacked = true
 			b.stats.Nacks++
 		}
 	}
-	for _, id := range b.order {
-		b.snoopers[id].Snoop(t, owner, shared)
+	srcWord, srcBit := t.Src/64, uint64(1)<<(t.Src%64)
+	for w := 0; w < len(holders) || w <= srcWord; w++ {
+		var word uint64
+		if w < len(holders) {
+			word = holders[w]
+		}
+		if w == srcWord {
+			word |= srcBit
+		}
+		for ; word != 0; word &= word - 1 {
+			b.snoopers[w*64+bits.TrailingZeros64(word)+1].Snoop(t, owner, shared)
+		}
 	}
+	b.snoopers[MemID+1].Snoop(t, owner, shared)
 }
 
 // Send delivers msg to controller `to` over the data network after the data
@@ -482,12 +500,12 @@ func (b *Bus) SendProbe(to int, line memsys.Addr, ts stamp.Stamp, from int) {
 // transaction is already accounted against the requester).
 func (b *Bus) sendMsg(to int, msg Msg, deliver sim.Callback, extra sim.Time) {
 	from := msg.msgFrom()
-	depart := b.sendFree[from]
+	depart := b.sendFree[from+1]
 	if now := b.k.Now(); depart < now {
 		depart = now
 	}
-	b.sendFree[from] = depart + sim.Time(b.cfg.Occupancy)
-	if _, ok := b.recvs[to]; !ok {
+	b.sendFree[from+1] = depart + sim.Time(b.cfg.Occupancy)
+	if to+1 >= len(b.recvs) || b.recvs[to+1] == nil {
 		panic(fmt.Sprintf("bus: Send to unknown controller %d", to))
 	}
 	b.k.AtCall(depart+sim.Time(b.cfg.DataLat)+extra, deliver, b, msg, uint64(int64(to)))
@@ -498,13 +516,13 @@ func (b *Bus) sendMsg(to int, msg Msg, deliver sim.Callback, extra sim.Time) {
 // retain a recycled message past Deliver.
 func deliverEvent(recv, arg any, n uint64) {
 	b := recv.(*Bus)
-	b.recvs[int(int64(n))].Deliver(arg.(Msg))
+	b.recvs[int(int64(n))+1].Deliver(arg.(Msg))
 }
 
 func deliverRecycleEvent(recv, arg any, n uint64) {
 	b := recv.(*Bus)
 	msg := arg.(Msg)
-	b.recvs[int(int64(n))].Deliver(msg)
+	b.recvs[int(int64(n))+1].Deliver(msg)
 	switch v := msg.(type) {
 	case *DataResp:
 		b.freeData = append(b.freeData, v)

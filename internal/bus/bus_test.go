@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"slices"
 	"testing"
 
 	"tlrsim/internal/memsys"
@@ -33,16 +34,35 @@ func (f *fakeCtrl) Snoop(t *Txn, owner int, shared bool) {
 }
 func (f *fakeCtrl) Deliver(m Msg) { f.msgs = append(f.msgs, m) }
 
+// everyone is a holder set naming controllers 0..n-1 for every line, so
+// the bus polls every fake controller as a full broadcast would.
+type everyone []uint64
+
+func holdersOf(n int) everyone {
+	h := make(everyone, (n+63)/64)
+	for i := 0; i < n; i++ {
+		h[i/64] |= 1 << (i % 64)
+	}
+	return h
+}
+
+func (h everyone) Holders(memsys.Addr) []uint64 { return h }
+
 func testbus(k *sim.Kernel, n int) (*Bus, []*fakeCtrl, *fakeCtrl) {
-	b := New(k, Config{SnoopLat: 20, DataLat: 20, ArbCycles: 2, Occupancy: 2, MaxOutstanding: 8})
+	b := New(k, Config{SnoopLat: 20, DataLat: 20, ArbCycles: 2, Occupancy: 2, MaxOutstanding: 8}, holdersOf(n))
 	ctrls := make([]*fakeCtrl, n)
 	for i := range ctrls {
 		ctrls[i] = newFake(i)
 		b.Attach(i, ctrls[i], ctrls[i])
 	}
+	return b, ctrls, attachMem(b)
+}
+
+// attachMem attaches a fake memory controller, which every snoop reaches.
+func attachMem(b *Bus) *fakeCtrl {
 	mem := newFake(MemID)
 	b.Attach(MemID, mem, mem)
-	return b, ctrls, mem
+	return mem
 }
 
 func TestBroadcastReachesAllSnoopers(t *testing.T) {
@@ -57,6 +77,31 @@ func TestBroadcastReachesAllSnoopers(t *testing.T) {
 		if c.snoops[0].owner != MemID {
 			t.Fatalf("owner = %d, want memory", c.snoops[0].owner)
 		}
+	}
+}
+
+// TestSnoopReachesHoldersAndRequester: only the line's holders, the
+// requester and memory are polled and snooped, in ascending id order with
+// memory last, across mask words.
+func TestSnoopReachesHoldersAndRequester(t *testing.T) {
+	k := sim.New(1)
+	const n = 70
+	h := make(everyone, 2)
+	h[0] |= 1 << 3
+	h[1] |= 1 << (66 % 64)
+	b := New(k, Config{SnoopLat: 20, DataLat: 20, ArbCycles: 2, MaxOutstanding: 8}, h)
+	var order []int
+	ctrls := make([]*fakeCtrl, n)
+	for i := range ctrls {
+		ctrls[i] = newFake(i)
+		id := i
+		b.Attach(i, snoopFunc(func(tx *Txn, owner int, shared bool) { order = append(order, id) }), ctrls[i])
+	}
+	b.Attach(MemID, snoopFunc(func(*Txn, int, bool) { order = append(order, MemID) }), newFake(MemID))
+	b.Issue(&Txn{Kind: GetS, Line: 0x40, Src: 40})
+	k.Run()
+	if want := []int{3, 40, 66, MemID}; !slices.Equal(order, want) {
+		t.Fatalf("snoop order %v, want %v", order, want)
 	}
 }
 
@@ -103,10 +148,11 @@ func TestGlobalOrderMatchesIssueOrder(t *testing.T) {
 
 func TestSnoopLatency(t *testing.T) {
 	k := sim.New(1)
-	b := New(k, Config{SnoopLat: 20, DataLat: 20, ArbCycles: 1})
+	b := New(k, Config{SnoopLat: 20, DataLat: 20, ArbCycles: 1}, holdersOf(1))
 	c := newFake(0)
 	var snoopAt sim.Time
 	b.Attach(0, snoopFunc(func(tx *Txn, owner int, shared bool) { snoopAt = k.Now() }), c)
+	attachMem(b)
 	tx := &Txn{Kind: GetS, Line: 0x40, Src: 0}
 	b.Issue(tx)
 	k.Run()
@@ -124,9 +170,10 @@ func (f snoopFunc) Snoop(t *Txn, owner int, shared bool) { f(t, owner, shared) }
 
 func TestMaxOutstandingThrottles(t *testing.T) {
 	k := sim.New(1)
-	b := New(k, Config{SnoopLat: 5, ArbCycles: 1, MaxOutstanding: 2})
+	b := New(k, Config{SnoopLat: 5, ArbCycles: 1, MaxOutstanding: 2}, holdersOf(1))
 	c := newFake(0)
 	b.Attach(0, c, c)
+	attachMem(b)
 	for i := 0; i < 5; i++ {
 		b.Issue(&Txn{Kind: GetS, Line: memsys.Addr(i * 64), Src: 0})
 	}
@@ -172,7 +219,7 @@ func TestDataDelivery(t *testing.T) {
 
 func TestSendOccupancySerialisesPerSource(t *testing.T) {
 	k := sim.New(1)
-	b := New(k, Config{SnoopLat: 20, DataLat: 10, Occupancy: 4, ArbCycles: 1})
+	b := New(k, Config{SnoopLat: 20, DataLat: 10, Occupancy: 4, ArbCycles: 1}, holdersOf(2))
 	var arrivals []sim.Time
 	r := recvFunc(func(m Msg) { arrivals = append(arrivals, k.Now()) })
 	b.Attach(0, newFake(0), r)
@@ -212,9 +259,10 @@ func TestStatsCounters(t *testing.T) {
 func TestDeterministicWithJitter(t *testing.T) {
 	run := func() []sim.Time {
 		k := sim.New(99)
-		b := New(k, Config{SnoopLat: 20, ArbCycles: 2, ArbJitter: 5})
+		b := New(k, Config{SnoopLat: 20, ArbCycles: 2, ArbJitter: 5}, holdersOf(1))
 		c := newFake(0)
 		b.Attach(0, c, c)
+		attachMem(b)
 		txns := make([]*Txn, 10)
 		for i := range txns {
 			txns[i] = &Txn{Kind: GetS, Line: memsys.Addr(i * 64), Src: 0}

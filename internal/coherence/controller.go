@@ -754,6 +754,7 @@ func (c *Controller) issue(line memsys.Addr, kind bus.Kind, spec, specWrite bool
 		upstream:     bus.MemID,
 	}
 	c.mshrs[line] = m
+	c.hold(line)
 	c.noteMSHRs()
 	t := &bus.Txn{Kind: kind, Line: line, Src: c.id, Stamp: m.stamp}
 	m.txnID = c.sys.Bus.Issue(t)

@@ -62,4 +62,5 @@ func (s *System) Reset() {
 		s.Tracer.Reset()
 	}
 	clear(s.lockLines)
+	s.holders.reset()
 }

@@ -147,6 +147,7 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 	if m, ok := c.mshrs[line]; ok && m.ordered && m.kind == bus.GetS && t.Kind != bus.GetS {
 		m.invalidated = true
 		delete(c.mshrs, line)
+		c.release(line)
 		c.noteMSHRs()
 		c.draining[m.txnID] = m
 		if c.linkValid && c.linkLine == line {
@@ -186,6 +187,7 @@ func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 	switch t.Kind {
 	case bus.WriteBack:
 		delete(c.wbPending, t.Line)
+		c.release(t.Line)
 		if c.wbSuperseded[t.Line] {
 			// A GetX consumed this data before the write-back ordered; the
 			// requester now owns a fresher copy, so memory must not apply
@@ -267,6 +269,7 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 			dm.specWrite = false
 		}
 		c.mshrs[dm.line] = dm
+		c.hold(dm.line)
 		c.noteMSHRs()
 		m = dm
 	}
@@ -281,6 +284,7 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 			// The request itself dies here; its waiters are squashed by the
 			// abort.
 			delete(c.mshrs, m.line)
+			c.release(m.line)
 			c.noteMSHRs()
 			c.AbortTxn(core.ReasonResource)
 			return
@@ -447,6 +451,7 @@ func (c *Controller) serviceAsOwner(t *bus.Txn, l *cache.Line) {
 func (c *Controller) invalidateLocal(l *cache.Line, line memsys.Addr) {
 	wasSpec := l.Spec()
 	c.cache.Invalidate(line)
+	c.release(line)
 	if c.linkValid && c.linkLine == line {
 		c.linkValid = false
 	}
@@ -470,6 +475,7 @@ func (c *Controller) supplyFromWBPending(t *bus.Txn, d memsys.LineData) {
 		// new owner's future one at memory.
 		c.sys.Bus.SendData(t.Src, t.ID, t.Line, &d, c.id, false)
 		delete(c.wbPending, t.Line)
+		c.release(t.Line)
 		c.wbSuperseded[t.Line] = true
 	}
 }
@@ -575,6 +581,7 @@ func (c *Controller) deliverData(r *bus.DataResp) {
 			panic("coherence: insert failed after abort cleared pins")
 		}
 	}
+	c.hold(line)
 	if ev != nil {
 		c.handleEviction(ev)
 	}
@@ -656,6 +663,7 @@ func (c *Controller) finishMSHR(m *mshr, frame *cache.Line) {
 func (c *Controller) retireMSHR(m *mshr) {
 	if _, ok := c.mshrs[m.line]; ok {
 		delete(c.mshrs, m.line)
+		c.release(m.line)
 		c.noteMSHRs()
 		c.sys.Bus.Complete()
 	}
@@ -716,10 +724,12 @@ func (c *Controller) handleEviction(ev *cache.Evicted) {
 	}
 	c.notifyLine(ev.Tag)
 	if !ev.State.Dirty() {
+		c.release(ev.Tag)
 		return
 	}
 	c.stats.Writebacks++
 	c.wbPending[ev.Tag] = ev.Data
+	c.hold(ev.Tag)
 	c.sys.Bus.Issue(&bus.Txn{Kind: bus.WriteBack, Line: ev.Tag, Src: c.id, WBData: ev.Data})
 }
 
@@ -858,6 +868,7 @@ func (c *Controller) serveDeferred(d core.Deferred) {
 	default: // GetX (Upgrade cannot be deferred)
 		c.sys.Bus.SendData(t.Src, t.ID, d.Line, &l.Data, c.id, false)
 		c.cache.Invalidate(d.Line)
+		c.release(d.Line)
 		if c.linkValid && c.linkLine == d.Line {
 			c.linkValid = false
 		}

@@ -67,6 +67,9 @@ type System struct {
 
 	cfg       Config
 	lockLines map[memsys.Addr]bool
+
+	// holders is the per-line snoop filter the bus polls through.
+	holders *holderSet
 }
 
 // SetFaults attaches (or with nil detaches) the fault injector on the
@@ -112,11 +115,12 @@ func NewSystem(k *sim.Kernel, n int, cfg Config, engines []*core.Engine) *System
 	}
 	s := &System{
 		K:         k,
-		Bus:       bus.New(k, cfg.Bus),
 		Mem:       memsys.NewMemory(),
 		cfg:       cfg,
 		lockLines: make(map[memsys.Addr]bool),
+		holders:   newHolderSet(n),
 	}
+	s.Bus = bus.New(k, cfg.Bus, s.holders)
 	s.Ctrls = make([]*Controller, n)
 	for i := 0; i < n; i++ {
 		s.Ctrls[i] = newController(s, i, engines[i])
@@ -135,8 +139,12 @@ func (s *System) RegisterLock(a memsys.Addr) { s.lockLines[a.Line()] = true }
 func (s *System) IsLockLine(a memsys.Addr) bool { return s.lockLines[a.Line()] }
 
 // CheckCoherence validates the global single-writer/multi-reader invariant
-// and owner uniqueness; tests call it at quiescent points.
+// and owner uniqueness, and that the snoop filter names every controller
+// holding state (CheckHolders); tests call it at quiescent points.
 func (s *System) CheckCoherence() error {
+	if err := s.CheckHolders(); err != nil {
+		return err
+	}
 	type holder struct {
 		cpu int
 		st  cache.State
@@ -165,6 +173,35 @@ func (s *System) CheckCoherence() error {
 		}
 		if owners > 1 {
 			return fmt.Errorf("line %s has %d owners: %v", line, owners, hs)
+		}
+	}
+	return nil
+}
+
+// CheckHolders reports a controller that holds a valid cache line, an MSHR
+// or a pending write-back for a line whose holder set lacks its bit: the
+// bus would skip that controller's snoops for the line. It holds after
+// every kernel event, not only at quiescent points.
+func (s *System) CheckHolders() error {
+	var err error
+	for _, c := range s.Ctrls {
+		c.cache.ForEachValid(func(l *cache.Line) {
+			if err == nil && !s.holders.has(l.Tag, c.id) {
+				err = fmt.Errorf("P%d holds line %s in %s but is not in its holder set", c.id, l.Tag, l.State)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		for line := range c.mshrs {
+			if !s.holders.has(line, c.id) {
+				return fmt.Errorf("P%d has an MSHR for line %s but is not in its holder set", c.id, line)
+			}
+		}
+		for line := range c.wbPending {
+			if !s.holders.has(line, c.id) {
+				return fmt.Errorf("P%d has a pending write-back of line %s but is not in its holder set", c.id, line)
+			}
 		}
 	}
 	return nil

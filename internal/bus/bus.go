@@ -229,6 +229,15 @@ type Bus struct {
 	granting    bool
 	nextID      uint64
 
+	// Transaction pool. A Txn returns to freeTxns when its requester calls
+	// Complete. When that happens inside the transaction's own snoop
+	// dispatch, the snoopers after the requester and memory still read it,
+	// so the release waits until resolveSnoop returns: snooping names the
+	// transaction being dispatched and snoopDone records its completion.
+	freeTxns  []*Txn
+	snooping  *Txn
+	snoopDone bool
+
 	// Free lists for recycled data-network messages: a message is reused the
 	// moment its delivery event has run, so steady-state traffic allocates
 	// nothing.
@@ -291,8 +300,9 @@ func (b *Bus) Attach(id int, s Snooper, r Receiver) {
 func (b *Bus) Stats() *Stats { return &b.stats }
 
 // Reset rewinds the interconnect to the state New constructs, keeping the
-// attached controllers and the message free lists (pooling is invisible to
-// the protocol: a recycled message is field-assigned before every send).
+// attached controllers and the message and transaction free lists (pooling
+// is invisible to the protocol: a recycled message is field-assigned before
+// every send, and a recycled transaction is zeroed by NewTxn).
 // The bus must be drained — no queued or outstanding transactions, no grant
 // in flight — which the machine-level quiescence check guarantees.
 func (b *Bus) Reset() {
@@ -305,8 +315,34 @@ func (b *Bus) Reset() {
 	b.stats = Stats{}
 }
 
+// NewTxn returns a zeroed transaction, recycled from the free list when one
+// is there. The caller fills it in and passes it to Issue; the bus takes it
+// back when the requester passes it to Complete.
+func (b *Bus) NewTxn() *Txn {
+	n := len(b.freeTxns)
+	if n == 0 {
+		return new(Txn)
+	}
+	t := b.freeTxns[n-1]
+	b.freeTxns = b.freeTxns[:n-1]
+	*t = Txn{}
+	return t
+}
+
+// releaseTxn puts a completed transaction on the free list. Under the
+// tlrpoison build tag it is overwritten with impossible values first, so a
+// use after release fails loudly instead of reading the old request.
+func (b *Bus) releaseTxn(t *Txn) {
+	if Poison {
+		*t = Txn{ID: ^uint64(0), Kind: Kind(-1), Line: ^memsys.Addr(0), Src: -2}
+	}
+	b.freeTxns = append(b.freeTxns, t)
+}
+
 // Issue queues transaction t for the address network. The bus assigns the
-// transaction ID and, at grant time, the global order.
+// transaction ID and, at grant time, the global order. t may come from
+// NewTxn or be built by the caller; either way the bus recycles it once the
+// requester passes it to Complete.
 func (b *Bus) Issue(t *Txn) uint64 {
 	b.nextID++
 	t.ID = b.nextID
@@ -318,13 +354,25 @@ func (b *Bus) Issue(t *Txn) uint64 {
 	return t.ID
 }
 
-// Complete releases an outstanding-transaction slot once the requester has
-// fully finished the split transaction (data consumed or no data needed).
-func (b *Bus) Complete() {
+// Complete releases t's outstanding-transaction slot once its requester has
+// fully finished the split transaction (data consumed, no data needed, or
+// NACKed), and recycles t. It is the one release point of a transaction:
+// the requester must hold no reference to t afterwards, and nobody else
+// may still hold one. That holds because every other holder (the snoop
+// event, a memory response, a coherence chain entry, a deferred request)
+// is done with t before the requester can complete, with one exception
+// the bus handles itself: a requester that completes inside t's own snoop
+// dispatch, whose release waits until the dispatch returns.
+func (b *Bus) Complete(t *Txn) {
 	if b.outstanding <= 0 {
 		panic("bus: Complete without outstanding transaction")
 	}
 	b.outstanding--
+	if t == b.snooping {
+		b.snoopDone = true
+	} else {
+		b.releaseTxn(t)
+	}
 	b.noteOccupancy()
 	b.pump()
 }
@@ -365,13 +413,13 @@ func (b *Bus) grant() {
 	}
 	// Requests are globally ordered only at grant time, so the arbiter may
 	// legally pick any queued request; injection exercises non-FIFO orders.
-	t := b.queue[0]
-	if i := b.faults.PickGrant(len(b.queue)); i == 0 {
-		b.queue = b.queue[1:]
-	} else {
-		t = b.queue[i]
-		b.queue = append(b.queue[:i], b.queue[i+1:]...)
-	}
+	// The granted entry is removed in place, so the queue keeps its
+	// backing array and Issue's append never reallocates in steady state.
+	i := b.faults.PickGrant(len(b.queue))
+	t := b.queue[i]
+	n := copy(b.queue[i:], b.queue[i+1:])
+	b.queue[i+n] = nil
+	b.queue = b.queue[:i+n]
 	b.outstanding++
 	t.Ordered = b.k.Now()
 	b.stats.ArbStalls += uint64(t.Ordered - t.issued)
@@ -390,7 +438,18 @@ func (b *Bus) grant() {
 // Snoop call changes only its own controller's state (anything it does to
 // others travels through Issue or the data network, both later events), so
 // the bits of controllers not yet visited cannot change during the loop.
+// A Complete of t during the dispatch is honoured when it returns.
 func (b *Bus) resolveSnoop(t *Txn) {
+	b.snooping = t
+	b.dispatchSnoop(t)
+	b.snooping = nil
+	if b.snoopDone {
+		b.snoopDone = false
+		b.releaseTxn(t)
+	}
+}
+
+func (b *Bus) dispatchSnoop(t *Txn) {
 	if t.Kind == Upgrade {
 		t.SrcHolds = b.snoopers[t.Src+1].SnoopShared(t.Line)
 	}

@@ -182,8 +182,8 @@ func TestMaxOutstandingThrottles(t *testing.T) {
 		t.Fatalf("saw %d snoops with 2 outstanding slots and no Complete, want 2", len(c.snoops))
 	}
 	// Releasing slots lets the rest through.
-	b.Complete()
-	b.Complete()
+	b.Complete(c.snoops[0].txn)
+	b.Complete(c.snoops[1].txn)
 	k.Run()
 	if len(c.snoops) != 4 {
 		t.Fatalf("saw %d snoops after 2 Completes, want 4", len(c.snoops))
@@ -198,7 +198,7 @@ func TestCompleteUnderflowPanics(t *testing.T) {
 			t.Fatal("Complete with nothing outstanding must panic")
 		}
 	}()
-	b.Complete()
+	b.Complete(&Txn{})
 }
 
 func TestDataDelivery(t *testing.T) {
@@ -334,5 +334,68 @@ func TestNackNotConsultedForOwnRequests(t *testing.T) {
 	k.Run()
 	if tx.Nacked {
 		t.Fatal("a controller must not nack its own request")
+	}
+}
+
+// A warm Issue -> grant -> snoop -> Complete cycle allocates nothing: the
+// queue removes granted entries in place, so its backing array is reused,
+// and the transaction comes from the bus's free list.
+func TestIssueGrantCompleteAllocFree(t *testing.T) {
+	k := sim.New(1)
+	b := New(k, Config{SnoopLat: 5, ArbCycles: 1, MaxOutstanding: 4}, holdersOf(2))
+	var done []*Txn
+	complete := snoopFunc(func(t *Txn, _ int, _ bool) { done = append(done, t) })
+	idle := snoopFunc(func(*Txn, int, bool) {})
+	b.Attach(0, complete, recvFunc(func(Msg) {}))
+	b.Attach(1, idle, recvFunc(func(Msg) {}))
+	b.Attach(MemID, idle, recvFunc(func(Msg) {}))
+	cycle := func() {
+		for i := 0; i < 6; i++ {
+			t := b.NewTxn()
+			t.Kind, t.Line, t.Src = GetS, memsys.Addr(i*64), 0
+			b.Issue(t)
+		}
+		// Complete outside the dispatch, as a data fill would, until every
+		// queued transaction has been granted and completed.
+		for b.Queued() > 0 || b.Outstanding() > 0 {
+			k.Run()
+			for _, t := range done {
+				b.Complete(t)
+			}
+			done = done[:0]
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("warm Issue/grant/Complete cycle allocates %.1f objects, want 0", n)
+	}
+}
+
+// Completing a transaction inside its own snoop dispatch must not recycle
+// it until the dispatch ends: snoopers after the requester, and memory,
+// still read it.
+func TestCompleteInsideDispatchDefersRelease(t *testing.T) {
+	k := sim.New(1)
+	b := New(k, Config{SnoopLat: 5, ArbCycles: 1}, holdersOf(2))
+	var memSaw *Txn
+	var memKind Kind
+	freeDuring := -1
+	b.Attach(0, snoopFunc(func(t *Txn, _ int, _ bool) { b.Complete(t) }), recvFunc(func(Msg) {}))
+	b.Attach(1, newFake(1), recvFunc(func(Msg) {}))
+	b.Attach(MemID, snoopFunc(func(t *Txn, _ int, _ bool) {
+		memSaw, memKind, freeDuring = t, t.Kind, len(b.freeTxns)
+	}), recvFunc(func(Msg) {}))
+	tx := b.NewTxn()
+	tx.Kind, tx.Line, tx.Src = Upgrade, 0x40, 0
+	b.Issue(tx)
+	k.Run()
+	if memSaw != tx || memKind != Upgrade {
+		t.Fatalf("memory saw %v (kind %v) after the requester completed, want the live transaction", memSaw, memKind)
+	}
+	if freeDuring != 0 {
+		t.Fatalf("free list held %d transactions during the dispatch, want 0", freeDuring)
+	}
+	if got := b.NewTxn(); got != tx {
+		t.Fatal("a transaction completed inside its dispatch was not recycled after it")
 	}
 }

@@ -24,10 +24,16 @@ type chainEntry struct {
 }
 
 // mshr tracks one outstanding miss (miss status handling register).
+// MSHRs are pooled per controller (newMSHR/freeMSHR); see freeMSHR for the
+// points where one is released.
 type mshr struct {
-	line    memsys.Addr
-	kind    bus.Kind // GetS or GetX (Upgrade converts on loss)
-	txnID   uint64
+	line  memsys.Addr
+	kind  bus.Kind // GetS or GetX (Upgrade converts on loss)
+	txnID uint64
+	// txn is the request in flight, from issue until the controller passes
+	// it to Bus.Complete (nil afterwards). txnID outlives it: stale
+	// responses, the drain map and the NACK retry match on the ID.
+	txn     *bus.Txn
 	stamp   stamp.Stamp
 	ordered bool
 
@@ -94,7 +100,31 @@ type mshr struct {
 	// (the non-speculative forward-progress escalation).
 	priority bool
 
-	waiters []OpDone
+	waiters []waiter
+}
+
+// waiter is a completion attached to an MSHR, run once the fill (or
+// instant upgrade) lands. A load waiter receives the word at addr as this
+// CPU then observes it, after the functional checker (when attached) has
+// seen the load as part of transaction txSeq; any other waiter receives 0.
+type waiter struct {
+	done  OpDone
+	addr  memsys.Addr
+	load  bool
+	txSeq uint64
+}
+
+// wake runs a waiter.
+func (c *Controller) wake(w waiter) {
+	if !w.load {
+		w.done(0, true)
+		return
+	}
+	v := c.localWord(w.addr)
+	if c.sys.Check != nil {
+		c.checkLoad(w.addr, v, w.txSeq)
+	}
+	w.done(v, true)
 }
 
 // Stats counts controller-level activity.
@@ -122,6 +152,9 @@ type Controller struct {
 	eng   *core.Engine
 
 	mshrs map[memsys.Addr]*mshr
+
+	// freeMSHRs recycles released MSHRs (see freeMSHR).
+	freeMSHRs []*mshr
 
 	// draining holds invalidated GetS requests (ordered before a writer)
 	// detached from the line: their data, when it arrives, is forwarded to
@@ -285,40 +318,15 @@ func (c *Controller) LoadHit(a memsys.Addr, wantExcl bool) (uint64, bool) {
 // event.
 func (c *Controller) LoadMiss(a memsys.Addr, wantExcl bool, done OpDone) {
 	c.stats.Loads++
-	if c.sys.Check != nil {
-		inner := done
-		txSeq := c.eng.TxSeq()
-		done = func(v uint64, ok bool) {
-			if ok {
-				c.checkLoad(a, v, txSeq)
-			}
-			inner(v, ok)
-		}
-	}
+	txSeq := c.eng.TxSeq()
 	c.stats.Misses++
 	spec := c.eng.Speculating()
 	line := a.Line()
 	excl := wantExcl || (spec && c.eng.WantExclusiveRead(line))
 	m := c.ensureMSHR(line, excl, spec, false)
-	m.waiters = append(m.waiters, done)
-	c.addMSHRWordWaiter(m, a)
-}
-
-// addMSHRWordWaiter rewrites the last waiter so it extracts the right word
-// from the filled line. (Waiters receive the word value directly.)
-func (c *Controller) addMSHRWordWaiter(m *mshr, a memsys.Addr) {
-	idx := len(m.waiters) - 1
-	inner := m.waiters[idx]
-	m.waiters[idx] = func(val uint64, ok bool) {
-		_ = val
-		if !ok {
-			inner(0, false)
-			return
-		}
-		// The line is installed (or being forwarded) by the fill path; read
-		// the current architectural value seen by this CPU.
-		inner(c.localWord(a), true)
-	}
+	// The fill path installs (or forwards) the line before waking the
+	// waiter, which then reads the word this CPU observes.
+	m.waiters = append(m.waiters, waiter{done: done, addr: a, load: true, txSeq: txSeq})
 }
 
 // checkLoad feeds a completed load to the functional checker: speculative
@@ -462,7 +470,7 @@ func (c *Controller) storeExec(a memsys.Addr, v uint64, done OpDone) {
 	}
 	c.stats.Misses++
 	m := c.ensureWritable(line, false, false)
-	m.waiters = append(m.waiters, func(_ uint64, ok bool) {
+	m.waiters = append(m.waiters, waiter{done: func(_ uint64, ok bool) {
 		if !ok {
 			done(0, false)
 			return
@@ -480,7 +488,7 @@ func (c *Controller) storeExec(a memsys.Addr, v uint64, done OpDone) {
 		c.checkStore(a, v)
 		c.notifyLine(line)
 		done(v, true)
-	})
+	}})
 }
 
 // checkStore feeds a completed plain store to the functional checker.
@@ -536,7 +544,7 @@ func (c *Controller) SC(a memsys.Addr, v uint64, done OpDone) {
 	// Need write permission; the link may break while we wait.
 	c.stats.Misses++
 	m := c.ensureWritable(line, false, false)
-	m.waiters = append(m.waiters, func(_ uint64, ok bool) {
+	m.waiters = append(m.waiters, waiter{done: func(_ uint64, ok bool) {
 		if !ok {
 			done(0, false)
 			return
@@ -552,7 +560,7 @@ func (c *Controller) SC(a memsys.Addr, v uint64, done OpDone) {
 		c.checkStore(a, v)
 		c.notifyLine(line)
 		done(1, true)
-	})
+	}})
 }
 
 // Swap atomically exchanges v with the word at a, returning the old value
@@ -633,7 +641,7 @@ func (c *Controller) rmwNonSpec(a memsys.Addr, fn func(old uint64) (uint64, bool
 	}
 	c.stats.Misses++
 	m := c.ensureWritable(line, false, false)
-	m.waiters = append(m.waiters, func(_ uint64, ok bool) {
+	m.waiters = append(m.waiters, waiter{done: func(_ uint64, ok bool) {
 		if !ok {
 			done(0, false)
 			return
@@ -654,7 +662,7 @@ func (c *Controller) rmwNonSpec(a memsys.Addr, fn func(old uint64) (uint64, bool
 			c.notifyLine(line)
 		}
 		done(old, true)
-	})
+	}})
 }
 
 // checkRMW feeds a completed atomic read-modify-write to the checker.
@@ -744,20 +752,18 @@ func (c *Controller) ensureMSHR(line memsys.Addr, excl, spec, specWrite bool) *m
 }
 
 func (c *Controller) issue(line memsys.Addr, kind bus.Kind, spec, specWrite bool) *mshr {
-	m := &mshr{
-		line:         line,
-		kind:         kind,
-		stamp:        c.eng.Stamp(),
-		spec:         spec,
-		specWrite:    specWrite,
-		wantWritable: kind != bus.GetS,
-		upstream:     bus.MemID,
-	}
+	m := c.newMSHR()
+	m.line = line
+	m.kind = kind
+	m.stamp = c.eng.Stamp()
+	m.spec = spec
+	m.specWrite = specWrite
+	m.wantWritable = kind != bus.GetS
+	m.upstream = bus.MemID
 	c.mshrs[line] = m
 	c.hold(line)
 	c.noteMSHRs()
-	t := &bus.Txn{Kind: kind, Line: line, Src: c.id, Stamp: m.stamp}
-	m.txnID = c.sys.Bus.Issue(t)
+	c.issueTxn(m)
 	// If we are speculating and just created a miss on a second line while
 	// holding a relaxed-win deferral, timestamp order must be restored
 	// (§3.2): the engine re-checks on the next conflict; additionally any
@@ -766,6 +772,57 @@ func (c *Controller) issue(line memsys.Addr, kind bus.Kind, spec, specWrite bool
 		c.enforceTimestampOrderAfterNewMiss(line)
 	}
 	return m
+}
+
+// issueTxn puts m's request (its kind, line, stamp and priority) on the bus
+// as a pooled transaction and records it as m's transaction in flight.
+func (c *Controller) issueTxn(m *mshr) {
+	t := c.sys.Bus.NewTxn()
+	t.Kind, t.Line, t.Src, t.Stamp, t.Priority = m.kind, m.line, c.id, m.stamp, m.priority
+	m.txn = t
+	m.txnID = c.sys.Bus.Issue(t)
+}
+
+// completeTxn ends m's transaction in flight: the bus slot is released and
+// the transaction recycled, so m must not touch it again.
+func (c *Controller) completeTxn(m *mshr) {
+	c.sys.Bus.Complete(m.txn)
+	m.txn = nil
+}
+
+// newMSHR returns a zeroed MSHR, recycled from the free list when one is
+// there. A recycled MSHR keeps the backing arrays of its chain, probe and
+// waiter lists.
+func (c *Controller) newMSHR() *mshr {
+	n := len(c.freeMSHRs)
+	if n == 0 {
+		return new(mshr)
+	}
+	m := c.freeMSHRs[n-1]
+	c.freeMSHRs = c.freeMSHRs[:n-1]
+	*m = mshr{chain: m.chain[:0], pendingProbes: m.pendingProbes[:0], waiters: m.waiters[:0]}
+	return m
+}
+
+// freeMSHR returns a retired MSHR to the free list. It is the single
+// release point of an MSHR, called once nothing refers to it: at the end of
+// finishMSHR and finishDraining (after the waiters and chain have run), and
+// where nackedOwnRequest drops a request (past the pathological NACK
+// threshold, or merged into a newer MSHR for the line). The MSHR must be in
+// neither c.mshrs nor c.draining, and its transaction must be complete.
+// Under the tlrpoison build tag it is overwritten with impossible values,
+// so a use after release fails loudly.
+func (c *Controller) freeMSHR(m *mshr) {
+	clear(m.chain)
+	clear(m.waiters)
+	if bus.Poison {
+		*m = mshr{
+			line: ^memsys.Addr(0), kind: bus.Kind(-1), txnID: ^uint64(0), upstream: -2,
+			ordered: true, upgradeAfterFill: true, handedOff: true,
+			chain: m.chain[:0], pendingProbes: m.pendingProbes[:0], waiters: m.waiters[:0],
+		}
+	}
+	c.freeMSHRs = append(c.freeMSHRs, m)
 }
 
 // enforceTimestampOrderAfterNewMiss aborts the transaction if a deferred

@@ -36,7 +36,9 @@ func (m *MemController) Snoop(t *bus.Txn, owner int, shared bool) {
 			m.sys.Mem.WriteLine(t.Line, t.WBData)
 		}
 		m.inL2[t.Line] = true
-		m.sys.Bus.Complete()
+		// The write-back's requester never hears of it again: memory
+		// completes it for the requester, last in the snoop dispatch.
+		m.sys.Bus.Complete(t)
 	case bus.GetS, bus.GetX:
 		if owner != bus.MemID || t.Nacked {
 			return

@@ -5,8 +5,9 @@ package coherence
 // in flight, no MSHRs, no buffered stores, no transaction mid-flight in any
 // engine. At such a point every map the controllers own holds only either
 // persistent architectural state (cleared) or per-request bookkeeping
-// (necessarily empty), and all pooled bus messages are back on their free
-// lists — which is why pooling can survive reuse untouched.
+// (necessarily empty), and all pooled bus messages, bus transactions and
+// MSHRs are back on their free lists — which is why pooling can survive
+// reuse untouched.
 
 // reset rewinds the controller to the state newController constructs,
 // keeping every map and buffer allocation.

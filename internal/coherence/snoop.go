@@ -216,10 +216,9 @@ func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 		// this controller claim supplier-of-record for its own unordered
 		// request and starve it of data.
 		m.ordered = false
-		c.sys.Bus.Complete()
+		c.completeTxn(m)
 		m.kind = bus.GetX
-		nt := &bus.Txn{Kind: bus.GetX, Line: t.Line, Src: c.id, Stamp: m.stamp}
-		m.txnID = c.sys.Bus.Issue(nt)
+		c.issueTxn(m)
 		return
 	default:
 		if t.Nacked {
@@ -234,9 +233,11 @@ func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 		if d, wbOK := c.wbPending[t.Line]; wbOK && owner == c.id {
 			// Our own just-evicted dirty data races our re-fetch: no one
 			// else can supply, so self-supply from the write-back buffer.
-			req := t.ID
+			// The closure copies what it needs: t is recycled once the
+			// fill completes it.
+			req, line := t.ID, t.Line
 			c.sys.K.After(1, func() {
-				c.Deliver(&bus.DataResp{Req: req, Line: t.Line, Data: d, From: c.id})
+				c.Deliver(&bus.DataResp{Req: req, Line: line, Data: d, From: c.id})
 			})
 		}
 	}
@@ -260,7 +261,8 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 		if cur, live := c.mshrs[dm.line]; live {
 			// A newer request for the line exists: its fill serves everyone.
 			cur.waiters = append(cur.waiters, dm.waiters...)
-			c.sys.Bus.Complete()
+			c.completeTxn(dm)
+			c.freeMSHR(dm)
 			return
 		}
 		dm.invalidated = false
@@ -274,7 +276,7 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 		m = dm
 	}
 	m.ordered = false
-	c.sys.Bus.Complete()
+	c.completeTxn(m)
 	m.nackRetries++
 	c.stats.NackRetries++
 	if m.nackRetries > pathologicalNacks {
@@ -287,6 +289,7 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 			c.release(m.line)
 			c.noteMSHRs()
 			c.AbortTxn(core.ReasonResource)
+			c.freeMSHR(m)
 			return
 		}
 		// A non-speculative miss has no transaction to fall back on, and
@@ -296,15 +299,17 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 		// otherwise only die at the stall watchdog).
 		m.priority = true
 	}
-	kind, stamp, line := m.kind, m.stamp, m.line
+	// The retry identifies its request by line and transaction ID, not by
+	// pointer: if the miss is satisfied meanwhile, its MSHR is recycled and
+	// may come back for the same line under a newer transaction.
+	line, id := m.line, m.txnID
 	backoff := nackBackoff(c.eng.Policy().Seed, c.id, m.nackRetries)
 	c.sys.K.After(backoff, func() {
 		cur, still := c.mshrs[line]
-		if !still || cur != m {
+		if !still || cur.txnID != id {
 			return // the miss was satisfied or replaced meanwhile
 		}
-		nt := &bus.Txn{Kind: kind, Line: line, Src: c.id, Stamp: stamp, Priority: m.priority}
-		m.txnID = c.sys.Bus.Issue(nt)
+		c.issueTxn(cur)
 	})
 }
 
@@ -507,7 +512,7 @@ func (c *Controller) Deliver(msg bus.Msg) {
 			for _, ts := range m.pendingProbes {
 				c.sys.Bus.SendProbe(m.upstream, m.line, ts, c.id)
 			}
-			m.pendingProbes = nil
+			m.pendingProbes = m.pendingProbes[:0]
 		}
 	case *bus.Probe:
 		c.deliverProbe(v)
@@ -601,7 +606,7 @@ func (c *Controller) deliverData(r *bus.DataResp) {
 func (c *Controller) finishDraining(m *mshr, r *bus.DataResp) {
 	line := m.line
 	delete(c.draining, m.txnID)
-	c.sys.Bus.Complete()
+	c.completeTxn(m)
 	for i := 0; i < memsys.WordsPerLine; i++ {
 		c.fillForward[line+memsys.Addr(i*memsys.WordBytes)] = r.Data[i]
 	}
@@ -609,7 +614,7 @@ func (c *Controller) finishDraining(m *mshr, r *bus.DataResp) {
 	m.waiters = nil
 	c.drainForwarding = true
 	for _, w := range waiters {
-		w(0, true)
+		c.wake(w)
 	}
 	c.drainForwarding = false
 	for i := 0; i < memsys.WordsPerLine; i++ {
@@ -619,6 +624,8 @@ func (c *Controller) finishDraining(m *mshr, r *bus.DataResp) {
 	// waiter callbacks so it re-fetches instead of sleeping on a line whose
 	// invalidation it can never observe.
 	c.notifyLine(line)
+	m.waiters = waiters
+	c.freeMSHR(m)
 }
 
 // finishMSHR completes a fill (or instant upgrade): the MSHR retires FIRST
@@ -641,7 +648,7 @@ func (c *Controller) finishMSHR(m *mshr, frame *cache.Line) {
 	c.retireMSHR(m)
 
 	for _, w := range waiters {
-		w(0, true)
+		c.wake(w)
 	}
 
 	// An upgrade requested mid-flight (load fill arrived shared but a store
@@ -658,6 +665,8 @@ func (c *Controller) finishMSHR(m *mshr, frame *cache.Line) {
 	c.serviceChain(line, chain)
 	c.notifyLine(line)
 	c.checkCommit()
+	m.chain, m.waiters = chain, waiters
+	c.freeMSHR(m)
 }
 
 func (c *Controller) retireMSHR(m *mshr) {
@@ -665,7 +674,7 @@ func (c *Controller) retireMSHR(m *mshr) {
 		delete(c.mshrs, m.line)
 		c.release(m.line)
 		c.noteMSHRs()
-		c.sys.Bus.Complete()
+		c.completeTxn(m)
 	}
 }
 
@@ -730,7 +739,9 @@ func (c *Controller) handleEviction(ev *cache.Evicted) {
 	c.stats.Writebacks++
 	c.wbPending[ev.Tag] = ev.Data
 	c.hold(ev.Tag)
-	c.sys.Bus.Issue(&bus.Txn{Kind: bus.WriteBack, Line: ev.Tag, Src: c.id, WBData: ev.Data})
+	t := c.sys.Bus.NewTxn()
+	t.Kind, t.Line, t.Src, t.WBData = bus.WriteBack, ev.Tag, c.id, ev.Data
+	c.sys.Bus.Issue(t)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 package litmus
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Shape bounds the program grammar: CPUs threads, up to Locs shared
 // locations, and 1..MaxOps ops per thread.
@@ -62,32 +65,31 @@ func Enumerate(s Shape) ([]Program, EnumStats) {
 		progs []Program
 		st    EnumStats
 	)
+	// Every tuple is filtered in one scratch program; only emitted programs
+	// get a Threads slice of their own.
+	p := Program{NumLocs: s.Locs, Threads: make([]Thread, s.CPUs)}
+	canon := newCanonChecker(s.CPUs, s.Locs)
 	// Unordered tuples: thread indices are non-decreasing. Thread
 	// permutation symmetry makes ordered tuples redundant; the canonical
 	// check below still handles the residual symmetry interactions with
 	// location renaming.
-	idx := make([]int, s.CPUs)
 	var rec func(pos, min int)
 	rec = func(pos, min int) {
 		if pos == s.CPUs {
 			st.Raw++
-			p := Program{NumLocs: s.Locs, Threads: make([]Thread, s.CPUs)}
-			for i, ti := range idx {
-				p.Threads[i] = threads[ti]
-			}
 			if !schemeSensitive(p) {
 				return
 			}
 			st.AfterFilters++
-			if p.key() != p.canonicalKey() {
+			if !canon.isCanonical(p) {
 				return
 			}
 			st.Canonical++
-			progs = append(progs, p)
+			progs = append(progs, Program{NumLocs: p.NumLocs, Threads: slices.Clone(p.Threads)})
 			return
 		}
 		for i := min; i < len(threads); i++ {
-			idx[pos] = i
+			p.Threads[pos] = threads[i]
 			rec(pos+1, i)
 		}
 	}
@@ -124,48 +126,37 @@ func enumerateThreads(s Shape) []Thread {
 	return out
 }
 
-// schemeSensitive applies the two filters documented on Enumerate.
+// schemeSensitive applies the two filters documented on Enumerate. It
+// builds one thread bitmask per location at a time (bit i: thread i), so it
+// allocates nothing; programs have at most 64 threads and 64 locations.
 func schemeSensitive(p Program) bool {
-	// Location access maps: which threads read/write each location.
-	writers := make([][]bool, p.NumLocs)
-	accessors := make([][]bool, p.NumLocs)
-	for l := range writers {
-		writers[l] = make([]bool, len(p.Threads))
-		accessors[l] = make([]bool, len(p.Threads))
-	}
-	for ti, t := range p.Threads {
-		for _, o := range t.Ops {
-			accessors[o.Loc][ti] = true
-			if o.Kind == Store {
-				writers[o.Loc][ti] = true
-			}
-		}
-	}
-	// shared[l]: some thread writes l and a different thread accesses it.
-	shared := make([]bool, p.NumLocs)
-	communicates := false
+	// shared has bit l set when some thread writes l and a different thread
+	// accesses it: the writer set is non-empty and the accessor set, which
+	// contains it, has at least two members.
+	var shared uint64
 	for l := 0; l < p.NumLocs; l++ {
-		for wi, w := range writers[l] {
-			if !w {
-				continue
-			}
-			for ai, a := range accessors[l] {
-				if a && ai != wi {
-					shared[l] = true
+		var writers, accessors uint64
+		for ti, t := range p.Threads {
+			for _, o := range t.Ops {
+				if int(o.Loc) == l {
+					accessors |= 1 << ti
+					if o.Kind == Store {
+						writers |= 1 << ti
+					}
 				}
 			}
 		}
-		if shared[l] {
-			communicates = true
+		if writers != 0 && accessors&(accessors-1) != 0 {
+			shared |= 1 << l
 		}
 	}
-	if !communicates {
-		return false
+	if shared == 0 {
+		return false // no cross-thread communication
 	}
 	// Effective critical section: a crit window touching a shared location.
 	for _, t := range p.Threads {
 		for i := t.CritLo; i < t.CritHi; i++ {
-			if shared[t.Ops[i].Loc] {
+			if shared&(1<<t.Ops[i].Loc) != 0 {
 				return true
 			}
 		}

@@ -1,6 +1,9 @@
 package litmus
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 )
 
@@ -72,19 +75,123 @@ func TestEnumerateCanonicalInvariants(t *testing.T) {
 
 // Relabelling an emitted program by any symmetry must never produce a
 // program with a smaller key (spot-check of canonicalKey's minimality on a
-// sample).
+// sample), and the enumerator's in-place relabelled key must equal the key
+// of the relabelled program built in full.
 func TestCanonicalKeyIsMinimal(t *testing.T) {
 	progs, _ := Enumerate(Shape{CPUs: 2, Locs: 2, MaxOps: 2})
 	for i := 0; i < len(progs); i += 97 {
 		p := progs[i]
 		for _, tp := range permutations(len(p.Threads)) {
 			for _, lp := range permutations(p.NumLocs) {
-				if k := p.relabel(tp, lp).key(); k < p.key() {
+				k := p.relabel(tp, lp).key()
+				if k < p.key() {
 					t.Fatalf("%s: relabel %v/%v gives smaller key %q", p, tp, lp, k)
+				}
+				if got := string(p.appendRelabelledKey(nil, tp, lp)); got != k {
+					t.Fatalf("%s: appendRelabelledKey %v/%v = %q, relabelled program key %q", p, tp, lp, got, k)
 				}
 			}
 		}
 	}
+}
+
+// The enumerator decides canonicity on reused buffers and filters tuples in
+// a scratch program. Pin its exact output on three shapes, including the
+// benchmark's 2x2x3 and both three-way symmetries (three threads, three
+// locations): the stats, and a SHA-256 over the emitted programs' String()
+// lines in order. Any change to which programs are emitted, or their order,
+// shows up here.
+func TestEnumerateDigests(t *testing.T) {
+	cases := []struct {
+		shape  Shape
+		stats  EnumStats
+		digest string
+	}{
+		{Shape{CPUs: 2, Locs: 2, MaxOps: 3}, EnumStats{Raw: 135460, AfterFilters: 116831, Canonical: 58483},
+			"90d60c90e9b8e43b61cbac7d9411406ebdb8eada8bf5cf7eed2dac91d968037b"},
+		{Shape{CPUs: 2, Locs: 3, MaxOps: 2}, EnumStats{Raw: 12246, AfterFilters: 6288, Canonical: 1142},
+			"64ee0d83d4f8bd1bb1b41fa4dca2fed425874092ef298cf9c2462368a5279f24"},
+		{Shape{CPUs: 3, Locs: 2, MaxOps: 2}, EnumStats{Raw: 64824, AfterFilters: 58960, Canonical: 29480},
+			"82439f8fa1e563fddceaaa3c49188a65a1aa837d44540aed5fcc52afab3fa571"},
+	}
+	for _, c := range cases {
+		progs, st := Enumerate(c.shape)
+		if st != c.stats {
+			t.Errorf("Enumerate(%+v) stats = %+v, want %+v", c.shape, st, c.stats)
+		}
+		h := sha256.New()
+		for _, p := range progs {
+			fmt.Fprintln(h, p.String())
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.digest {
+			t.Errorf("Enumerate(%+v) program-list digest = %s, want %s", c.shape, got, c.digest)
+		}
+	}
+}
+
+// Emitted programs own their Threads: filtering reuses one scratch program,
+// so a program that aliased it would change under the caller.
+func TestEnumerateProgramsDoNotAlias(t *testing.T) {
+	progs, _ := Enumerate(Shape{CPUs: 2, Locs: 2, MaxOps: 2})
+	seen := make(map[*Thread]bool, 2*len(progs))
+	for _, p := range progs {
+		if seen[&p.Threads[0]] {
+			t.Fatalf("%s shares its Threads array with an earlier program", p)
+		}
+		seen[&p.Threads[0]] = true
+	}
+}
+
+// Deciding canonicity allocates nothing once the checker's buffers are
+// warm.
+func TestCanonCheckAllocFree(t *testing.T) {
+	progs, _ := Enumerate(Shape{CPUs: 3, Locs: 2, MaxOps: 2})
+	c := newCanonChecker(3, 2)
+	for _, p := range progs {
+		c.isCanonical(p)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		c.isCanonical(progs[i%len(progs)])
+		schemeSensitive(progs[i%len(progs)])
+		i++
+	}); n != 0 {
+		t.Fatalf("warm canonicity check allocates %.1f objects, want 0", n)
+	}
+}
+
+// key is appendKey as a string.
+func (p Program) key() string { return string(p.appendKey(nil)) }
+
+// canonicalKey is the reference definition the enumerator's canonChecker
+// implements: the minimal key over every thread permutation and location
+// renaming, computed by building each relabelled program.
+func (p Program) canonicalKey() string {
+	min := ""
+	for _, tp := range permutations(len(p.Threads)) {
+		for _, lp := range permutations(p.NumLocs) {
+			k := p.relabel(tp, lp).key()
+			if min == "" || k < min {
+				min = k
+			}
+		}
+	}
+	return min
+}
+
+// relabel returns the program with thread order threadPerm and locations
+// renamed through locPerm.
+func (p Program) relabel(threadPerm, locPerm []int) Program {
+	q := Program{NumLocs: p.NumLocs, Threads: make([]Thread, len(p.Threads))}
+	for i, src := range threadPerm {
+		t := p.Threads[src]
+		ops := make([]Op, len(t.Ops))
+		for j, o := range t.Ops {
+			ops[j] = Op{Kind: o.Kind, Loc: uint8(locPerm[o.Loc])}
+		}
+		q.Threads[i] = Thread{Ops: ops, CritLo: t.CritLo, CritHi: t.CritHi}
+	}
+	return q
 }
 
 func TestSchemeSensitiveFilters(t *testing.T) {

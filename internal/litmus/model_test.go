@@ -128,3 +128,71 @@ func stripCrits(p Program) Program {
 	}
 	return q
 }
+
+// The explorer keys its visited set by a fixed-size stateKey; the oracle
+// (model_oracle_test.go) by a byte rendering of the whole state. Both must
+// produce identical outcome sets on every program of a 2-CPU and a 3-CPU
+// shape.
+func TestExplorerMatchesStringKeyedOracle(t *testing.T) {
+	e, o := newExplorer(), newOracleExplorer()
+	for _, s := range []Shape{{CPUs: 2, Locs: 2, MaxOps: 2}, {CPUs: 3, Locs: 2, MaxOps: 2}} {
+		progs, _ := Enumerate(s)
+		for _, p := range progs {
+			got, want := e.outcomesOf(p), o.outcomesOf(p)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v %s: explorer outcomes %v, oracle %v", s, p, got, want)
+			}
+		}
+	}
+}
+
+// The stateKey leaves slots for locations nobody stores to and for threads
+// past the program's: cover a program with an unstored location, a load of
+// it, and stores to the last of several locations.
+func TestExplorerUnstoredLocations(t *testing.T) {
+	p := Program{NumLocs: 4, Threads: []Thread{
+		{Ops: []Op{{Load, 1}, {Store, 3}, {Load, 3}}, CritLo: 0, CritHi: 2},
+		{Ops: []Op{{Store, 3}, {Load, 0}, {Store, 0}}},
+		{Ops: []Op{{Load, 0}, {Load, 3}}, CritLo: 1, CritHi: 2},
+	}}
+	got, want := ReferenceOutcomes(p), newOracleExplorer().outcomesOf(p)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: explorer outcomes %v, oracle %v", p, got, want)
+	}
+}
+
+// Only outcome strings allocate: a warm outcomesOf (map buckets and scratch
+// already sized by an earlier run) allocates at most one object per distinct
+// outcome.
+func TestOutcomesOfAllocatesOnlyOutcomes(t *testing.T) {
+	progs, _ := Enumerate(Shape{CPUs: 3, Locs: 2, MaxOps: 2})
+	e := newExplorer()
+	for _, p := range progs {
+		e.outcomesOf(p)
+	}
+	for _, i := range []int{0, len(progs) / 3, len(progs) / 2, len(progs) - 1} {
+		p := progs[i]
+		n := len(e.outcomesOf(p))
+		if allocs := testing.AllocsPerRun(20, func() { e.outcomesOf(p) }); allocs > float64(n) {
+			t.Errorf("%s: warm outcomesOf allocates %.1f objects for %d outcomes", p, allocs, n)
+		}
+	}
+}
+
+func TestOutcomesOfRejectsOversizedPrograms(t *testing.T) {
+	one := Thread{Ops: []Op{{Store, 0}}}
+	cases := map[string]Program{
+		"threads": {NumLocs: 1, Threads: []Thread{one, one, one, one, one}},
+		"ops":     {NumLocs: 1, Threads: []Thread{{Ops: make([]Op, maxThreadOps+1)}}},
+	}
+	for name, p := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("outcomesOf accepted a program past the %s bound", name)
+				}
+			}()
+			ReferenceOutcomes(p)
+		}()
+	}
+}

@@ -15,6 +15,7 @@
 package litmus
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 )
@@ -94,15 +95,15 @@ func (p Program) String() string {
 
 func locName(l uint8) byte { return byte('x' + l) }
 
-// key is the canonical comparison encoding of a program: a byte string that
-// orders programs deterministically. Threads are separated by ';', ops are
-// (kind, loc) byte pairs, and the critical window is two trailing bytes.
-func (p Program) key() string {
-	b := make([]byte, 0, 8*len(p.Threads))
+// appendKey appends the program's key to b: its canonical comparison
+// encoding, a byte string that orders programs deterministically. Threads
+// are separated by ';', ops are (kind, loc) byte pairs, and the critical
+// window is two trailing bytes.
+func (p Program) appendKey(b []byte) []byte {
 	for _, t := range p.Threads {
 		b = appendThreadKey(b, t)
 	}
-	return string(b)
+	return b
 }
 
 func appendThreadKey(b []byte, t Thread) []byte {
@@ -112,38 +113,49 @@ func appendThreadKey(b []byte, t Thread) []byte {
 	return append(b, ';', t.CritLo, t.CritHi)
 }
 
-// threadKey encodes one thread for ordering (see key).
+// threadKey encodes one thread for ordering (see appendKey).
 func threadKey(t Thread) string { return string(appendThreadKey(nil, t)) }
 
-// relabel returns the program with thread order threadPerm and locations
-// renamed through locPerm.
-func (p Program) relabel(threadPerm, locPerm []int) Program {
-	q := Program{NumLocs: p.NumLocs, Threads: make([]Thread, len(p.Threads))}
-	for i, src := range threadPerm {
+// appendRelabelledKey appends the key of the program relabelled by a
+// symmetry — thread order threadPerm, locations renamed through locPerm —
+// without building the relabelled program.
+func (p Program) appendRelabelledKey(b []byte, threadPerm, locPerm []int) []byte {
+	for _, src := range threadPerm {
 		t := p.Threads[src]
-		ops := make([]Op, len(t.Ops))
-		for j, o := range t.Ops {
-			ops[j] = Op{Kind: o.Kind, Loc: uint8(locPerm[o.Loc])}
+		for _, o := range t.Ops {
+			b = append(b, byte(o.Kind), byte(locPerm[o.Loc]))
 		}
-		q.Threads[i] = Thread{Ops: ops, CritLo: t.CritLo, CritHi: t.CritHi}
+		b = append(b, ';', t.CritLo, t.CritHi)
 	}
-	return q
+	return b
 }
 
-// canonicalKey returns the minimal key over every thread permutation and
-// location renaming — the program's symmetry-class representative. A program
-// is emitted by the enumerator iff key() == canonicalKey().
-func (p Program) canonicalKey() string {
-	min := ""
-	for _, tp := range permutations(len(p.Threads)) {
-		for _, lp := range permutations(p.NumLocs) {
-			k := p.relabel(tp, lp).key()
-			if min == "" || k < min {
-				min = k
+// canonChecker decides whether a program is its symmetry class's
+// representative: the one whose key is minimal over every thread
+// permutation and location renaming. It holds the permutations of one
+// shape and two reused key buffers, so a check allocates nothing.
+type canonChecker struct {
+	threadPerms, locPerms [][]int
+	own, relabelled       []byte
+}
+
+func newCanonChecker(threads, locs int) *canonChecker {
+	return &canonChecker{threadPerms: permutations(threads), locPerms: permutations(locs)}
+}
+
+// isCanonical reports whether no relabelling of p sorts below p's own key.
+// p must have the thread and location counts the checker was built for.
+func (c *canonChecker) isCanonical(p Program) bool {
+	c.own = p.appendKey(c.own[:0])
+	for _, tp := range c.threadPerms {
+		for _, lp := range c.locPerms {
+			c.relabelled = p.appendRelabelledKey(c.relabelled[:0], tp, lp)
+			if bytes.Compare(c.relabelled, c.own) < 0 {
+				return false
 			}
 		}
 	}
-	return min
+	return true
 }
 
 // permutations returns all permutations of 0..n-1 in a deterministic order.

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"fmt"
+	"slices"
 
 	"tlrsim/internal/memsys"
 )
@@ -37,6 +38,10 @@ type LitmusThread struct {
 // those of the committed execution, because every restart rewrites the same
 // slots and the committed run writes last.
 //
+// The returned slices are machine scratch, reused by the next RunLitmus on
+// this machine (Reset keeps them): a sweep running millions of programs on
+// one pooled machine allocates no per-run load records or thread state.
+//
 // The functional checker's verdict (when attached) is joined into the
 // returned error even on a clean run: a litmus harness exists to surface
 // divergences, so a checker violation must fail the run, not hide behind a
@@ -45,34 +50,59 @@ func (m *Machine) RunLitmus(lock *Lock, threads []LitmusThread) ([][]uint64, err
 	if len(threads) != len(m.CPUs) {
 		return nil, fmt.Errorf("proc: %d litmus threads for %d CPUs", len(threads), len(m.CPUs))
 	}
-	loads := make([][]uint64, len(threads))
+	total := 0
 	for i, th := range threads {
 		if th.CritLo < 0 || th.CritHi < th.CritLo || th.CritHi > len(th.Ops) {
 			return nil, fmt.Errorf("proc: thread %d: bad critical window [%d,%d) over %d ops",
 				i, th.CritLo, th.CritHi, len(th.Ops))
 		}
-		nloads := 0
 		for _, o := range th.Ops {
 			if o.IsLoad {
-				nloads++
+				total++
 			}
 		}
-		loads[i] = make([]uint64, nloads)
 	}
-	srcs := make([]opSource, len(threads))
+	ls := &m.litmus
+	ls.vals = slices.Grow(ls.vals[:0], total)[:total]
+	clear(ls.vals)
+	ls.loads = slices.Grow(ls.loads[:0], len(threads))[:len(threads)]
+	ls.srcs = slices.Grow(ls.srcs[:0], len(threads))[:len(threads)]
+	ls.sms = slices.Grow(ls.sms[:0], len(threads))[:len(threads)]
+	base := 0
 	for i, th := range threads {
+		n := 0
+		for _, o := range th.Ops {
+			if o.IsLoad {
+				n++
+			}
+		}
+		ls.loads[i] = ls.vals[base : base+n : base+n]
+		base += n
 		if m.cfg.Scheme == MCS {
 			// MCS acquisition has per-CPU queue-node state the scripted
 			// state machine does not model; run it as a coroutine thread.
-			srcs[i] = newTC(m.CPUs[i], litmusProg(th, lock, loads[i]))
+			ls.srcs[i] = newTC(m.CPUs[i], litmusProg(th, lock, ls.loads[i]))
 		} else {
-			srcs[i] = newLitmusSM(th, lock, loads[i])
+			ls.sms[i].init(th, lock, ls.loads[i])
+			ls.srcs[i] = &ls.sms[i]
 		}
 	}
-	if err := m.runLoop(srcs); err != nil {
-		return loads, err
+	if err := m.runLoop(ls.srcs); err != nil {
+		return ls.loads, err
 	}
-	return loads, m.CheckerErr()
+	return ls.loads, m.CheckerErr()
+}
+
+// litmusScratch is the storage RunLitmus and LitmusOutcome reuse across
+// runs on one machine. Each slice is resized with slices.Grow(s[:0], n)[:n],
+// which keeps its backing array when the capacity suffices.
+type litmusScratch struct {
+	vals   []uint64   // load values of every thread, back to back
+	loads  [][]uint64 // per-thread views into vals
+	srcs   []opSource
+	sms    []litmusSM
+	words  []uint64 // final memory words (LitmusOutcome)
+	outBuf []byte   // outcome encoding (LitmusOutcome)
 }
 
 // litmusProg compiles one litmus thread into a thread function. rec receives
@@ -114,17 +144,15 @@ func litmusProg(th LitmusThread, lock *Lock, rec []uint64) func(*TC) {
 // LitmusOutcome renders a collected litmus result canonically: the loads
 // each thread observed plus the final architectural value of each listed
 // location. Two runs are behaviourally identical iff their outcome strings
-// are equal.
+// are equal. Only the returned string allocates.
 func (m *Machine) LitmusOutcome(loads [][]uint64, locs []memsys.Addr) string {
-	return FormatOutcome(loads, m.finalWords(locs))
-}
-
-func (m *Machine) finalWords(locs []memsys.Addr) []uint64 {
-	out := make([]uint64, len(locs))
+	ls := &m.litmus
+	ls.words = slices.Grow(ls.words[:0], len(locs))[:len(locs)]
 	for i, a := range locs {
-		out[i] = m.Sys.ArchWord(a)
+		ls.words[i] = m.Sys.ArchWord(a)
 	}
-	return out
+	ls.outBuf = AppendOutcome(ls.outBuf[:0], loads, ls.words)
+	return string(ls.outBuf)
 }
 
 // FormatOutcome is the canonical outcome encoding shared by the machine

@@ -203,6 +203,9 @@ type Machine struct {
 	// event queue ran dry with blocked threads and the machine aborted the
 	// youngest deferring transaction to restore flow.
 	deadlockRecoveries uint64
+
+	// litmus is RunLitmus's reusable scratch (harness.go).
+	litmus litmusScratch
 }
 
 // NewMachine builds the machine: kernel, bus, caches, engines, CPUs.

@@ -54,8 +54,9 @@ type litmusSM struct {
 	bodyLoads int // loads in [CritLo, CritHi)
 }
 
-func newLitmusSM(th LitmusThread, lock *Lock, rec []uint64) *litmusSM {
-	s := &litmusSM{th: th, lock: lock, rec: rec, recSlot: -1}
+// init readies s to drive th, recording load values into rec.
+func (s *litmusSM) init(th LitmusThread, lock *Lock, rec []uint64) {
+	*s = litmusSM{th: th, lock: lock, rec: rec, recSlot: -1}
 	for _, o := range th.Ops[:th.CritLo] {
 		if o.IsLoad {
 			s.preLoads++
@@ -66,7 +67,6 @@ func newLitmusSM(th LitmusThread, lock *Lock, rec []uint64) *litmusSM {
 			s.bodyLoads++
 		}
 	}
-	return s
 }
 
 // spinFree is SpinUntil's predicate for lock acquisition (static closure: no

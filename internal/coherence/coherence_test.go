@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"testing"
 
 	"tlrsim/internal/bus"
@@ -18,6 +19,39 @@ func testConfig() Config {
 	}
 }
 
+// recorder is the coherence tests' one completion sink. Each operation
+// takes a fresh tag, from next, or from then when the test wants fn run at
+// completion; the sink records the completion under its tag. The tests run
+// sequentially, so they share rec.
+type recorder struct {
+	got []completion
+	fns []func(val uint64, ok bool)
+}
+
+type completion struct {
+	done, ok bool
+	val      uint64
+}
+
+var rec recorder
+
+// next returns a fresh tag.
+func (r *recorder) next() uint64 { return r.then(nil) }
+
+// then returns a fresh tag whose completion runs fn (when non-nil).
+func (r *recorder) then(fn func(val uint64, ok bool)) uint64 {
+	r.got = append(r.got, completion{})
+	r.fns = append(r.fns, fn)
+	return uint64(len(r.got) - 1)
+}
+
+func (r *recorder) sink(n, val uint64, ok bool) {
+	r.got[n] = completion{done: true, ok: ok, val: val}
+	if fn := r.fns[n]; fn != nil {
+		fn(val, ok)
+	}
+}
+
 // rig builds an n-CPU system with one engine per CPU using pol.
 func rig(n int, pol core.Policy) (*sim.Kernel, *System) {
 	k := sim.New(1)
@@ -31,34 +65,33 @@ func rig(n int, pol core.Policy) (*sim.Kernel, *System) {
 // load performs a blocking load and pumps the kernel to completion.
 func load(t *testing.T, k *sim.Kernel, c *Controller, a memsys.Addr) uint64 {
 	t.Helper()
-	var v uint64
-	fired := false
-	c.Load(a, false, func(val uint64, ok bool) { v, fired = val, true })
-	if !k.RunUntil(func() bool { return fired }) {
+	n := rec.next()
+	c.Load(a, false, rec.sink, n)
+	if !k.RunUntil(func() bool { return rec.got[n].done }) {
 		t.Fatalf("P%d load %s never completed", c.ID(), a)
 	}
-	return v
+	return rec.got[n].val
 }
 
 // store performs a blocking store and pumps the kernel.
 func store(t *testing.T, k *sim.Kernel, c *Controller, a memsys.Addr, v uint64) {
 	t.Helper()
-	fired, okv := false, false
-	c.Store(a, v, func(_ uint64, ok bool) { fired, okv = true, ok })
-	if !k.RunUntil(func() bool { return fired }) {
+	n := rec.next()
+	c.Store(a, v, rec.sink, n)
+	if !k.RunUntil(func() bool { return rec.got[n].done }) {
 		t.Fatalf("P%d store %s never completed", c.ID(), a)
 	}
-	if !okv {
+	if !rec.got[n].ok {
 		t.Fatalf("P%d store %s squashed unexpectedly", c.ID(), a)
 	}
 }
 
 func commit(t *testing.T, k *sim.Kernel, c *Controller) bool {
 	t.Helper()
-	fired, okv := false, false
-	c.TryCommit(func(ok bool) { fired, okv = true, ok })
-	k.RunUntil(func() bool { return fired })
-	return fired && okv
+	n := rec.next()
+	c.TryCommit(rec.sink, n)
+	k.RunUntil(func() bool { return rec.got[n].done })
+	return rec.got[n].done && rec.got[n].ok
 }
 
 func stateOf(c *Controller, a memsys.Addr) cache.State {
@@ -167,14 +200,14 @@ func TestLLSCSuccess(t *testing.T) {
 	k, s := rig(2, core.DefaultPolicy())
 	var llv uint64
 	fired := false
-	s.Ctrls[0].LL(0x5000, func(v uint64, ok bool) { llv, fired = v, true })
+	s.Ctrls[0].LL(0x5000, rec.sink, rec.then(func(v uint64, ok bool) { llv, fired = v, true }))
 	k.RunUntil(func() bool { return fired })
 	if llv != 0 {
 		t.Fatalf("LL = %d", llv)
 	}
 	scOK := uint64(99)
 	fired = false
-	s.Ctrls[0].SC(0x5000, 1, func(v uint64, ok bool) { scOK, fired = v, true })
+	s.Ctrls[0].SC(0x5000, 1, rec.sink, rec.then(func(v uint64, ok bool) { scOK, fired = v, true }))
 	k.RunUntil(func() bool { return fired })
 	if scOK != 1 {
 		t.Fatal("SC should succeed with intact link")
@@ -187,13 +220,13 @@ func TestLLSCSuccess(t *testing.T) {
 func TestLLSCFailsAfterInvalidation(t *testing.T) {
 	k, s := rig(2, core.DefaultPolicy())
 	fired := false
-	s.Ctrls[0].LL(0x5000, func(uint64, bool) { fired = true })
+	s.Ctrls[0].LL(0x5000, rec.sink, rec.then(func(uint64, bool) { fired = true }))
 	k.RunUntil(func() bool { return fired })
 	// P1 steals the line before P0's SC.
 	store(t, k, s.Ctrls[1], 0x5000, 77)
 	var res uint64 = 99
 	fired = false
-	s.Ctrls[0].SC(0x5000, 1, func(v uint64, ok bool) { res, fired = v, true })
+	s.Ctrls[0].SC(0x5000, 1, rec.sink, rec.then(func(v uint64, ok bool) { res, fired = v, true }))
 	k.RunUntil(func() bool { return fired })
 	if res != 0 {
 		t.Fatal("SC must fail after external invalidation")
@@ -208,7 +241,7 @@ func TestSwapAtomic(t *testing.T) {
 	s.Mem.WriteWord(0x6000, 10)
 	var old uint64
 	fired := false
-	s.Ctrls[0].Swap(0x6000, 20, func(v uint64, ok bool) { old, fired = v, true })
+	s.Ctrls[0].Swap(0x6000, 20, rec.sink, rec.then(func(v uint64, ok bool) { old, fired = v, true }))
 	k.RunUntil(func() bool { return fired })
 	if old != 10 {
 		t.Fatalf("swap old = %d, want 10", old)
@@ -223,7 +256,7 @@ func TestCASSemantics(t *testing.T) {
 	s.Mem.WriteWord(0x6000, 5)
 	var seen uint64
 	fired := false
-	s.Ctrls[0].CAS(0x6000, 4, 9, func(v uint64, ok bool) { seen, fired = v, true })
+	s.Ctrls[0].CAS(0x6000, 4, 9, rec.sink, rec.then(func(v uint64, ok bool) { seen, fired = v, true }))
 	k.RunUntil(func() bool { return fired })
 	if seen != 5 {
 		t.Fatalf("CAS observed %d, want 5", seen)
@@ -232,7 +265,7 @@ func TestCASSemantics(t *testing.T) {
 		t.Fatal("failed CAS must not write")
 	}
 	fired = false
-	s.Ctrls[0].CAS(0x6000, 5, 9, func(v uint64, ok bool) { fired = true })
+	s.Ctrls[0].CAS(0x6000, 5, 9, rec.sink, rec.then(func(v uint64, ok bool) { fired = true }))
 	k.RunUntil(func() bool { return fired })
 	if v := load(t, k, s.Ctrls[0], 0x6000); v != 9 {
 		t.Fatal("successful CAS must write")
@@ -243,7 +276,7 @@ func TestFetchAdd(t *testing.T) {
 	k, s := rig(2, core.DefaultPolicy())
 	for i := 0; i < 5; i++ {
 		fired := false
-		s.Ctrls[i%2].FetchAdd(0x7000, 3, func(uint64, bool) { fired = true })
+		s.Ctrls[i%2].FetchAdd(0x7000, 3, rec.sink, rec.then(func(uint64, bool) { fired = true }))
 		k.RunUntil(func() bool { return fired })
 	}
 	if v := load(t, k, s.Ctrls[0], 0x7000); v != 15 {
@@ -282,7 +315,7 @@ func TestSpinSubscriberWakesOnInvalidation(t *testing.T) {
 	k, s := rig(2, core.DefaultPolicy())
 	load(t, k, s.Ctrls[0], 0x8000) // cache it
 	woken := false
-	s.Ctrls[0].SubscribeLine(0x8000, func() { woken = true })
+	s.Ctrls[0].SubscribeLine(0x8000, func(any, any, uint64) { woken = true }, nil, 0)
 	store(t, k, s.Ctrls[1], 0x8000, 1)
 	if !woken {
 		t.Fatal("subscriber not notified on invalidation")
@@ -295,7 +328,7 @@ func TestDeterministicRuns(t *testing.T) {
 		for i, c := range s.Ctrls {
 			a := memsys.Addr(0x9000)
 			fired := false
-			c.FetchAdd(a+memsys.Addr(i*8), uint64(i), func(uint64, bool) { fired = true })
+			c.FetchAdd(a+memsys.Addr(i*8), uint64(i), rec.sink, rec.then(func(uint64, bool) { fired = true }))
 			k.RunUntil(func() bool { return fired })
 		}
 		k.RunUntil(func() bool { return s.Quiescent() })
@@ -332,12 +365,12 @@ func TestWritebackRaceSupply(t *testing.T) {
 	// P0 dirties line 0, then evicts it by filling its set.
 	store(t, k, p0, 0x000, 111)
 	fired := false
-	p0.Store(0x100, 1, func(uint64, bool) {}) // same set (2 sets, stride 128)
-	p0.Store(0x200, 2, func(uint64, bool) { fired = true })
+	p0.Store(0x100, 1, rec.sink, rec.next()) // same set (2 sets, stride 128)
+	p0.Store(0x200, 2, rec.sink, rec.then(func(uint64, bool) { fired = true }))
 	// While the write-back may still be in flight, P1 takes the line
 	// exclusively and writes a NEWER value.
 	var done bool
-	p1.Store(0x000, 222, func(uint64, bool) { done = true })
+	p1.Store(0x000, 222, rec.sink, rec.then(func(uint64, bool) { done = true }))
 	k.RunUntil(func() bool { return fired && done && s.Quiescent() })
 
 	if v := s.ArchWord(0x000); v != 222 {
@@ -409,7 +442,7 @@ func TestStoreBufferHidesStoreLatency(t *testing.T) {
 	k, s := sbRig(1, 8)
 	p0 := s.Ctrls[0]
 	fired := false
-	p0.Store(0x1000, 7, func(uint64, bool) { fired = true })
+	p0.Store(0x1000, 7, rec.sink, rec.then(func(uint64, bool) { fired = true }))
 	if !fired {
 		t.Fatal("buffered store should complete immediately")
 	}
@@ -426,10 +459,10 @@ func TestStoreBufferHidesStoreLatency(t *testing.T) {
 func TestStoreBufferForwarding(t *testing.T) {
 	k, s := sbRig(1, 8)
 	p0 := s.Ctrls[0]
-	p0.Store(0x1000, 7, func(uint64, bool) {})
+	p0.Store(0x1000, 7, rec.sink, rec.next())
 	var got uint64
 	fired := false
-	p0.Load(0x1000, false, func(v uint64, ok bool) { got, fired = v, true })
+	p0.Load(0x1000, false, rec.sink, rec.then(func(v uint64, ok bool) { got, fired = v, true }))
 	if !fired || got != 7 {
 		t.Fatalf("forwarded load = %d fired=%v, want 7 immediately", got, fired)
 	}
@@ -441,21 +474,21 @@ func TestStoreBufferForwarding(t *testing.T) {
 func TestStoreBufferDrainsInOrder(t *testing.T) {
 	k, s := sbRig(2, 8)
 	p0, p1 := s.Ctrls[0], s.Ctrls[1]
-	p0.Store(0x1000, 1, func(uint64, bool) {})
-	p0.Store(0x2000, 1, func(uint64, bool) {})
+	p0.Store(0x1000, 1, rec.sink, rec.next())
+	p0.Store(0x2000, 1, rec.sink, rec.next())
 	// Poll from P1: whenever the second store is visible, the first must be.
 	violated := false
 	var poll func()
 	poll = func() {
 		fired := false
-		p1.Load(0x2000, false, func(v2 uint64, ok bool) {
-			p1.Load(0x1000, false, func(v1 uint64, ok2 bool) {
+		p1.Load(0x2000, false, rec.sink, rec.then(func(v2 uint64, ok bool) {
+			p1.Load(0x1000, false, rec.sink, rec.then(func(v1 uint64, ok2 bool) {
 				if v2 == 1 && v1 != 1 {
 					violated = true
 				}
 				fired = true
-			})
-		})
+			}))
+		}))
 		_ = fired
 		if !s.Quiescent() {
 			k.After(7, poll)
@@ -476,10 +509,10 @@ func TestStoreBufferDrainsInOrder(t *testing.T) {
 func TestAtomicsFenceStoreBuffer(t *testing.T) {
 	k, s := sbRig(1, 8)
 	p0 := s.Ctrls[0]
-	p0.Store(0x1000, 5, func(uint64, bool) {})
+	p0.Store(0x1000, 5, rec.sink, rec.next())
 	var old uint64
 	fired := false
-	p0.FetchAdd(0x1000, 1, func(v uint64, ok bool) { old, fired = v, true })
+	p0.FetchAdd(0x1000, 1, rec.sink, rec.then(func(v uint64, ok bool) { old, fired = v, true }))
 	k.RunUntil(func() bool { return fired })
 	if old != 5 {
 		t.Fatalf("atomic observed %d, want the drained 5", old)
@@ -496,7 +529,7 @@ func TestStoreBufferFullStalls(t *testing.T) {
 	p0 := s.Ctrls[0]
 	completed := 0
 	for i := 0; i < 4; i++ {
-		p0.Store(memsys.Addr(0x1000+i*64), uint64(i), func(uint64, bool) { completed++ })
+		p0.Store(memsys.Addr(0x1000+i*64), uint64(i), rec.sink, rec.then(func(uint64, bool) { completed++ }))
 	}
 	if completed >= 4 {
 		t.Fatalf("all %d stores retired instantly into a 2-entry buffer", completed)
@@ -509,5 +542,66 @@ func TestStoreBufferFullStalls(t *testing.T) {
 		if v := s.ArchWord(memsys.Addr(0x1000 + i*64)); v != uint64(i) {
 			t.Fatalf("store %d lost", i)
 		}
+	}
+}
+
+// Warm store-buffer cycles allocate nothing: buffered stores, their drain
+// (each one a miss), stores stalled on a full buffer and a fence waiting
+// for the drain reuse the entry array and both wait queues.
+func TestStoreBufferCycleAllocFree(t *testing.T) {
+	k, s := sbRig(2, 2)
+	p0, p1 := s.Ctrls[0], s.Ctrls[1]
+	fenced := 0
+	fence := func(any, any, uint64) { fenced++ }
+	stored := 0
+	sink, n := rec.sink, rec.then(func(uint64, bool) { stored++ })
+	cycle := func() {
+		// Four stores into two entries: the last two wait for space.
+		for i := 0; i < 4; i++ {
+			p0.Store(memsys.Addr(0x1000+i*64), uint64(i), sink, n)
+		}
+		p0.Fence(fence, nil, 0)
+		k.Run()
+		// P1 takes the lines, so the next cycle's drains miss again.
+		for i := 0; i < 4; i++ {
+			p1.Store(memsys.Addr(0x1000+i*64), uint64(i), sink, n)
+		}
+		k.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("warm store-buffer cycle allocates %.1f objects, want 0", allocs)
+	}
+	// AllocsPerRun runs the cycle once more than asked, to warm up.
+	if fenced != 52 || stored != 52*8 {
+		t.Fatalf("%d fences and %d stores completed, want 52 and %d", fenced, stored, 52*8)
+	}
+	if p0.Stats().Misses < 52*4 {
+		t.Fatalf("P0 took %d misses, want one per drained store", p0.Stats().Misses)
+	}
+}
+
+// Fences, and the SCs and atomics that fence internally, wait in one FIFO:
+// once the buffer drains they run in the order they were issued. (Here each
+// completes as it runs: the atomic hits a writable line and the SC has no
+// link.)
+func TestFencesRunInIssueOrder(t *testing.T) {
+	k, s := sbRig(1, 4)
+	p0 := s.Ctrls[0]
+	p0.Store(0x2000, 0, rec.sink, rec.next())
+	k.RunUntil(s.Quiescent)
+	var order []string
+	fence := func(any, any, uint64) { order = append(order, "fence") }
+	p0.Store(0x1000, 1, rec.sink, rec.next())
+	p0.Fence(fence, nil, 0)
+	p0.FetchAdd(0x2000, 1, rec.sink, rec.then(func(uint64, bool) { order = append(order, "fetchadd") }))
+	p0.SC(0x3000, 1, rec.sink, rec.then(func(uint64, bool) { order = append(order, "sc") }))
+	p0.Fence(fence, nil, 0)
+	if len(order) != 0 {
+		t.Fatalf("%v ran before the buffered store drained", order)
+	}
+	k.RunUntil(s.Quiescent)
+	if got := fmt.Sprint(order); got != "[fence fetchadd sc fence]" {
+		t.Fatalf("fence order %s, want [fence fetchadd sc fence]", got)
 	}
 }

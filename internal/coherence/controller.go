@@ -7,13 +7,18 @@ import (
 	"tlrsim/internal/cache"
 	"tlrsim/internal/core"
 	"tlrsim/internal/memsys"
+	"tlrsim/internal/sim"
 	"tlrsim/internal/stamp"
 )
 
-// OpDone is the completion callback for a CPU-issued memory operation.
-// ok=false means the operation was squashed because the transaction it
-// belonged to aborted; val is then meaningless.
-type OpDone func(val uint64, ok bool)
+// Sink receives the completion of a CPU-issued memory operation. n is the
+// tag the issuer passed with the operation (the CPU passes the operation's
+// sequence number), val the operation's value. ok=false means the operation
+// was squashed because the transaction it belonged to aborted; val is then
+// meaningless. An issuer binds its sink once (a method value) and tags each
+// operation, so issuing an operation allocates no closure: the same
+// pre-binding kernel events (sim.AtCall) and bus messages use.
+type Sink func(n, val uint64, ok bool)
 
 // chainEntry is a request snooped while this controller was the pending
 // owner-of-record for the line: the per-MSHR tail of a coherence chain
@@ -103,28 +108,82 @@ type mshr struct {
 	waiters []waiter
 }
 
-// waiter is a completion attached to an MSHR, run once the fill (or
-// instant upgrade) lands. A load waiter receives the word at addr as this
-// CPU then observes it, after the functional checker (when attached) has
-// seen the load as part of transaction txSeq; any other waiter receives 0.
-type waiter struct {
-	done  OpDone
-	addr  memsys.Addr
-	load  bool
-	txSeq uint64
+// waitKind says what a waiter does when it runs: the load kinds receive the
+// word this CPU then observes, the write kinds need the line writable.
+type waitKind uint8
+
+const (
+	waitLoad    waitKind = iota // a load: completes with the word at addr
+	waitLL                      // a load-linked: a load that then arms the link
+	waitSpecRMW                 // a speculative atomic: a load, then a buffered store
+	waitStore                   // a plain store: retried if the line was lost
+	waitSC                      // a store-conditional: fails if the link or line was lost
+	waitRMW                     // a plain atomic: retried if the line was lost
+)
+
+// rmwOp is an atomic read-modify-write's operation.
+type rmwOp uint8
+
+const (
+	rmwSwap rmwOp = iota // write val
+	rmwCAS               // write val if the word equals old
+	rmwAdd               // write the word plus val
+)
+
+// apply returns the value op writes over cur, and whether it writes.
+func (op rmwOp) apply(cur, val, old uint64) (uint64, bool) {
+	switch op {
+	case rmwCAS:
+		return val, cur == old
+	case rmwAdd:
+		return cur + val, true
+	}
+	return val, true
 }
 
-// wake runs a waiter.
+// waiter is one CPU operation parked in the controller: attached to an
+// MSHR until the fill (or instant upgrade) lands, or queued on the store
+// buffer until it has space or drains. It is plain data, the operation and
+// where its completion goes, so parking an operation allocates nothing.
+type waiter struct {
+	sink Sink
+	n    uint64
+	addr memsys.Addr
+	// val is the store's value, or the atomic's operand (the swap or CAS
+	// value, the add delta); old is the value a CAS expects.
+	val, old uint64
+	// txSeq is the transaction a load kind belongs to: the functional
+	// checker records the load against it.
+	txSeq uint64
+	kind  waitKind
+	op    rmwOp
+}
+
+// wake runs an MSHR waiter once its fill (or upgrade) has landed.
 func (c *Controller) wake(w waiter) {
-	if !w.load {
-		w.done(0, true)
+	switch w.kind {
+	case waitStore:
+		c.storeExec(w) // writes now, or re-requests a line lost since the fill
+		return
+	case waitSC:
+		c.scFilled(w)
+		return
+	case waitRMW:
+		c.rmwFilled(w)
 		return
 	}
 	v := c.localWord(w.addr)
 	if c.sys.Check != nil {
 		c.checkLoad(w.addr, v, w.txSeq)
 	}
-	w.done(v, true)
+	switch w.kind {
+	case waitLL:
+		c.linkLoaded(w.addr, v, w.sink, w.n)
+	case waitSpecRMW:
+		c.specRMWLoaded(w, v)
+	default:
+		w.sink(w.n, v, true)
+	}
 }
 
 // Stats counts controller-level activity.
@@ -191,12 +250,20 @@ type Controller struct {
 	sbLoadForward bool
 
 	// lineSubs are spin-wait subscribers notified when the line changes
-	// visibility (invalidation or fill).
-	lineSubs map[memsys.Addr][]func()
+	// visibility (invalidation or fill). A notified line keeps its (empty)
+	// slice for the next subscription.
+	lineSubs map[memsys.Addr][]lineSub
 
-	// commitWaiter is armed while the CPU sits at transaction end waiting
-	// for all write-buffer lines to reach a writable state (§2.2 step 4).
-	commitWaiter func()
+	// commitArmed is set while the CPU sits at transaction end waiting for
+	// all write-buffer lines to reach a writable state (§2.2 step 4); the
+	// retried TryCommit completes to commitSink, tagged commitN.
+	commitArmed bool
+	commitSink  Sink
+	commitN     uint64
+
+	// drained is the store buffer's own completion for the head entry's
+	// drain (storeBuffer.drained), bound once at construction.
+	drained Sink
 
 	// fillForward passes values to waiters when a fill cannot be installed
 	// (a GetS that was invalidated while pending): the load was ordered
@@ -213,7 +280,7 @@ type Controller struct {
 }
 
 func newController(s *System, id int, eng *core.Engine) *Controller {
-	return &Controller{
+	c := &Controller{
 		sys:          s,
 		id:           id,
 		cache:        cache.New(s.cfg.Cache),
@@ -225,9 +292,11 @@ func newController(s *System, id int, eng *core.Engine) *Controller {
 		wbPending:    make(map[memsys.Addr]memsys.LineData),
 		wbSuperseded: make(map[memsys.Addr]bool),
 		specReads:    make(map[memsys.Addr]uint64),
-		lineSubs:     make(map[memsys.Addr][]func()),
+		lineSubs:     make(map[memsys.Addr][]lineSub),
 		fillForward:  make(map[memsys.Addr]uint64),
 	}
+	c.drained = c.sbDrained
+	return c
 }
 
 // ID returns the controller's processor id.
@@ -254,14 +323,15 @@ func (c *Controller) WriteBufferLines() int { return c.wb.LineCount() }
 // ---------------------------------------------------------------------------
 
 // Load performs a load of the word at a. wantExcl requests the line in an
-// exclusive state up front (RMW-predictor collapse, §3.1.2). done fires when
-// the value is available (possibly immediately, in the current event).
-func (c *Controller) Load(a memsys.Addr, wantExcl bool, done OpDone) {
+// exclusive state up front (RMW-predictor collapse, §3.1.2). sink receives
+// the value, tagged n, once it is available (possibly immediately, in the
+// current event).
+func (c *Controller) Load(a memsys.Addr, wantExcl bool, sink Sink, n uint64) {
 	if v, ok := c.LoadHit(a, wantExcl); ok {
-		done(v, true)
+		sink(n, v, true)
 		return
 	}
-	c.LoadMiss(a, wantExcl, done)
+	c.LoadMiss(a, wantExcl, sink, n)
 }
 
 // LoadHit services a load synchronously when no kernel round-trip is needed:
@@ -316,9 +386,14 @@ func (c *Controller) LoadHit(a memsys.Addr, wantExcl bool) (uint64, bool) {
 // LoadMiss issues the asynchronous miss path for a load that LoadHit
 // declined. Callers must have called LoadHit (unsuccessfully) in the same
 // event.
-func (c *Controller) LoadMiss(a memsys.Addr, wantExcl bool, done OpDone) {
+func (c *Controller) LoadMiss(a memsys.Addr, wantExcl bool, sink Sink, n uint64) {
+	c.loadMiss(a, wantExcl, waiter{kind: waitLoad, sink: sink, n: n})
+}
+
+// loadMiss parks w, a load kind, on the line's fill.
+func (c *Controller) loadMiss(a memsys.Addr, wantExcl bool, w waiter) {
 	c.stats.Loads++
-	txSeq := c.eng.TxSeq()
+	w.addr, w.txSeq = a, c.eng.TxSeq()
 	c.stats.Misses++
 	spec := c.eng.Speculating()
 	line := a.Line()
@@ -326,7 +401,7 @@ func (c *Controller) LoadMiss(a memsys.Addr, wantExcl bool, done OpDone) {
 	m := c.ensureMSHR(line, excl, spec, false)
 	// The fill path installs (or forwards) the line before waking the
 	// waiter, which then reads the word this CPU observes.
-	m.waiters = append(m.waiters, waiter{done: done, addr: a, load: true, txSeq: txSeq})
+	m.waiters = append(m.waiters, w)
 }
 
 // checkLoad feeds a completed load to the functional checker: speculative
@@ -435,60 +510,48 @@ func (c *Controller) StoreFast(a memsys.Addr, v uint64) StoreOutcome {
 // buffer and return immediately (the exclusive request proceeds in the
 // background; commit waits for it). Non-speculative stores block until the
 // line is writable.
-func (c *Controller) Store(a memsys.Addr, v uint64, done OpDone) {
+func (c *Controller) Store(a memsys.Addr, v uint64, sink Sink, n uint64) {
 	switch c.StoreFast(a, v) {
 	case StoreDone:
-		done(v, true)
-		return
+		sink(n, v, true)
 	case StoreAborted:
-		done(0, false)
-		return
+		sink(n, 0, false)
+	default:
+		c.storeSlow(waiter{kind: waitStore, sink: sink, n: n, addr: a, val: v})
 	}
+}
+
+// storeSlow runs a non-speculative store StoreFast declined.
+func (c *Controller) storeSlow(w waiter) {
 	c.stats.Stores++
 	// Non-speculative path: through the TSO store buffer when enabled.
 	if c.sb != nil {
 		// Buffer full: the store (and the processor) stalls for space.
-		c.sb.whenSpace(func() { c.sbStore(a, v, done) })
+		c.sb.onSpace.push(sbWaiter{w: w})
 		return
 	}
-	c.storeExec(a, v, done)
+	c.storeExec(w)
 }
 
-// storeExec performs a non-speculative store against the cache, blocking
-// until the line is writable (the drain path of the store buffer, or the
-// direct path when no buffer is configured).
-func (c *Controller) storeExec(a memsys.Addr, v uint64, done OpDone) {
-	line := a.Line()
+// storeExec performs a non-speculative store (a waitStore record) against
+// the cache, blocking until the line is writable (the drain path of the
+// store buffer, or the direct path when no buffer is configured). A store
+// whose line is stolen between fill and wake-up (by a chained GetX) comes
+// back here and re-requests it.
+func (c *Controller) storeExec(w waiter) {
+	line := w.addr.Line()
 	if l := c.cache.Probe(line); l != nil && l.State.Writable() {
 		c.cache.Touch(l)
-		l.Data[a.WordIndex()] = v
+		l.Data[w.addr.WordIndex()] = w.val
 		l.State = cache.Modified
-		c.checkStore(a, v)
+		c.checkStore(w.addr, w.val)
 		c.notifyLine(line)
-		done(v, true)
+		w.sink(w.n, w.val, true)
 		return
 	}
 	c.stats.Misses++
 	m := c.ensureWritable(line, false, false)
-	m.waiters = append(m.waiters, waiter{done: func(_ uint64, ok bool) {
-		if !ok {
-			done(0, false)
-			return
-		}
-		l := c.cache.Probe(line)
-		if l == nil || !l.State.Writable() {
-			// Lost the line between fill and this waiter (stolen by a
-			// chained GetX). Retry the store.
-			c.storeExec(a, v, done)
-			return
-		}
-		c.cache.Touch(l)
-		l.Data[a.WordIndex()] = v
-		l.State = cache.Modified
-		c.checkStore(a, v)
-		c.notifyLine(line)
-		done(v, true)
-	}})
+	m.waiters = append(m.waiters, w)
 }
 
 // checkStore feeds a completed plain store to the functional checker.
@@ -503,166 +566,180 @@ func (c *Controller) checkStore(a memsys.Addr, v uint64) {
 // fill (our read was ordered before a writer that has since invalidated the
 // line) must leave the link broken, or the subsequent SC could succeed on a
 // stale observation and break mutual exclusion.
-func (c *Controller) LL(a memsys.Addr, done OpDone) {
-	c.Load(a, false, func(v uint64, ok bool) {
-		if ok && c.cache.Probe(a.Line()) != nil {
-			c.linkLine = a.Line()
-			c.linkValid = true
-		} else {
-			c.linkValid = false
-		}
-		done(v, ok)
-	})
-}
-
-// SC performs a store-conditional of v to a; done's val is 1 on success, 0
-// on failure. Inside a transaction SC behaves as a buffered store (an inner
-// lock treated as data, §4): atomicity is guaranteed by the transaction.
-func (c *Controller) SC(a memsys.Addr, v uint64, done OpDone) {
-	if c.eng.Speculating() {
-		c.Store(a, v, func(_ uint64, ok bool) { done(1, ok) })
+func (c *Controller) LL(a memsys.Addr, sink Sink, n uint64) {
+	if v, ok := c.LoadHit(a, false); ok {
+		c.linkLoaded(a, v, sink, n)
 		return
 	}
-	line := a.Line()
+	c.loadMiss(a, false, waiter{kind: waitLL, sink: sink, n: n})
+}
+
+// linkLoaded completes a load-linked that observed v.
+func (c *Controller) linkLoaded(a memsys.Addr, v uint64, sink Sink, n uint64) {
+	if c.cache.Probe(a.Line()) != nil {
+		c.linkLine = a.Line()
+		c.linkValid = true
+	} else {
+		c.linkValid = false
+	}
+	sink(n, v, true)
+}
+
+// SC performs a store-conditional of v to a; the completion's val is 1 on
+// success, 0 on failure. Inside a transaction SC behaves as a buffered store
+// (an inner lock treated as data, §4): atomicity is guaranteed by the
+// transaction.
+func (c *Controller) SC(a memsys.Addr, v uint64, sink Sink, n uint64) {
+	c.sc(waiter{kind: waitSC, sink: sink, n: n, addr: a, val: v})
+}
+
+func (c *Controller) sc(w waiter) {
+	if c.eng.Speculating() {
+		// A speculative store always resolves in the issuing event.
+		w.sink(w.n, 1, c.StoreFast(w.addr, w.val) == StoreDone)
+		return
+	}
+	line := w.addr.Line()
 	if c.sb != nil && !c.sb.empty() {
-		c.Fence(func() { c.SC(a, v, done) })
+		c.sb.onEmpty.push(sbWaiter{w: w}) // fence: drain first, then retry
 		return
 	}
 	if !c.linkValid || c.linkLine != line {
-		done(0, true)
+		w.sink(w.n, 0, true)
 		return
 	}
 	if l := c.cache.Probe(line); l != nil && l.State.Writable() {
-		l.Data[a.WordIndex()] = v
-		l.State = cache.Modified
-		c.linkValid = false
-		c.checkStore(a, v)
-		c.notifyLine(line)
-		done(1, true)
+		c.scWrite(l, w)
 		return
 	}
 	// Need write permission; the link may break while we wait.
 	c.stats.Misses++
 	m := c.ensureWritable(line, false, false)
-	m.waiters = append(m.waiters, waiter{done: func(_ uint64, ok bool) {
-		if !ok {
-			done(0, false)
-			return
-		}
-		l := c.cache.Probe(line)
-		if !c.linkValid || c.linkLine != line || l == nil || !l.State.Writable() {
-			done(0, true) // SC failed
-			return
-		}
-		l.Data[a.WordIndex()] = v
-		l.State = cache.Modified
-		c.linkValid = false
-		c.checkStore(a, v)
-		c.notifyLine(line)
-		done(1, true)
-	}})
+	m.waiters = append(m.waiters, w)
+}
+
+// scFilled completes an SC whose line has been filled, or fails it if the
+// link broke or the line was lost meanwhile.
+func (c *Controller) scFilled(w waiter) {
+	line := w.addr.Line()
+	l := c.cache.Probe(line)
+	if !c.linkValid || c.linkLine != line || l == nil || !l.State.Writable() {
+		w.sink(w.n, 0, true) // SC failed
+		return
+	}
+	c.scWrite(l, w)
+}
+
+// scWrite performs a successful SC into the writable line l.
+func (c *Controller) scWrite(l *cache.Line, w waiter) {
+	l.Data[w.addr.WordIndex()] = w.val
+	l.State = cache.Modified
+	c.linkValid = false
+	c.checkStore(w.addr, w.val)
+	c.notifyLine(w.addr)
+	w.sink(w.n, 1, true)
 }
 
 // Swap atomically exchanges v with the word at a, returning the old value
 // (MCS enqueue primitive). Non-speculatively it holds the line in M across
 // the read-modify-write; speculatively it is a load + buffered store.
-func (c *Controller) Swap(a memsys.Addr, v uint64, done OpDone) {
-	if c.eng.Speculating() {
-		c.Load(a, true, func(old uint64, ok bool) {
-			if !ok {
-				done(0, false)
-				return
-			}
-			c.Store(a, v, func(_ uint64, ok2 bool) { done(old, ok2) })
-		})
-		return
-	}
-	c.rmwNonSpec(a, func(old uint64) (uint64, bool) { return v, true }, done)
+func (c *Controller) Swap(a memsys.Addr, v uint64, sink Sink, n uint64) {
+	c.atomic(waiter{op: rmwSwap, sink: sink, n: n, addr: a, val: v})
 }
 
-// CAS atomically compares the word at a with old and, if equal, stores new.
-// done's val is the observed value.
-func (c *Controller) CAS(a memsys.Addr, old, newv uint64, done OpDone) {
-	if c.eng.Speculating() {
-		c.Load(a, true, func(cur uint64, ok bool) {
-			if !ok {
-				done(0, false)
-				return
-			}
-			if cur != old {
-				done(cur, true)
-				return
-			}
-			c.Store(a, newv, func(_ uint64, ok2 bool) { done(cur, ok2) })
-		})
-		return
-	}
-	c.rmwNonSpec(a, func(cur uint64) (uint64, bool) { return newv, cur == old }, done)
+// CAS atomically compares the word at a with old and, if equal, stores
+// newv. The completion's val is the observed value.
+func (c *Controller) CAS(a memsys.Addr, old, newv uint64, sink Sink, n uint64) {
+	c.atomic(waiter{op: rmwCAS, sink: sink, n: n, addr: a, val: newv, old: old})
 }
 
 // FetchAdd atomically adds delta to the word at a, returning the old value.
-func (c *Controller) FetchAdd(a memsys.Addr, delta uint64, done OpDone) {
-	if c.eng.Speculating() {
-		c.Load(a, true, func(old uint64, ok bool) {
-			if !ok {
-				done(0, false)
-				return
-			}
-			c.Store(a, old+delta, func(_ uint64, ok2 bool) { done(old, ok2) })
-		})
-		return
-	}
-	c.rmwNonSpec(a, func(old uint64) (uint64, bool) { return old + delta, true }, done)
+func (c *Controller) FetchAdd(a memsys.Addr, delta uint64, sink Sink, n uint64) {
+	c.atomic(waiter{op: rmwAdd, sink: sink, n: n, addr: a, val: delta})
 }
 
-// rmwNonSpec obtains the line in a writable state and applies fn atomically.
-// fn returns the new value and whether to write it. Atomics are fences
-// under TSO: buffered stores drain first.
-func (c *Controller) rmwNonSpec(a memsys.Addr, fn func(old uint64) (uint64, bool), done OpDone) {
-	if c.sb != nil && !c.sb.empty() {
-		c.Fence(func() { c.rmwNonSpec(a, fn, done) })
+// atomic runs the read-modify-write w describes: speculatively as an
+// exclusive-intent load followed by a buffered store, otherwise under
+// write permission (rmw).
+func (c *Controller) atomic(w waiter) {
+	if !c.eng.Speculating() {
+		w.kind = waitRMW
+		c.rmw(w)
 		return
 	}
-	line := a.Line()
+	if v, ok := c.LoadHit(w.addr, true); ok {
+		c.specRMWLoaded(w, v)
+		return
+	}
+	w.kind = waitSpecRMW
+	c.loadMiss(w.addr, true, w)
+}
+
+// specRMWLoaded finishes a speculative atomic whose load observed cur: a
+// CAS that does not match completes with cur, anything else stores into the
+// write buffer and completes with cur.
+func (c *Controller) specRMWLoaded(w waiter, cur uint64) {
+	nv, write := w.op.apply(cur, w.val, w.old)
+	if !write {
+		w.sink(w.n, cur, true)
+		return
+	}
+	switch c.StoreFast(w.addr, nv) {
+	case StoreDone:
+		w.sink(w.n, cur, true)
+	case StoreAborted:
+		w.sink(w.n, cur, false)
+	default:
+		// Speculation ended while the load was in flight, so the operation
+		// was squashed and its completion is stale; the store still goes
+		// out as a plain store.
+		c.storeSlow(waiter{kind: waitStore, sink: w.sink, n: w.n, addr: w.addr, val: nv})
+	}
+}
+
+// rmw obtains the line in a writable state and applies the atomic w (a
+// waitRMW record) in place. Atomics are fences under TSO: buffered stores
+// drain first.
+func (c *Controller) rmw(w waiter) {
+	if c.sb != nil && !c.sb.empty() {
+		c.sb.onEmpty.push(sbWaiter{w: w})
+		return
+	}
+	line := w.addr.Line()
 	if l := c.cache.Probe(line); l != nil && l.State.Writable() {
 		c.cache.Touch(l)
-		old := l.Data[a.WordIndex()]
-		nv, write := fn(old)
-		if write {
-			l.Data[a.WordIndex()] = nv
-			l.State = cache.Modified
-		}
-		c.checkRMW(a, old, nv, write)
-		if write {
-			c.notifyLine(line)
-		}
-		done(old, true)
+		c.rmwWrite(l, w)
 		return
 	}
 	c.stats.Misses++
 	m := c.ensureWritable(line, false, false)
-	m.waiters = append(m.waiters, waiter{done: func(_ uint64, ok bool) {
-		if !ok {
-			done(0, false)
-			return
-		}
-		l := c.cache.Probe(line)
-		if l == nil || !l.State.Writable() {
-			c.rmwNonSpec(a, fn, done) // line stolen; retry
-			return
-		}
-		old := l.Data[a.WordIndex()]
-		nv, write := fn(old)
-		if write {
-			l.Data[a.WordIndex()] = nv
-			l.State = cache.Modified
-		}
-		c.checkRMW(a, old, nv, write)
-		if write {
-			c.notifyLine(line)
-		}
-		done(old, true)
-	}})
+	m.waiters = append(m.waiters, w)
+}
+
+// rmwFilled applies an atomic whose line has been filled, retrying it if
+// the line was stolen meanwhile.
+func (c *Controller) rmwFilled(w waiter) {
+	l := c.cache.Probe(w.addr.Line())
+	if l == nil || !l.State.Writable() {
+		c.rmw(w) // line stolen; retry
+		return
+	}
+	c.rmwWrite(l, w)
+}
+
+// rmwWrite applies the atomic w to the writable line l.
+func (c *Controller) rmwWrite(l *cache.Line, w waiter) {
+	old := l.Data[w.addr.WordIndex()]
+	nv, write := w.op.apply(old, w.val, w.old)
+	if write {
+		l.Data[w.addr.WordIndex()] = nv
+		l.State = cache.Modified
+	}
+	c.checkRMW(w.addr, old, nv, write)
+	if write {
+		c.notifyLine(w.addr)
+	}
+	w.sink(w.n, old, true)
 }
 
 // checkRMW feeds a completed atomic read-modify-write to the checker.
@@ -672,19 +749,20 @@ func (c *Controller) checkRMW(a memsys.Addr, old, nv uint64, wrote bool) {
 	}
 }
 
-// SpecRead marks the line containing a as transactionally read without
-// loading a value; used at transaction begin to put the elided lock word in
-// the read set so any writer to the lock aborts us (§2.2: the lock is kept
-// in shared state; any write triggers invalidations).
-func (c *Controller) SpecRead(a memsys.Addr, done OpDone) {
-	c.Load(a, false, done)
+// lineSub is a spin-wait subscription: cb(recv, nil, n) runs when the line
+// next changes visibility.
+type lineSub struct {
+	cb   sim.Callback
+	recv any
+	n    uint64
 }
 
-// SubscribeLine registers fn to run once when the visibility of line next
-// changes (invalidation, fill, or local write) — the spin-wait mechanism.
-func (c *Controller) SubscribeLine(line memsys.Addr, fn func()) {
+// SubscribeLine registers cb(recv, nil, n) to run once when the visibility
+// of line next changes (invalidation, fill, or local write) — the spin-wait
+// mechanism.
+func (c *Controller) SubscribeLine(line memsys.Addr, cb sim.Callback, recv any, n uint64) {
 	line = line.Line()
-	c.lineSubs[line] = append(c.lineSubs[line], fn)
+	c.lineSubs[line] = append(c.lineSubs[line], lineSub{cb, recv, n})
 }
 
 func (c *Controller) notifyLine(line memsys.Addr) {
@@ -693,9 +771,16 @@ func (c *Controller) notifyLine(line memsys.Addr) {
 	if len(subs) == 0 {
 		return
 	}
-	delete(c.lineSubs, line)
-	for _, fn := range subs {
-		fn()
+	// Detach the list while it runs: a subscriber that re-subscribes starts
+	// a fresh one. The line keeps its array for the next subscription unless
+	// that happened.
+	c.lineSubs[line] = nil
+	for _, s := range subs {
+		s.cb(s.recv, nil, s.n)
+	}
+	if len(c.lineSubs[line]) == 0 {
+		clear(subs)
+		c.lineSubs[line] = subs[:0]
 	}
 }
 
@@ -865,12 +950,15 @@ func (c *Controller) otherSpecMissOutstanding(exclude memsys.Addr) bool {
 // write-buffer occupancy.
 func (c *Controller) DebugString() string {
 	s := fmt.Sprintf("P%d eng=%v aborted=%v deferred=%d wbLines=%d commitWaiter=%v",
-		c.id, c.eng.Mode(), c.eng.Aborted(), c.eng.DeferredLen(), c.wb.LineCount(), c.commitWaiter != nil)
+		c.id, c.eng.Mode(), c.eng.Aborted(), c.eng.DeferredLen(), c.wb.LineCount(), c.commitArmed)
 	for line, m := range c.mshrs {
 		s += fmt.Sprintf("\n  mshr %s kind=%v ordered=%v chain=%d handedOff=%v upstream=%d(%v) waiters=%d spec=%v conflictLost=%v probeLost=%v",
 			line, m.kind, m.ordered, len(m.chain), m.handedOff, m.upstream, m.hasUpstream, len(m.waiters), m.spec, m.conflictLost, m.probeLost)
 	}
 	for line, subs := range c.lineSubs {
+		if len(subs) == 0 {
+			continue
+		}
 		st := "absent"
 		if l := c.cache.Probe(line); l != nil {
 			st = l.State.String()

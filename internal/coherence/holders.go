@@ -1,6 +1,10 @@
 package coherence
 
-import "tlrsim/internal/memsys"
+import (
+	"slices"
+
+	"tlrsim/internal/memsys"
+)
 
 // holderSet is the snoop filter behind bus.Holders: per line, a bitmask of
 // controllers that is always a superset of those holding state for the
@@ -39,7 +43,8 @@ func (h *holderSet) add(line memsys.Addr, id int) {
 	if !ok {
 		i = len(h.bits)
 		h.slot[line] = i
-		h.bits = append(h.bits, make([]uint64, h.words)...)
+		h.bits = slices.Grow(h.bits, h.words)[:i+h.words]
+		clear(h.bits[i:])
 	}
 	h.bits[i+id/64] |= 1 << (id % 64)
 }

@@ -15,17 +15,17 @@ import (
 // re-takes the line with an exclusive-intent load (an Upgrade of its Owned
 // copy, ordered and completed inside its own snoop dispatch), which
 // invalidates P0. Every round issues two transactions, each on a fresh
-// MSHR. The callbacks are built once, so a round allocates only what the
+// MSHR. The sink and tag are bound once, so a round allocates only what the
 // protocol itself allocates.
 func sharingRound(t *testing.T, s *System, a memsys.Addr) func() {
 	c0, c1 := s.Ctrls[0], s.Ctrls[1]
 	fired := 0
-	done := func(uint64, bool) { fired++ }
+	sink, n := rec.sink, rec.then(func(uint64, bool) { fired++ })
 	return func() {
 		fired = 0
-		c0.Load(a, false, done)
+		c0.Load(a, false, sink, n)
 		s.K.Run()
-		c1.Load(a, true, done)
+		c1.Load(a, true, sink, n)
 		s.K.Run()
 		if fired != 2 || stateOf(c0, a) != cache.Invalid || !stateOf(c1, a).Writable() {
 			t.Fatalf("round ended with %d loads done, P0 %v, P1 %v", fired, stateOf(c0, a), stateOf(c1, a))
@@ -45,7 +45,7 @@ func TestWarmMissAllocFree(t *testing.T) {
 		}
 		const a = memsys.Addr(0x1000)
 		round := sharingRound(t, s, a)
-		s.Ctrls[1].Load(a, true, func(uint64, bool) {})
+		s.Ctrls[1].Load(a, true, rec.sink, rec.next())
 		k.Run()
 		round()
 		if n := testing.AllocsPerRun(100, round); n != 0 {
@@ -67,7 +67,7 @@ func TestReleasedMSHRIsRecycled(t *testing.T) {
 	k, s := rig(2, core.DefaultPolicy())
 	const a = memsys.Addr(0x1000)
 	round := sharingRound(t, s, a)
-	s.Ctrls[1].Load(a, true, func(uint64, bool) {})
+	s.Ctrls[1].Load(a, true, rec.sink, rec.next())
 	k.Run()
 	round()
 	c0 := s.Ctrls[0]
@@ -78,7 +78,7 @@ func TestReleasedMSHRIsRecycled(t *testing.T) {
 	if bus.Poison && (freed.line != ^memsys.Addr(0) || freed.kind != bus.Kind(-1) || freed.txn != nil) {
 		t.Fatalf("released MSHR not poisoned: %+v", *freed)
 	}
-	c0.Load(a, false, func(uint64, bool) {})
+	c0.Load(a, false, rec.sink, rec.next())
 	if got := c0.mshrs[a.Line()]; got != freed {
 		t.Fatal("the next miss did not reuse the released MSHR")
 	}

@@ -25,20 +25,25 @@ func (c *Controller) reset() {
 	clear(c.specReads)
 	c.drainForwarding = false
 	c.sbLoadForward = false
-	// Stale spin-wait subscribers and commit waiters are closures over a
-	// finished run's thread state; dropping them is required, not optional.
-	clear(c.lineSubs)
-	c.commitWaiter = nil
+	// Spin-wait subscriptions and the commit waiter name a finished run's
+	// operations; dropping them is required, not optional. Each line keeps
+	// its subscription array.
+	for line, subs := range c.lineSubs {
+		clear(subs)
+		c.lineSubs[line] = subs[:0]
+	}
+	c.commitArmed, c.commitSink, c.commitN = false, nil, 0
 	clear(c.fillForward)
 	c.stats = Stats{}
 }
 
-// reset empties the store buffer and drops its callbacks.
+// reset empties the store buffer and drops its waiters, keeping every
+// array.
 func (sb *storeBuffer) reset() {
 	sb.entries = sb.entries[:0]
 	sb.draining = false
-	sb.onEmpty = nil
-	sb.onSpace = nil
+	sb.onEmpty.reset()
+	sb.onSpace.reset()
 }
 
 // reset forgets which lines have migrated into the L2 (first-touch latency

@@ -750,22 +750,23 @@ func (c *Controller) handleEviction(ev *cache.Evicted) {
 
 // TryCommit attempts to commit the in-flight transaction (step 4 of
 // Figure 3). If some written line is not yet held in a writable state the
-// commit waits for the outstanding fills; done fires with ok=false if the
-// transaction aborts in the meantime (the CPU then restarts it).
-func (c *Controller) TryCommit(done func(ok bool)) {
+// commit waits for the outstanding fills. sink receives (n, 0, true) once
+// the transaction has committed, or (n, 0, false) if it aborts in the
+// meantime (the CPU then restarts it).
+func (c *Controller) TryCommit(sink Sink, n uint64) {
 	if !c.eng.Speculating() {
 		panic("coherence: TryCommit outside speculation")
 	}
 	if c.eng.Aborted() {
-		done(false)
+		sink(n, 0, false)
 		return
 	}
 	if !c.commitReady() {
-		c.commitWaiter = func() { c.TryCommit(done) }
+		c.commitArmed, c.commitSink, c.commitN = true, sink, n
 		return
 	}
 	c.doCommit()
-	done(true)
+	sink(n, 0, true)
 }
 
 func (c *Controller) commitReady() bool {
@@ -788,13 +789,12 @@ func (c *Controller) commitReady() bool {
 }
 
 func (c *Controller) checkCommit() {
-	if c.commitWaiter == nil {
+	if !c.commitArmed {
 		return
 	}
 	if c.eng.Aborted() || c.commitReady() {
-		w := c.commitWaiter
-		c.commitWaiter = nil
-		w()
+		c.commitArmed = false
+		c.TryCommit(c.commitSink, c.commitN)
 	}
 }
 
@@ -848,7 +848,7 @@ func (c *Controller) AbortTxn(reason core.Reason) {
 	for _, d := range deferred {
 		c.serveDeferred(d)
 	}
-	c.commitWaiter = nil
+	c.commitArmed = false
 	if c.OnAbort != nil {
 		c.OnAbort(reason)
 	}

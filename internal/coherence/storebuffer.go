@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"tlrsim/internal/memsys"
+	"tlrsim/internal/sim"
 )
 
 // storeBuffer is the TSO store buffer for NON-speculative stores (Table 2's
@@ -22,15 +23,75 @@ type storeBuffer struct {
 	entries  []sbEntry
 	max      int
 	draining bool
-	onEmpty  []func()
+	// onEmpty holds fences (a Fence callback, or an SC or atomic to
+	// re-issue) waiting for the buffer to drain.
+	onEmpty sbQueue
 
 	// full-stall support: stores arriving at a full buffer wait here.
-	onSpace []func()
+	onSpace sbQueue
 }
 
 type sbEntry struct {
 	addr memsys.Addr
 	val  uint64
+}
+
+// sbWaiter is a store-buffer wait-queue entry: a Fence callback triple
+// cb(recv, nil, w.n), or, with cb nil, the operation w to re-issue (a store
+// waiting for space, an SC or atomic waiting for the drain).
+type sbWaiter struct {
+	cb   sim.Callback
+	recv any
+	w    waiter
+}
+
+// sbQueue is one FIFO of store-buffer waiters, fired in batches: a batch is
+// the entries queued when it starts, and an entry queued while it runs (by
+// one of its waiters, or by a batch nested inside it) waits for the next
+// batch. Fired entries are compacted away once no batch is running, so the
+// queue keeps its backing array.
+type sbQueue struct {
+	q      []sbWaiter
+	head   int // q[:head] have fired or are firing
+	firing int // depth of nested fire calls
+}
+
+func (wq *sbQueue) push(e sbWaiter) { wq.q = append(wq.q, e) }
+
+func (wq *sbQueue) reset() {
+	clear(wq.q)
+	wq.q, wq.head, wq.firing = wq.q[:0], 0, 0
+}
+
+// fire runs the current batch of wq in FIFO order.
+func (c *Controller) fire(wq *sbQueue) {
+	start, end := wq.head, len(wq.q)
+	if start == end {
+		return
+	}
+	wq.head = end
+	wq.firing++
+	for i := start; i < end; i++ {
+		e := wq.q[i] // re-read: a push during the batch may move the array
+		if e.cb != nil {
+			e.cb(e.recv, nil, e.w.n)
+			continue
+		}
+		switch e.w.kind {
+		case waitStore:
+			c.sbStore(e.w)
+		case waitSC:
+			c.sc(e.w)
+		default:
+			c.rmw(e.w)
+		}
+	}
+	wq.firing--
+	if wq.firing == 0 {
+		n := copy(wq.q, wq.q[wq.head:])
+		clear(wq.q[n:])
+		wq.q, wq.head = wq.q[:n], 0
+	}
 }
 
 func newStoreBuffer(max int) *storeBuffer {
@@ -53,15 +114,6 @@ func (sb *storeBuffer) forward(a memsys.Addr) (uint64, bool) {
 // empty reports whether nothing is buffered.
 func (sb *storeBuffer) empty() bool { return len(sb.entries) == 0 }
 
-// whenEmpty runs fn once the buffer drains (immediately if already empty).
-func (sb *storeBuffer) whenEmpty(fn func()) {
-	if sb.empty() {
-		fn()
-		return
-	}
-	sb.onEmpty = append(sb.onEmpty, fn)
-}
-
 // push buffers a store; full=false means the caller must wait for space.
 func (sb *storeBuffer) push(a memsys.Addr, v uint64) bool {
 	if len(sb.entries) >= sb.max {
@@ -71,19 +123,16 @@ func (sb *storeBuffer) push(a memsys.Addr, v uint64) bool {
 	return true
 }
 
-// whenSpace runs fn once an entry drains.
-func (sb *storeBuffer) whenSpace(fn func()) { sb.onSpace = append(sb.onSpace, fn) }
-
-// sbStore is the CPU-facing non-speculative store entry point when the
-// store buffer is enabled.
-func (c *Controller) sbStore(a memsys.Addr, v uint64, done OpDone) {
-	if !c.sb.push(a, v) {
+// sbStore retries a non-speculative store (a waitStore record) that found
+// the store buffer full.
+func (c *Controller) sbStore(w waiter) {
+	if !c.sb.push(w.addr, w.val) {
 		// Buffer full: the store (and the processor) stalls for space.
-		c.sb.whenSpace(func() { c.sbStore(a, v, done) })
+		c.sb.onSpace.push(sbWaiter{w: w})
 		return
 	}
 	c.sbDrain()
-	done(v, true)
+	w.sink(w.n, w.val, true)
 }
 
 // sbDrain retires the head entry through the normal blocking store path.
@@ -93,34 +142,33 @@ func (c *Controller) sbDrain() {
 	}
 	c.sb.draining = true
 	head := c.sb.entries[0]
-	c.storeExec(head.addr, head.val, func(_ uint64, ok bool) {
-		c.sb.draining = false
-		c.sb.entries = c.sb.entries[1:]
-		if waiters := c.sb.onSpace; len(waiters) > 0 {
-			c.sb.onSpace = nil
-			for _, fn := range waiters {
-				fn()
-			}
-		}
-		if c.sb.empty() {
-			fns := c.sb.onEmpty
-			c.sb.onEmpty = nil
-			for _, fn := range fns {
-				fn()
-			}
-		}
-		c.sbDrain()
-	})
+	c.storeExec(waiter{kind: waitStore, sink: c.drained, addr: head.addr, val: head.val})
 }
 
-// Fence completes fn after all buffered stores have drained (no-op without
-// a store buffer). Atomics and transaction boundaries use it.
-func (c *Controller) Fence(fn func()) {
-	if c.sb == nil {
-		fn()
+// sbDrained completes the head entry's drain: the entry leaves the buffer
+// (removed in place, so push keeps reusing the array), stores waiting for
+// space retry, fences run once the buffer is empty, and the next entry
+// starts draining.
+func (c *Controller) sbDrained(_, _ uint64, _ bool) {
+	sb := c.sb
+	sb.draining = false
+	sb.entries = sb.entries[:copy(sb.entries, sb.entries[1:])]
+	c.fire(&sb.onSpace)
+	if sb.empty() {
+		c.fire(&sb.onEmpty)
+	}
+	c.sbDrain()
+}
+
+// Fence runs cb(recv, nil, n) after all buffered stores have drained
+// (immediately without a store buffer, or when it is empty). Transaction
+// boundaries use it; atomics fence internally.
+func (c *Controller) Fence(cb sim.Callback, recv any, n uint64) {
+	if c.sb == nil || c.sb.empty() {
+		cb(recv, nil, n)
 		return
 	}
-	c.sb.whenEmpty(fn)
+	c.sb.onEmpty.push(sbWaiter{cb: cb, recv: recv, w: waiter{n: n}})
 }
 
 // sbForward lets loads observe the processor's own buffered stores.

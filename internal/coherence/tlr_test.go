@@ -14,7 +14,7 @@ import (
 func specStore(t *testing.T, c *Controller, a memsys.Addr, v uint64) {
 	t.Helper()
 	fired := false
-	c.Store(a, v, func(_ uint64, ok bool) { fired = true })
+	c.Store(a, v, rec.sink, rec.then(func(_ uint64, ok bool) { fired = true }))
 	if !fired {
 		t.Fatalf("speculative store should complete immediately")
 	}
@@ -25,7 +25,7 @@ func begin(c *Controller) { c.Engine().EnterCritical(true) }
 // asyncCommit starts a commit and returns a poll function.
 func asyncCommit(c *Controller) (done *bool, ok *bool) {
 	done, ok = new(bool), new(bool)
-	c.TryCommit(func(o bool) { *done, *ok = true, o })
+	c.TryCommit(rec.sink, rec.then(func(_ uint64, o bool) { *done, *ok = true, o }))
 	return
 }
 
@@ -131,7 +131,7 @@ func TestAtomicCommitVisibility(t *testing.T) {
 	// state {11, 2}.
 	var got uint64
 	fired := false
-	p1.Load(lineA, false, func(v uint64, ok bool) { got, fired = v, true })
+	p1.Load(lineA, false, rec.sink, rec.then(func(v uint64, ok bool) { got, fired = v, true }))
 
 	d0, ok0 := asyncCommit(p0)
 	k.RunUntil(func() bool { return *d0 && fired })
@@ -180,7 +180,7 @@ func TestQueuedTransfer(t *testing.T) {
 		k.At(sim.Time(i*3), func() {
 			begin(c)
 			specStore(t, c, lineA, uint64(1000+i))
-			c.TryCommit(func(ok bool) { *d = ok })
+			c.TryCommit(rec.sink, rec.then(func(_ uint64, ok bool) { *d = ok }))
 		})
 	}
 	k.RunUntil(func() bool { return *commits[0] && *commits[1] && *commits[2] && *commits[3] })
@@ -286,7 +286,7 @@ func TestProbeThroughPlainPendingOwner(t *testing.T) {
 	// P2 plain-stores B -> P1 defers the untimestamped request; P2 becomes
 	// pending owner of record.
 	p2done := false
-	p2.Store(lineB, 4, func(_ uint64, _ bool) { p2done = true })
+	p2.Store(lineB, 4, rec.sink, rec.then(func(_ uint64, _ bool) { p2done = true }))
 	k.RunUntil(func() bool { return p1.Engine().Stats().Deferrals == 1 })
 
 	// P0 requests B -> chains behind P2, which forwards the probe to P1.
@@ -396,7 +396,7 @@ func TestResourceOverflowAborts(t *testing.T) {
 	specStore(t, p0, 0x100, 1)
 	specStore(t, p0, 0x200, 2)
 	fired, okv := false, true
-	p0.Store(0x300, 3, func(_ uint64, ok bool) { fired, okv = true, ok })
+	p0.Store(0x300, 3, rec.sink, rec.then(func(_ uint64, ok bool) { fired, okv = true, ok }))
 	if !fired || okv {
 		t.Fatal("third line store should be squashed by overflow")
 	}
@@ -422,7 +422,7 @@ func TestDeferredGetSKeepsOwnership(t *testing.T) {
 	begin(p1)
 	var got uint64
 	fired := false
-	p1.Load(lineA, false, func(v uint64, ok bool) { got, fired = v, true })
+	p1.Load(lineA, false, rec.sink, rec.then(func(v uint64, ok bool) { got, fired = v, true }))
 	k.RunUntil(func() bool { return p0.Engine().Stats().Deferrals == 1 })
 	if fired {
 		t.Fatal("P1's read must wait for P0's commit")
@@ -465,12 +465,12 @@ func TestStarvationFreedomUnderRepeatedConflicts(t *testing.T) {
 		}
 		begin(p.c)
 		fired1 := false
-		p.c.Store(first, uint64(p.commits), func(_ uint64, ok bool) { fired1 = true })
+		p.c.Store(first, uint64(p.commits), rec.sink, rec.then(func(_ uint64, ok bool) { fired1 = true }))
 		_ = fired1
 		fired2 := false
-		p.c.Store(second, uint64(p.commits), func(_ uint64, ok bool) { fired2 = true })
+		p.c.Store(second, uint64(p.commits), rec.sink, rec.then(func(_ uint64, ok bool) { fired2 = true }))
 		_ = fired2
-		p.c.TryCommit(func(ok bool) {
+		p.c.TryCommit(rec.sink, rec.then(func(_ uint64, ok bool) {
 			if ok {
 				p.commits++
 			}
@@ -482,7 +482,7 @@ func TestStarvationFreedomUnderRepeatedConflicts(t *testing.T) {
 					step(p, lineB, lineA)
 				}
 			})
-		})
+		}))
 	}
 	k.At(0, func() { step(ps[0], lineA, lineB) })
 	k.At(1, func() { step(ps[1], lineB, lineA) })
@@ -580,7 +580,7 @@ func TestLivelockWithoutTimestamps(t *testing.T) {
 			if i == 1 {
 				first, second = lineB, lineA
 			}
-			p.c.Store(first, uint64(i), func(uint64, bool) {})
+			p.c.Store(first, uint64(i), rec.sink, rec.next())
 			// Hold the first block exclusively for a while before touching
 			// the second — the Figure 2 pattern that makes the crossed
 			// requests collide on every attempt.
@@ -592,13 +592,13 @@ func TestLivelockWithoutTimestamps(t *testing.T) {
 					retry(i, round)
 					return
 				}
-				p.c.Store(second, uint64(i), func(uint64, bool) {})
-				p.c.TryCommit(func(ok bool) {
+				p.c.Store(second, uint64(i), rec.sink, rec.next())
+				p.c.TryCommit(rec.sink, rec.then(func(_ uint64, ok bool) {
 					if ok {
 						p.done++
 					}
 					retry(i, round)
-				})
+				}))
 			})
 		}
 		k.At(0, func() { step(0) })

@@ -251,6 +251,7 @@ type Engine struct {
 	abortReason Reason
 
 	deferred            []Deferred
+	deferredSpare       []Deferred // TakeDeferred's second buffer
 	conflictLines       map[memsys.Addr]bool
 	restartsThisAttempt int
 
@@ -508,10 +509,13 @@ func (e *Engine) ObserveConflict(in stamp.Stamp, line memsys.Addr) {
 // TakeDeferred removes and returns all buffered requests in arrival order.
 // Called at commit (step 4c of Figure 3: service waiters) and on abort
 // (losers must service earlier deferred requests in order to maintain
-// coherence ordering, §2.2 step 3).
+// coherence ordering, §2.2 step 3). The queue is double-buffered: the
+// returned slice is the engine's, valid until the next TakeDeferred, and
+// the queue continues in the other array.
 func (e *Engine) TakeDeferred() []Deferred {
 	out := e.deferred
-	e.deferred = nil
+	clear(e.deferredSpare)
+	e.deferred, e.deferredSpare = e.deferredSpare[:0], out
 	return out
 }
 

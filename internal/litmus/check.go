@@ -101,15 +101,16 @@ func (r *Report) Ok() bool { return r.TotalDivergences == 0 }
 // host scheduling.
 func Check(opts Options) *Report {
 	// A sweep's live heap is tiny (pooled machines, one explorer, the
-	// program list) while its garbage is not: outcome strings and the CPU's
-	// per-operation closures, about 30 objects and 1.2 KB per machine run.
-	// GOGC=600 for the duration of the sweep (restored on return) lets the
-	// collector run a few times instead of dozens. Measured on the 2x2x<=3
-	// shape with one seed (175,449 runs; 2-vCPU x86-64 host, GOMAXPROCS=1,
-	// 11 alternating pairs in fresh processes): with the override 4 GC
-	// cycles, 2.74 s median and about 70 MB peak RSS; without it 28-29
-	// cycles, 3.29 s (+20%; the override won 10 of 11 pairs) and about
-	// 24 MB. The time is worth more than the memory here.
+	// program list) while its garbage is not: outcome strings, one per
+	// machine run and per reference outcome, about 58 MB per sweep of the
+	// 2x2x<=3 shape with one seed. GOGC=600 for the duration of the sweep
+	// (restored on return) lets the collector run a few times instead of
+	// dozens. Measured on that shape (175,449 runs; 2-vCPU x86-64 host,
+	// GOMAXPROCS=1, 11 alternating pairs in fresh processes) when each run
+	// also left about 30 closures behind: with the override 4 GC cycles,
+	// 2.74 s median and about 70 MB peak RSS; without it 28-29 cycles,
+	// 3.29 s (+20%; the override won 10 of 11 pairs) and about 24 MB. The
+	// time is worth more than the memory here.
 	defer debug.SetGCPercent(debug.SetGCPercent(600))
 	progs, st := Enumerate(opts.Shape)
 	return checkPrograms(progs, st, opts)

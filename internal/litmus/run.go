@@ -151,7 +151,7 @@ func (r *Runner) Run(p Program, scheme proc.Scheme, seed int64, pt Perturb) (str
 // runOn builds the program's thread list into the runner's scratch arenas
 // and executes it on m.
 func (r *Runner) runOn(m *proc.Machine, p Program) (string, error) {
-	lock := m.NewLock()
+	lock := m.LitmusLock()
 	locs := r.locs[:0]
 	for i := 0; i < p.NumLocs; i++ {
 		locs = append(locs, m.Alloc.PaddedWord())

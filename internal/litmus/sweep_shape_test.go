@@ -7,8 +7,3 @@ package litmus
 // checking; under the race detector (see the race-tagged twin) that would
 // be tens of minutes, so race builds check the 2-op shape instead.
 const sweepMaxOps = 3
-
-// warmRunAllocCeiling is TestSteadyStateRunMachineAllocFree's ceiling on a
-// warm run's allocations: 14.7 measured, see the race-tagged twin for the
-// race build.
-const warmRunAllocCeiling = 16

@@ -77,6 +77,22 @@ type CPU struct {
 	// stalls commit is charged, Fig. 11 accounting).
 	commitLockBound bool
 
+	// commitRetries is the in-flight TxEnd's restart count, read before
+	// TryCommit because a commit clears it (ResetAttempt).
+	commitRetries uint64
+
+	// lockEntered is the wait-free elision path's stage: false while the
+	// TxBegin observes the lock word, true once it has entered speculation
+	// and re-reads the word.
+	lockEntered bool
+
+	// sink completes the controller operations an op issues, tagged with
+	// the op's seq; lockCheck completes the background lock-word check of a
+	// predicted-free elision, tagged with the transaction's TxSeq. Both are
+	// bound once, so issuing an operation allocates nothing.
+	sink      coherence.Sink
+	lockCheck coherence.Sink
+
 	// stalledUntil models the thread being descheduled: no operation
 	// executes before this cycle (§4 stability experiments).
 	stalledUntil sim.Time
@@ -112,6 +128,8 @@ func newCPU(m *Machine, id int, ctrl *coherence.Controller, eng *core.Engine) *C
 		elide: core.NewElisionPredictor(m.cfg.ElisionEntries),
 		rmw:   core.NewRMWPredictor(m.cfg.RMWEntries),
 	}
+	cpu.sink = cpu.opDone
+	cpu.lockCheck = cpu.lockWordChecked
 	ctrl.OnAbort = cpu.onAbort
 	return cpu
 }
@@ -243,10 +261,7 @@ func (cpu *CPU) startOp(o op) {
 			cpu.finishOp(result{val: v})
 			return
 		}
-		seq := cpu.seq
-		cpu.ctrl.LoadMiss(o.addr, wantExcl, func(v uint64, ok bool) {
-			cpu.completeOp(seq, result{val: v, aborted: !ok})
-		})
+		cpu.ctrl.LoadMiss(o.addr, wantExcl, cpu.sink, cpu.seq)
 	case opStore:
 		if cpu.useRMW() && cpu.eng.Depth() > 0 {
 			cpu.rmw.NoteStore(o.addr)
@@ -257,38 +272,20 @@ func (cpu *CPU) startOp(o op) {
 		case coherence.StoreAborted:
 			// onAbort already squashed the op.
 		default:
-			seq := cpu.seq
-			cpu.ctrl.Store(o.addr, o.val, func(_ uint64, ok bool) {
-				cpu.completeOp(seq, result{aborted: !ok})
-			})
+			cpu.ctrl.Store(o.addr, o.val, cpu.sink, cpu.seq)
 		}
 	case opLL:
-		seq := cpu.seq
-		cpu.ctrl.LL(o.addr, func(v uint64, ok bool) {
-			cpu.completeOp(seq, result{val: v, aborted: !ok})
-		})
+		cpu.ctrl.LL(o.addr, cpu.sink, cpu.seq)
 	case opSC:
-		seq := cpu.seq
-		cpu.ctrl.SC(o.addr, o.val, func(v uint64, ok bool) {
-			cpu.completeOp(seq, result{val: v, aborted: !ok})
-		})
+		cpu.ctrl.SC(o.addr, o.val, cpu.sink, cpu.seq)
 	case opSwap:
-		seq := cpu.seq
-		cpu.ctrl.Swap(o.addr, o.val, func(v uint64, ok bool) {
-			cpu.completeOp(seq, result{val: v, aborted: !ok})
-		})
+		cpu.ctrl.Swap(o.addr, o.val, cpu.sink, cpu.seq)
 	case opCAS:
-		seq := cpu.seq
-		cpu.ctrl.CAS(o.addr, o.old, o.val, func(v uint64, ok bool) {
-			cpu.completeOp(seq, result{val: v, aborted: !ok})
-		})
+		cpu.ctrl.CAS(o.addr, o.old, o.val, cpu.sink, cpu.seq)
 	case opFetchAdd:
-		seq := cpu.seq
-		cpu.ctrl.FetchAdd(o.addr, o.val, func(v uint64, ok bool) {
-			cpu.completeOp(seq, result{val: v, aborted: !ok})
-		})
+		cpu.ctrl.FetchAdd(o.addr, o.val, cpu.sink, cpu.seq)
 	case opSpin:
-		cpu.spin(o, cpu.seq)
+		cpu.spin(cpu.seq)
 	case opCompute:
 		cpu.m.K.AfterCall(o.n, computeDoneEvent, cpu, nil, cpu.seq)
 	case opTxBegin:
@@ -298,13 +295,9 @@ func (cpu *CPU) startOp(o op) {
 			cpu.critLock = o.lock
 			cpu.m.mx.SetCurrent(cpu.id, o.lock.prof)
 		}
-		seq := cpu.seq
-		complete := func(r result) { cpu.completeOp(seq, r) }
-		alive := func() bool { return cpu.seq == seq && cpu.opActive }
-		cpu.txBegin(o, complete, alive)
+		cpu.txBegin(cpu.seq)
 	case opTxEnd:
-		seq := cpu.seq
-		cpu.txEnd(o, func(r result) { cpu.completeOp(seq, r) })
+		cpu.txEnd(cpu.seq)
 	case opCSEnter:
 		cpu.finishOp(result{ok: true})
 	case opCSExit:
@@ -385,12 +378,35 @@ func (cpu *CPU) finishOp(r result) {
 // are dropped; the next op goes through the event queue, preserving the
 // ordering the non-tail context requires.
 func (cpu *CPU) completeOp(seq uint64, r result) {
-	if cpu.seq != seq || !cpu.opActive {
+	if cpu.stale(seq) {
 		return // stale completion (op already finished, e.g. by abort)
 	}
 	cpu.opActive = false
 	cpu.account(cpu.curOp, uint64(cpu.m.K.Now()-cpu.opStart))
 	cpu.fetchNext(r, false)
+}
+
+// stale reports whether op seq is no longer the CPU's live operation: it
+// completed, or an abort squashed it and the thread moved on.
+func (cpu *CPU) stale(seq uint64) bool { return cpu.seq != seq || !cpu.opActive }
+
+// opDone is the CPU's completion sink (cpu.sink): every controller
+// operation an op issues reports here, tagged with the op's seq. A stale
+// completion is dropped; otherwise the op's kind says what it continues.
+func (cpu *CPU) opDone(seq, v uint64, ok bool) {
+	if cpu.stale(seq) {
+		return
+	}
+	switch cpu.curOp.kind {
+	case opSpin:
+		cpu.spinLoaded(seq, v, ok)
+	case opTxBegin:
+		cpu.lockLoaded(seq, v, ok)
+	case opTxEnd:
+		cpu.committed(seq, ok)
+	default:
+		cpu.completeOp(seq, result{val: v, aborted: !ok})
+	}
 }
 
 // onAbort squashes whatever operation the thread is blocked on so it can
@@ -418,45 +434,58 @@ func (cpu *CPU) noteCritDone(l *Lock) {
 
 // spin implements the test&test&set-style local spin: re-check only when
 // the line's visibility changes.
-func (cpu *CPU) spin(o op, seq uint64) {
-	alive := func() bool { return cpu.seq == seq && cpu.opActive }
-	var try func()
-	try = func() {
-		if !alive() {
-			return // the operation was already squashed by an abort
-		}
-		cpu.ctrl.Load(o.addr, false, func(v uint64, ok bool) {
-			if !alive() {
-				return
-			}
-			if !ok {
-				cpu.completeOp(seq, result{aborted: true})
-				return
-			}
-			if o.pred(v) {
-				cpu.completeOp(seq, result{val: v})
-				return
-			}
-			cpu.ctrl.SubscribeLine(o.addr, func() {
-				cpu.m.K.After(cpu.m.cfg.SpinRecheck, try)
-			})
-		})
+func (cpu *CPU) spin(seq uint64) {
+	cpu.ctrl.Load(cpu.curOp.addr, false, cpu.sink, seq)
+}
+
+// spinLoaded completes the spin once the word satisfies its predicate, and
+// otherwise waits for the line to change.
+func (cpu *CPU) spinLoaded(seq, v uint64, ok bool) {
+	if !ok {
+		cpu.completeOp(seq, result{aborted: true})
+		return
 	}
-	try()
+	if cpu.curOp.pred(v) {
+		cpu.completeOp(seq, result{val: v})
+		return
+	}
+	cpu.ctrl.SubscribeLine(cpu.curOp.addr, lineChanged, cpu, seq)
+}
+
+// lineChanged is the spin-wait subscription of op seq (a spin, or a
+// TxBegin waiting for the lock to be free): the re-check runs SpinRecheck
+// cycles after the line changes.
+func lineChanged(recv, _ any, seq uint64) {
+	cpu := recv.(*CPU)
+	cpu.m.K.AfterCall(cpu.m.cfg.SpinRecheck, recheckEvent, cpu, nil, seq)
+}
+
+// recheckEvent re-reads the word a spin-wait is waiting on.
+func recheckEvent(recv, _ any, seq uint64) {
+	cpu := recv.(*CPU)
+	if cpu.stale(seq) {
+		return // the operation was already squashed by an abort
+	}
+	if cpu.curOp.kind == opSpin {
+		cpu.spin(seq)
+		return
+	}
+	cpu.awaitFreeLock(seq)
 }
 
 // txBegin decides how a Critical section executes: elide (speculate) or
 // acquire, per scheme, predictor confidence, nesting budget, and pending
 // fallback state. Restart penalties are charged here, at the re-dispatch of
 // a squashed transaction.
-func (cpu *CPU) txBegin(o op, complete func(result), alive func() bool) {
+func (cpu *CPU) txBegin(seq uint64) {
+	o := &cpu.curOp
 	if cpu.eng.Aborted() {
 		if o.frames > 0 {
 			// A NESTED Critical inside the squashed transaction: the abort
 			// belongs to an enclosing elided frame, so this thread must
 			// keep unwinding to the restart point — only the outermost
 			// frame's retry may acknowledge the abort.
-			complete(result{aborted: true})
+			cpu.completeOp(seq, result{aborted: true})
 			return
 		}
 		reason := cpu.eng.AbortReason()
@@ -469,29 +498,39 @@ func (cpu *CPU) txBegin(o op, complete func(result), alive func() bool) {
 		}
 		// RetryBackoff is the contention policy's extra delay (0 for every
 		// policy but backoff, so the default schedule is untouched).
-		cpu.m.K.After(cpu.m.cfg.RestartPenalty+cpu.eng.RetryBackoff(), func() {
-			if !alive() {
-				return
-			}
-			cpu.txBeginDispatch(o, complete, alive)
-		})
+		cpu.m.K.AfterCall(cpu.m.cfg.RestartPenalty+cpu.eng.RetryBackoff(), restartEvent, cpu, nil, seq)
 		return
 	}
-	cpu.txBeginDispatch(o, complete, alive)
+	cpu.txBeginDispatch(seq)
 }
 
-func (cpu *CPU) txBeginDispatch(o op, complete func(result), alive func() bool) {
+// restartEvent re-dispatches a squashed transaction's TxBegin once the
+// restart penalty has passed.
+func restartEvent(recv, _ any, seq uint64) {
+	cpu := recv.(*CPU)
+	if cpu.stale(seq) {
+		return
+	}
+	cpu.txBeginDispatch(seq)
+}
+
+func (cpu *CPU) txBeginDispatch(seq uint64) {
 	// Transaction/critical-section boundaries fence the TSO store buffer:
 	// prior plain stores reach their global order before the checkpoint.
-	cpu.ctrl.Fence(func() {
-		if !alive() {
-			return
-		}
-		cpu.txBeginDispatchFenced(o, complete, alive)
-	})
+	cpu.ctrl.Fence(fencedEvent, cpu, seq)
 }
 
-func (cpu *CPU) txBeginDispatchFenced(o op, complete func(result), alive func() bool) {
+// fencedEvent resumes a TxBegin once the store buffer has drained.
+func fencedEvent(recv, _ any, seq uint64) {
+	cpu := recv.(*CPU)
+	if cpu.stale(seq) {
+		return
+	}
+	cpu.txBeginDispatchFenced(seq)
+}
+
+func (cpu *CPU) txBeginDispatchFenced(seq uint64) {
+	o := &cpu.curOp
 	cpu.prog.lock = o.lock
 	switch cpu.m.cfg.Scheme {
 	case Base:
@@ -499,14 +538,14 @@ func (cpu *CPU) txBeginDispatchFenced(o op, complete func(result), alive func() 
 		o.lock.stats.Acquired++
 		cpu.prog.acquires++
 		cpu.noteProgress(progressAcquire)
-		complete(result{mode: CritAcquireTTS})
+		cpu.completeOp(seq, result{mode: CritAcquireTTS})
 		return
 	case MCS:
 		cpu.eng.EnterCritical(false)
 		o.lock.stats.Acquired++
 		cpu.prog.acquires++
 		cpu.noteProgress(progressAcquire)
-		complete(result{mode: CritAcquireMCS})
+		cpu.completeOp(seq, result{mode: CritAcquireMCS})
 		return
 	}
 	if cpu.pendingFallback || !cpu.eng.CanElide() || !cpu.elide.ShouldElide(o.lock.ID) {
@@ -526,10 +565,10 @@ func (cpu *CPU) txBeginDispatchFenced(o op, complete func(result), alive func() 
 		o.lock.stats.Acquired++
 		cpu.prog.acquires++
 		cpu.noteProgress(kind)
-		complete(result{mode: CritAcquireTTS})
+		cpu.completeOp(seq, result{mode: CritAcquireTTS})
 		return
 	}
-	cpu.elideAttempt(o, complete, alive)
+	cpu.elideAttempt(seq)
 }
 
 // elideAttempt elides the lock. The fast path predicts the lock free and
@@ -541,109 +580,118 @@ func (cpu *CPU) txBeginDispatchFenced(o op, complete func(result), alive func() 
 // speculative miss). If the prediction was wrong (lock actually held), the
 // transaction squashes and the retry takes the conservative path: wait for
 // the lock to be observed free before re-entering speculation.
-func (cpu *CPU) elideAttempt(o op, complete func(result), alive func() bool) {
+func (cpu *CPU) elideAttempt(seq uint64) {
 	if !cpu.waitFree {
 		if !cpu.eng.Speculating() {
 			cpu.specStartAt = cpu.m.K.Now()
 		}
 		cpu.eng.EnterCritical(true)
-		cpu.m.Sys.Trace(cpu.id, trace.TxnBegin, o.lock.Addr, "")
-		txSeq := cpu.eng.TxSeq()
-		cpu.ctrl.Load(o.lock.Addr, false, func(v uint64, ok bool) {
-			// Background resolution: the TxBegin op has long completed.
-			if !ok || !cpu.eng.Speculating() || cpu.eng.TxSeq() != txSeq {
-				return // the transaction already died; nothing to check
-			}
-			if v != 0 {
-				// Mispredicted: the lock was held. Squash and make the
-				// retry wait for a release.
-				cpu.waitFree = true
-				cpu.ctrl.AbortTxn(core.ReasonLockWrite)
-			}
-		})
-		complete(result{mode: CritElided})
+		cpu.m.Sys.Trace(cpu.id, trace.TxnBegin, cpu.curOp.lock.Addr, "")
+		// Background resolution, tagged with the transaction rather than
+		// the op: the TxBegin op completes right away.
+		cpu.ctrl.Load(cpu.curOp.lock.Addr, false, cpu.lockCheck, cpu.eng.TxSeq())
+		cpu.completeOp(seq, result{mode: CritElided})
 		return
 	}
 	// Conservative path after a lock-held misprediction.
-	var try func()
-	try = func() {
-		if !alive() {
-			return // the TxBegin was already squashed; a retry owns the CPU
-		}
-		cpu.ctrl.Load(o.lock.Addr, false, func(v uint64, ok bool) {
-			if !alive() {
-				return
-			}
-			if !ok {
-				complete(result{aborted: true})
-				return
-			}
-			if v != 0 {
-				// Lock held (some thread fell back and acquired): wait for
-				// the release invalidation. The wait is charged to the lock.
-				cpu.ctrl.SubscribeLine(o.lock.Addr, func() {
-					cpu.m.K.After(cpu.m.cfg.SpinRecheck, try)
-				})
-				return
-			}
-			if !cpu.eng.Speculating() {
-				cpu.specStartAt = cpu.m.K.Now()
-			}
-			cpu.eng.EnterCritical(true)
-			cpu.ctrl.Load(o.lock.Addr, false, func(v2 uint64, ok2 bool) {
-				if !alive() {
-					return
-				}
-				if !ok2 || cpu.eng.Aborted() {
-					complete(result{aborted: true})
-					return
-				}
-				if v2 != 0 {
-					// Acquired under us between observation and entry:
-					// squash the empty transaction and retry.
-					cpu.ctrl.AbortTxn(core.ReasonLockWrite)
-					return // onAbort already completed the op
-				}
-				cpu.waitFree = false
-				complete(result{mode: CritElided})
-			})
-		})
+	cpu.awaitFreeLock(seq)
+}
+
+// lockWordChecked is the predicted-free elision's background lock-word
+// check (cpu.lockCheck), tagged with the transaction's TxSeq.
+func (cpu *CPU) lockWordChecked(txSeq, v uint64, ok bool) {
+	if !ok || !cpu.eng.Speculating() || cpu.eng.TxSeq() != txSeq {
+		return // the transaction already died; nothing to check
 	}
-	try()
+	if v != 0 {
+		// Mispredicted: the lock was held. Squash and make the retry wait
+		// for a release.
+		cpu.waitFree = true
+		cpu.ctrl.AbortTxn(core.ReasonLockWrite)
+	}
+}
+
+// awaitFreeLock (re)starts the conservative elision path: observe the lock
+// word, and enter speculation only once it reads free.
+func (cpu *CPU) awaitFreeLock(seq uint64) {
+	cpu.lockEntered = false
+	cpu.ctrl.Load(cpu.curOp.lock.Addr, false, cpu.sink, seq)
+}
+
+// lockLoaded continues the conservative elision path with the lock word
+// read at its current stage (lockEntered).
+func (cpu *CPU) lockLoaded(seq, v uint64, ok bool) {
+	lock := cpu.curOp.lock
+	if !cpu.lockEntered {
+		if !ok {
+			cpu.completeOp(seq, result{aborted: true})
+			return
+		}
+		if v != 0 {
+			// Lock held (some thread fell back and acquired): wait for the
+			// release invalidation. The wait is charged to the lock.
+			cpu.ctrl.SubscribeLine(lock.Addr, lineChanged, cpu, seq)
+			return
+		}
+		if !cpu.eng.Speculating() {
+			cpu.specStartAt = cpu.m.K.Now()
+		}
+		cpu.eng.EnterCritical(true)
+		cpu.lockEntered = true
+		cpu.ctrl.Load(lock.Addr, false, cpu.sink, seq)
+		return
+	}
+	if !ok || cpu.eng.Aborted() {
+		cpu.completeOp(seq, result{aborted: true})
+		return
+	}
+	if v != 0 {
+		// Acquired under us between observation and entry: squash the
+		// empty transaction and retry.
+		cpu.ctrl.AbortTxn(core.ReasonLockWrite)
+		return // onAbort already completed the op
+	}
+	cpu.waitFree = false
+	cpu.completeOp(seq, result{mode: CritElided})
 }
 
 // txEnd commits the transaction at the outermost elided level; inner elided
 // levels just pop (their effects commit with the outermost).
-func (cpu *CPU) txEnd(o op, complete func(result)) {
+func (cpu *CPU) txEnd(seq uint64) {
+	o := &cpu.curOp
 	if cpu.eng.Aborted() {
-		complete(result{aborted: true})
+		cpu.completeOp(seq, result{aborted: true})
 		return
 	}
 	cpu.commitLockBound = o.lock != nil && cpu.ctrl.SpecMissOutstanding(o.lock.Addr)
 	if !cpu.eng.Outermost() {
 		cpu.eng.ExitCritical(true)
 		o.lock.stats.Elided++
-		complete(result{ok: true})
+		cpu.completeOp(seq, result{ok: true})
 		return
 	}
 	// Restarts must be read before commit: ResetAttempt clears the count.
-	retries := uint64(cpu.eng.Restarts())
-	cpu.ctrl.TryCommit(func(ok bool) {
-		if !ok {
-			complete(result{aborted: true})
-			return
-		}
-		o.lock.stats.Elided++
-		cpu.elide.Success(o.lock.ID)
-		cpu.rmw.EndSection()
-		cpu.eng.ResetAttempt()
-		cpu.m.mx.NoteRetries(retries)
-		cpu.noteRetries(retries)
-		cpu.noteCritDone(o.lock)
-		cpu.prog.commits++
-		cpu.noteProgress(progressCommit)
-		complete(result{ok: true})
-	})
+	cpu.commitRetries = uint64(cpu.eng.Restarts())
+	cpu.ctrl.TryCommit(cpu.sink, seq)
+}
+
+// committed finishes the TxEnd once TryCommit resolves.
+func (cpu *CPU) committed(seq uint64, ok bool) {
+	if !ok {
+		cpu.completeOp(seq, result{aborted: true})
+		return
+	}
+	l := cpu.curOp.lock
+	l.stats.Elided++
+	cpu.elide.Success(l.ID)
+	cpu.rmw.EndSection()
+	cpu.eng.ResetAttempt()
+	cpu.m.mx.NoteRetries(cpu.commitRetries)
+	cpu.noteRetries(cpu.commitRetries)
+	cpu.noteCritDone(l)
+	cpu.prog.commits++
+	cpu.noteProgress(progressCommit)
+	cpu.completeOp(seq, result{ok: true})
 }
 
 // account attributes an operation's cycles: one busy (issue) cycle, the

@@ -103,6 +103,16 @@ type litmusScratch struct {
 	sms    []litmusSM
 	words  []uint64 // final memory words (LitmusOutcome)
 	outBuf []byte   // outcome encoding (LitmusOutcome)
+	lock   Lock     // the run's lock (LitmusLock)
+}
+
+// LitmusLock returns the lock NewLock would return at this point, held as
+// machine scratch like RunLitmus's load records, so a warm litmus run
+// allocates no Lock. It stays valid until the next LitmusLock or Reset.
+func (m *Machine) LitmusLock() *Lock {
+	l := &m.litmus.lock
+	m.initLock(l)
+	return l
 }
 
 // litmusProg compiles one litmus thread into a thread function. rec receives

@@ -266,14 +266,20 @@ func (m *Machine) Mem() *memsys.Memory { return m.Sys.Mem }
 // state when the machine runs the MCS scheme. All lock words are registered
 // for lock-class stall attribution.
 func (m *Machine) NewLock() *Lock {
+	l := new(Lock)
+	m.initLock(l)
+	return l
+}
+
+// initLock makes l, overwriting whatever it held, the machine's next lock.
+func (m *Machine) initLock(l *Lock) {
 	m.nextLockID++
-	l := &Lock{ID: m.nextLockID, Addr: m.Alloc.PaddedWord()}
+	*l = Lock{ID: m.nextLockID, Addr: m.Alloc.PaddedWord()}
 	l.prof = m.mx.RegisterLock(l.Addr, l.ID, &l.stats)
 	m.Sys.RegisterLock(l.Addr)
 	if m.cfg.Scheme == MCS {
 		l.attachMCS(m)
 	}
-	return l
 }
 
 // Run executes one program per CPU to completion. It returns an error on

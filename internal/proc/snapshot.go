@@ -201,6 +201,8 @@ func (cpu *CPU) reset() {
 	cpu.pendingFallback = false
 	cpu.waitFree = false
 	cpu.commitLockBound = false
+	cpu.commitRetries = 0
+	cpu.lockEntered = false
 	cpu.stalledUntil = 0
 	cpu.critArmed = false
 	cpu.critStart = 0

@@ -2,7 +2,7 @@
 // on which the whole machine model runs.
 //
 // Every hardware component (bus, cache controller, CPU, memory controller)
-// advances by scheduling closures at future cycle counts. Events at the same
+// advances by scheduling events at future cycle counts. Events at the same
 // cycle fire in schedule order, so a run is a pure function of the
 // configuration and the seed. The kernel is deliberately single-threaded:
 // determinism matters more than host parallelism for an architectural
@@ -11,9 +11,12 @@
 // same reason, §5.3).
 //
 // The event queue is a typed 4-ary min-heap over one reusable backing slice:
-// no container/heap interface boxing, no per-event allocation. Hot schedule
-// sites avoid closure allocation too, via AtCall/AfterCall, which store a
-// pre-bound (callback, receiver, argument) triple directly in the event.
+// no container/heap interface boxing, no per-event allocation. Every
+// schedule site on the simulated machine's hot path avoids closure
+// allocation too, via AtCall/AfterCall, which store a pre-bound (callback,
+// receiver, argument) triple directly in the event; At/After take a plain
+// closure and are left to cold paths (NACK retries, injected deschedules)
+// and tests.
 package sim
 
 import (

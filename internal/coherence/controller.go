@@ -667,6 +667,7 @@ func (c *Controller) atomic(w waiter) {
 		c.rmw(w)
 		return
 	}
+	w.txSeq = c.eng.TxSeq()
 	if v, ok := c.LoadHit(w.addr, true); ok {
 		c.specRMWLoaded(w, v)
 		return
@@ -677,24 +678,22 @@ func (c *Controller) atomic(w waiter) {
 
 // specRMWLoaded finishes a speculative atomic whose load observed cur: a
 // CAS that does not match completes with cur, anything else stores into the
-// write buffer and completes with cur.
+// write buffer and completes with cur. If the atomic's transaction was
+// squashed while the load was in flight, the store belongs to the dead
+// transaction: it is dropped (it must reach neither the next transaction's
+// write buffer nor memory) and the atomic completes as squashed.
 func (c *Controller) specRMWLoaded(w waiter, cur uint64) {
+	if !c.eng.Speculating() || c.eng.Aborted() || c.eng.TxSeq() != w.txSeq {
+		w.sink(w.n, cur, false)
+		return
+	}
 	nv, write := w.op.apply(cur, w.val, w.old)
 	if !write {
 		w.sink(w.n, cur, true)
 		return
 	}
-	switch c.StoreFast(w.addr, nv) {
-	case StoreDone:
-		w.sink(w.n, cur, true)
-	case StoreAborted:
-		w.sink(w.n, cur, false)
-	default:
-		// Speculation ended while the load was in flight, so the operation
-		// was squashed and its completion is stale; the store still goes
-		// out as a plain store.
-		c.storeSlow(waiter{kind: waitStore, sink: w.sink, n: w.n, addr: w.addr, val: nv})
-	}
+	// A speculative store either buffers or overflows the write buffer.
+	w.sink(w.n, cur, c.StoreFast(w.addr, nv) == StoreDone)
 }
 
 // rmw obtains the line in a writable state and applies the atomic w (a

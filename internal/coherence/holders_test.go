@@ -26,7 +26,7 @@ func TestHolderSetReuseAllocFree(t *testing.T) {
 	if got := h.Holders(0); len(got) != 2 || got[0] != 0 || got[1] != 1<<(69-64) {
 		t.Fatalf("Holders(0) = %x, want [0 %x]", got, uint64(1)<<(69-64))
 	}
-	if h.Holders(memsys.Addr(1 << 30)) != nil {
+	if h.Holders(memsys.Addr(1<<30)) != nil {
 		t.Fatal("an untouched line must have no holders")
 	}
 }

@@ -628,3 +628,65 @@ func TestLivelockWithoutTimestamps(t *testing.T) {
 		t.Errorf("TLR should complete all rounds, got %v", commits)
 	}
 }
+
+// TestSquashedSpecAtomicDropsStore: a speculative atomic is a load and then
+// a buffered store. When its transaction is squashed while the load misses,
+// the store belongs to the dead transaction: it must not land in the next
+// transaction's write buffer, nor go out as a plain store once speculation
+// has ended, and the atomic must complete as squashed.
+func TestSquashedSpecAtomicDropsStore(t *testing.T) {
+	atomics := []struct {
+		name  string
+		issue func(c *Controller, n uint64)
+	}{
+		{"Swap", func(c *Controller, n uint64) { c.Swap(lineA, 9, rec.sink, n) }},
+		{"CAS", func(c *Controller, n uint64) { c.CAS(lineA, 7, 9, rec.sink, n) }},
+		{"FetchAdd", func(c *Controller, n uint64) { c.FetchAdd(lineA, 2, rec.sink, n) }},
+	}
+	for _, at := range atomics {
+		for _, nextTxn := range []bool{true, false} {
+			name := at.name + "/speculation-ended"
+			if nextTxn {
+				name = at.name + "/next-transaction"
+			}
+			t.Run(name, func(t *testing.T) {
+				k, s := rig(2, core.DefaultPolicy())
+				p0 := s.Ctrls[0]
+				s.Mem.WriteWord(lineA, 7)
+				begin(p0)
+				n := rec.next()
+				at.issue(p0, n)
+				if rec.got[n].done {
+					t.Fatal("the atomic's load hit; the test needs it to miss")
+				}
+				p0.AbortTxn(core.ReasonExplicit)
+				p0.Engine().AckAbort()
+				if nextTxn {
+					begin(p0)
+				}
+				k.RunUntil(s.Quiescent)
+				if !rec.got[n].done {
+					t.Fatal("the squashed atomic never completed")
+				}
+				if rec.got[n].ok {
+					t.Error("the squashed atomic completed as live")
+				}
+				if got := p0.WriteBufferLines(); got != 0 {
+					t.Errorf("the squashed atomic's store is in the next transaction's write buffer (%d lines)", got)
+				}
+				if nextTxn {
+					if !commit(t, k, p0) {
+						t.Fatal("the next transaction failed to commit")
+					}
+					k.RunUntil(s.Quiescent)
+				}
+				if v := s.ArchWord(lineA); v != 7 {
+					t.Errorf("A = %d after the squashed atomic, want 7", v)
+				}
+				if err := s.CheckCoherence(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}

@@ -154,9 +154,10 @@ func (cpu *CPU) Done() bool { return cpu.done }
 // unperturbed schedule exactly).
 func (cpu *CPU) start(src opSource, delay uint64) {
 	// A machine may Run more than once (consecutive phases): clear the
-	// previous run's completion flag so allDone, the event budget, and the
-	// deadlock detector see this thread as live again.
+	// previous run's completion flag so the run loop, the event budget, and
+	// the deadlock detector see this thread as live again.
 	cpu.done = false
+	cpu.m.live++
 	cpu.src = src
 	cpu.m.K.AtCall(cpu.m.K.Now()+sim.Time(delay), firstFetchEvent, cpu, nil, 0)
 }
@@ -188,6 +189,7 @@ func (cpu *CPU) fetchNext(r result, inlineOK bool) {
 
 func (cpu *CPU) threadDone() {
 	cpu.done = true
+	cpu.m.live--
 	cpu.finish = cpu.m.K.Now()
 	cpu.stats.Finish = cpu.finish
 	cpu.noteProgress(progressDone)
@@ -196,7 +198,7 @@ func (cpu *CPU) threadDone() {
 // issueOp runs o through the one-cycle issue stage. When the issue event
 // would be the very next event to fire anyway, the queue round-trip is
 // skipped entirely (sim.Kernel.TryAdvance) and the op starts inline —
-// identical simulated time, identical ordering, no heap traffic.
+// identical simulated time, identical ordering, no event queue traffic.
 func (cpu *CPU) issueOp(o op, inlineOK bool) {
 	k := cpu.m.K
 	if inlineOK && cpu.inlineDepth < maxInline && k.TryAdvance(k.Now()+1) {

@@ -107,9 +107,11 @@ func holderRun(t *testing.T, procs int, scheme Scheme, mod func(*Config), iters 
 // deadlock recovery and the final drain, but steps the kernel itself so
 // check can run after every event.
 func runStepped(m *Machine, progs []func(*TC), check func() error) error {
+	srcs := make([]opSource, len(progs))
 	for i, p := range progs {
-		m.CPUs[i].start(newTC(m.CPUs[i], p), m.startDelay(i))
+		srcs[i] = newTC(m.CPUs[i], p)
 	}
+	m.startThreads(srcs)
 	defer m.stopThreads()
 	step := func() (bool, error) {
 		if !m.K.Step() {
@@ -120,7 +122,7 @@ func runStepped(m *Machine, progs []func(*TC), check func() error) error {
 		}
 		return true, nil
 	}
-	for !m.allDone() {
+	for m.live > 0 {
 		if m.K.Fired() >= m.cfg.MaxEvents {
 			return m.stallError(StallEventBudget)
 		}

@@ -199,6 +199,10 @@ type Machine struct {
 	// on any CPU (the watchdog horizon; see stall.go).
 	lastProgressAt sim.Time
 
+	// live counts the started threads that have not finished: CPU.start
+	// adds one, threadDone takes it away, and the run loop ends at zero.
+	live int
+
 	// deadlockRecoveries counts wait-cycle squashes (stall.go): times the
 	// event queue ran dry with blocked threads and the machine aborted the
 	// youngest deferring transaction to restore flow.
@@ -313,22 +317,26 @@ func (m *Machine) startDelay(cpu int) uint64 {
 	return startDelay(m.cfg.Seed, cpu) % (m.cfg.StartJitter + 1)
 }
 
+// startThreads starts srcs[i] on CPU i and makes them the run's live
+// threads.
+func (m *Machine) startThreads(srcs []opSource) {
+	m.live = 0
+	for i, s := range srcs {
+		m.CPUs[i].start(s, m.startDelay(i))
+	}
+}
+
 // runLoop starts one thread per CPU and runs the event loop behind Run and
 // RunLitmus. All three failure exits (event budget, deadlock, watchdog)
 // return a structured *StallError (stall.go) joined with any checker
 // divergence.
 func (m *Machine) runLoop(srcs []opSource) error {
-	for i, s := range srcs {
-		m.CPUs[i].start(s, m.startDelay(i))
-	}
+	m.startThreads(srcs)
 	defer m.stopThreads()
 	m.lastProgressAt = m.K.Now()
 	watchdog := m.cfg.StallCycles
 	var iter uint64
-	for {
-		if m.allDone() {
-			break
-		}
+	for m.live > 0 {
 		if m.K.Fired() >= m.cfg.MaxEvents {
 			return errors.Join(m.stallError(StallEventBudget), m.CheckerErr())
 		}
@@ -381,15 +389,6 @@ func (m *Machine) stopThreads() {
 			tc.stop()
 		}
 	}
-}
-
-func (m *Machine) allDone() bool {
-	for _, c := range m.CPUs {
-		if !c.done {
-			return false
-		}
-	}
-	return true
 }
 
 // InjectDeschedule models the operating system preempting the thread on cpu

@@ -131,7 +131,7 @@ func (m *Machine) requireQuiescent() error {
 }
 
 // Reset rewinds the machine to the state NewMachine(cfg) would construct,
-// reusing every allocation: kernel event heap, cache arrays, bus message
+// reusing every allocation: kernel event slab, cache arrays, bus message
 // pools, controller maps, predictor tables, metrics instruments. It fails
 // (leaving the machine untouched) when the machine is not quiescent — a
 // run that errored out mid-flight leaves unfinished threads and pending

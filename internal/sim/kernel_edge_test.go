@@ -1,10 +1,13 @@
 package sim
 
-// Edge cases the heap rewrite must preserve, plus steady-state allocation
+// Edge cases the kernel must preserve, plus steady-state allocation
 // assertions: the schedule/fire path (At, AtCall, Step, TryAdvance) must not
-// allocate once the backing slice has grown.
+// allocate once the slab and the far heap have grown.
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // Same-cycle FIFO must hold across events scheduled by a mix of At, After,
 // AtCall, and AfterCall, interleaved with events at other cycles — the
@@ -107,14 +110,17 @@ func TestTryAdvance(t *testing.T) {
 }
 
 // The schedule/fire path must be allocation-free in steady state for both
-// the closure-free AtCall form and plain At with a pre-existing closure.
+// the closure-free AtCall form and plain At with a pre-existing closure,
+// including once the clock has lapped the wheel many times with near and far
+// events mixed: the slab and the far heap are reused, never regrown.
 func TestScheduleFireAllocFree(t *testing.T) {
 	k := New(1)
 	cb := Callback(func(_, _ any, _ uint64) {})
 	fn := func() {}
-	// Warm up the backing slice.
+	// Warm up the slab and the far heap.
 	for i := 0; i < 64; i++ {
 		k.AtCall(k.Now()+Time(i), cb, k, nil, 0)
+		k.AtCall(k.Now()+Time(wheelSize+i), cb, k, nil, 0)
 	}
 	k.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -141,6 +147,39 @@ func TestScheduleFireAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("TryAdvance allocates %.1f per op, want 0", allocs)
 	}
+	// Lap the wheel a thousand times. Each lap piles 24 events into one
+	// bucket (a different one each lap) and one far event behind them,
+	// then fires all 25: fewer events resident than the warm-up held, but
+	// every bucket in turn gets a deep FIFO. Count every allocation rather
+	// than an average per run, which rounds a few hundred down to 0.
+	start := k.Now()
+	if n := mallocs(func() {
+		for lap := uint64(0); lap < 1000; lap++ {
+			at := k.Now() + Time(1+lap*37%(wheelSize-1))
+			for j := 0; j < 24; j++ {
+				k.AtCall(at, cb, k, nil, 0)
+			}
+			k.AtCall(k.Now()+Time(wheelSize+lap*53%(2*wheelSize)), cb, k, nil, 0)
+			for j := 0; j < 25; j++ {
+				k.Step()
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("lapping the wheel allocated %d times, want 0", n)
+	}
+	if laps := (k.Now() - start) / wheelSize; laps < 1000 {
+		t.Fatalf("clock lapped the wheel %d times, want at least 1000", laps)
+	}
+}
+
+// mallocs returns the number of heap allocations f makes.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 func BenchmarkKernelScheduleFire(b *testing.B) {
@@ -154,9 +193,10 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelHeapChurn keeps 256 events resident with deterministic
+// times 1–97 cycles ahead: the wheel's near path under a deeper queue than a
+// busy machine's (which holds 4–15 events, all under 128 cycles ahead).
 func BenchmarkKernelHeapChurn(b *testing.B) {
-	// 256 resident events with random-ish (deterministic) times: the
-	// steady-state heap workload of a busy machine.
 	k := New(1)
 	cb := Callback(func(_, _ any, _ uint64) {})
 	for i := 0; i < 256; i++ {
@@ -166,6 +206,22 @@ func BenchmarkKernelHeapChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.AtCall(k.Now()+Time(1+i%97), cb, k, nil, 0)
+		k.Step()
+	}
+}
+
+// BenchmarkKernelFarChurn is BenchmarkKernelHeapChurn with every event a
+// wheel or more ahead, so every schedule and fire goes through the far heap.
+func BenchmarkKernelFarChurn(b *testing.B) {
+	k := New(1)
+	cb := Callback(func(_, _ any, _ uint64) {})
+	for i := 0; i < 256; i++ {
+		k.AtCall(k.Now()+Time(wheelSize+i%97), cb, k, nil, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.AtCall(k.Now()+Time(wheelSize+i%97), cb, k, nil, 0)
 		k.Step()
 	}
 }

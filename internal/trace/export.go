@@ -63,8 +63,8 @@ type ChromeWriter struct {
 	w      *bufio.Writer
 	err    error
 	first  bool
-	open   map[int]Event           // CPU -> pending txn-begin
-	flows  map[flowKey][]uint64    // (cpu,line) -> pending deferral flow IDs, FIFO
+	open   map[int]Event        // CPU -> pending txn-begin
+	flows  map[flowKey][]uint64 // (cpu,line) -> pending deferral flow IDs, FIFO
 	nextID uint64
 	seen   map[int]bool // CPUs that appeared (for thread metadata at Close)
 }

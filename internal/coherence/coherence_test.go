@@ -102,7 +102,7 @@ func stateOf(c *Controller, a memsys.Addr) cache.State {
 }
 
 func TestColdLoadFillsExclusiveFromMemory(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	s.Mem.WriteWord(0x1000, 42)
 	if v := load(t, k, s.Ctrls[0], 0x1000); v != 42 {
 		t.Fatalf("load = %d, want 42", v)
@@ -116,7 +116,7 @@ func TestColdLoadFillsExclusiveFromMemory(t *testing.T) {
 }
 
 func TestSecondReaderGetsSharedOwnerToO(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	s.Mem.WriteWord(0x1000, 7)
 	load(t, k, s.Ctrls[0], 0x1000)
 	if v := load(t, k, s.Ctrls[1], 0x1000); v != 7 {
@@ -134,7 +134,7 @@ func TestSecondReaderGetsSharedOwnerToO(t *testing.T) {
 }
 
 func TestStoreMissGetsModified(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	store(t, k, s.Ctrls[0], 0x2000, 99)
 	if st := stateOf(s.Ctrls[0], 0x2000); st != cache.Modified {
 		t.Fatalf("state = %v, want M", st)
@@ -145,7 +145,7 @@ func TestStoreMissGetsModified(t *testing.T) {
 }
 
 func TestCacheToCacheTransferOnWrite(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	store(t, k, s.Ctrls[0], 0x2000, 5)
 	store(t, k, s.Ctrls[1], 0x2000, 6) // GetX serviced by P0, invalidating it
 	if st := stateOf(s.Ctrls[0], 0x2000); st != cache.Invalid {
@@ -163,7 +163,7 @@ func TestCacheToCacheTransferOnWrite(t *testing.T) {
 }
 
 func TestUpgradeFromShared(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	s.Mem.WriteWord(0x3000, 1)
 	load(t, k, s.Ctrls[0], 0x3000)
 	load(t, k, s.Ctrls[1], 0x3000) // P0: O, P1: S
@@ -183,7 +183,7 @@ func TestUpgradeFromShared(t *testing.T) {
 }
 
 func TestSilentEtoMUpgrade(t *testing.T) {
-	k, s := rig(1, core.DefaultPolicy())
+	k, s := rig(1, core.Policy{EnableTLR: true})
 	load(t, k, s.Ctrls[0], 0x4000) // E
 	before := s.Bus.Stats().Txns[bus.Upgrade] + s.Bus.Stats().Txns[bus.GetX]
 	store(t, k, s.Ctrls[0], 0x4000, 3)
@@ -197,7 +197,7 @@ func TestSilentEtoMUpgrade(t *testing.T) {
 }
 
 func TestLLSCSuccess(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	var llv uint64
 	fired := false
 	s.Ctrls[0].LL(0x5000, rec.sink, rec.then(func(v uint64, ok bool) { llv, fired = v, true }))
@@ -218,7 +218,7 @@ func TestLLSCSuccess(t *testing.T) {
 }
 
 func TestLLSCFailsAfterInvalidation(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	fired := false
 	s.Ctrls[0].LL(0x5000, rec.sink, rec.then(func(uint64, bool) { fired = true }))
 	k.RunUntil(func() bool { return fired })
@@ -237,7 +237,7 @@ func TestLLSCFailsAfterInvalidation(t *testing.T) {
 }
 
 func TestSwapAtomic(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	s.Mem.WriteWord(0x6000, 10)
 	var old uint64
 	fired := false
@@ -252,7 +252,7 @@ func TestSwapAtomic(t *testing.T) {
 }
 
 func TestCASSemantics(t *testing.T) {
-	k, s := rig(1, core.DefaultPolicy())
+	k, s := rig(1, core.Policy{EnableTLR: true})
 	s.Mem.WriteWord(0x6000, 5)
 	var seen uint64
 	fired := false
@@ -273,7 +273,7 @@ func TestCASSemantics(t *testing.T) {
 }
 
 func TestFetchAdd(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	for i := 0; i < 5; i++ {
 		fired := false
 		s.Ctrls[i%2].FetchAdd(0x7000, 3, rec.sink, rec.then(func(uint64, bool) { fired = true }))
@@ -288,7 +288,7 @@ func TestWritebackOnEvictionReachesMemory(t *testing.T) {
 	k := sim.New(1)
 	cfg := testConfig()
 	cfg.Cache = cache.Config{SizeBytes: 256, Ways: 2, VictimEntries: 2} // 2 sets
-	engines := []*core.Engine{core.NewEngine(0, core.DefaultPolicy())}
+	engines := []*core.Engine{core.NewEngine(0, core.Policy{EnableTLR: true})}
 	s := NewSystem(k, 1, cfg, engines)
 	c := s.Ctrls[0]
 	// Write 4 lines mapping to set 0 (stride 2 lines): evicts dirty lines.
@@ -312,7 +312,7 @@ func TestWritebackOnEvictionReachesMemory(t *testing.T) {
 }
 
 func TestSpinSubscriberWakesOnInvalidation(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	load(t, k, s.Ctrls[0], 0x8000) // cache it
 	woken := false
 	s.Ctrls[0].SubscribeLine(0x8000, func(any, any, uint64) { woken = true }, nil, 0)
@@ -324,7 +324,7 @@ func TestSpinSubscriberWakesOnInvalidation(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() sim.Time {
-		k, s := rig(4, core.DefaultPolicy())
+		k, s := rig(4, core.Policy{EnableTLR: true})
 		for i, c := range s.Ctrls {
 			a := memsys.Addr(0x9000)
 			fired := false
@@ -340,7 +340,7 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestArchWordSeesOwnerCopy(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	store(t, k, s.Ctrls[0], 0xa000, 123)
 	// Memory is stale; ArchWord must read the M copy.
 	if v := s.ArchWord(0xa000); v != 123 {
@@ -358,7 +358,7 @@ func TestWritebackRaceSupply(t *testing.T) {
 	k := sim.New(1)
 	cfg := testConfig()
 	cfg.Cache = cache.Config{SizeBytes: 256, Ways: 2, VictimEntries: 2} // 2 sets
-	engines := []*core.Engine{core.NewEngine(0, core.DefaultPolicy()), core.NewEngine(1, core.DefaultPolicy())}
+	engines := []*core.Engine{core.NewEngine(0, core.Policy{EnableTLR: true}), core.NewEngine(1, core.Policy{EnableTLR: true})}
 	s := NewSystem(k, 2, cfg, engines)
 	p0, p1 := s.Ctrls[0], s.Ctrls[1]
 
@@ -392,7 +392,7 @@ func TestWritebackRaceSupply(t *testing.T) {
 // the holder becomes a lame-duck supplier — it keeps the data for the
 // deferred requester but no longer claims owner-of-record.
 func TestMaskedLineMasksOwnership(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	p0, p1 := s.Ctrls[0], s.Ctrls[1]
 	begin(p0)
 	specStore(t, p0, lineA, 1)
@@ -431,7 +431,7 @@ func sbRig(n, entries int) (*sim.Kernel, *System) {
 	cfg.StoreBufferEntries = entries
 	engines := make([]*core.Engine, n)
 	for i := range engines {
-		engines[i] = core.NewEngine(i, core.DefaultPolicy())
+		engines[i] = core.NewEngine(i, core.Policy{EnableTLR: true})
 	}
 	return k, NewSystem(k, n, cfg, engines)
 }

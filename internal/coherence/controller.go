@@ -912,9 +912,11 @@ func (c *Controller) freeMSHR(m *mshr) {
 // enforceTimestampOrderAfterNewMiss aborts the transaction if a deferred
 // request with an earlier timestamp exists on a different line than the new
 // miss: the single-block relaxation no longer applies and continuing to
-// defer could deadlock.
+// defer could deadlock. Only CMTimestamp relaxes; under every other policy
+// each deferred stamp is later than the transaction's, so there is nothing
+// to revoke.
 func (c *Controller) enforceTimestampOrderAfterNewMiss(newLine memsys.Addr) {
-	if !c.eng.Speculating() || c.eng.Policy().StrictTimestamps {
+	if !c.eng.Speculating() || c.eng.Policy().CM != core.CMTimestamp {
 		return
 	}
 	my := c.eng.Stamp()

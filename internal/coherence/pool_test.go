@@ -39,7 +39,7 @@ func sharingRound(t *testing.T, s *System, a memsys.Addr) func() {
 // returned them to.
 func TestWarmMissAllocFree(t *testing.T) {
 	for _, withChecker := range []bool{false, true} {
-		k, s := rig(2, core.DefaultPolicy())
+		k, s := rig(2, core.Policy{EnableTLR: true})
 		if withChecker {
 			s.AttachChecker(checker.New())
 		}
@@ -64,7 +64,7 @@ func TestWarmMissAllocFree(t *testing.T) {
 // ones the next miss reuses. Under the tlrpoison build tag a released MSHR
 // also reads back as poisoned until reuse.
 func TestReleasedMSHRIsRecycled(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	const a = memsys.Addr(0x1000)
 	round := sharingRound(t, s, a)
 	s.Ctrls[1].Load(a, true, rec.sink, rec.next())

@@ -5,6 +5,7 @@ import (
 	"tlrsim/internal/cache"
 	"tlrsim/internal/core"
 	"tlrsim/internal/memsys"
+	"tlrsim/internal/sim"
 	"tlrsim/internal/stamp"
 	"tlrsim/internal/trace"
 )
@@ -330,12 +331,7 @@ func nackBackoff(seed int64, cpu, retries int) uint64 {
 		shift = nackBackoffCap
 	}
 	d := uint64(nackBackoffBase) << shift
-	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(cpu+1)*0xbf58476d1ce4e5b9 + uint64(retries)*0x94d049bb133111eb
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := sim.Mix64(uint64(seed)*0x9e3779b97f4a7c15 + uint64(cpu+1)*0xbf58476d1ce4e5b9 + uint64(retries)*0x94d049bb133111eb)
 	return d + x%d
 }
 

@@ -39,7 +39,7 @@ const (
 // timestamp (P0) retains both blocks and commits without restarting; P1
 // restarts once, and both finish with correct data.
 func TestDeferralResolvesConflict(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	p0, p1 := s.Ctrls[0], s.Ctrls[1]
 
 	begin(p0)
@@ -96,7 +96,7 @@ func TestDeferralResolvesConflict(t *testing.T) {
 // TestFailureAtomicity: an aborted transaction's stores never become
 // architecturally visible.
 func TestFailureAtomicity(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	p0 := s.Ctrls[0]
 	s.Mem.WriteWord(lineA, 7)
 	begin(p0)
@@ -115,7 +115,7 @@ func TestFailureAtomicity(t *testing.T) {
 // TestAtomicCommitVisibility: speculative stores are invisible to other
 // processors before commit and visible after.
 func TestAtomicCommitVisibility(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	p0, p1 := s.Ctrls[0], s.Ctrls[1]
 	s.Mem.WriteWord(lineA, 1)
 	s.Mem.WriteWord(lineA+8, 2)
@@ -149,8 +149,7 @@ func TestAtomicCommitVisibility(t *testing.T) {
 // TestUntimestampedAbortPolicy: with the abort-on-data-race policy the
 // transaction restarts instead of deferring the plain access.
 func TestUntimestampedAbortPolicy(t *testing.T) {
-	pol := core.DefaultPolicy()
-	pol.AbortOnUntimestamped = true
+	pol := core.Policy{EnableTLR: true, AbortOnUntimestamped: true}
 	k, s := rig(2, pol)
 	p0, p1 := s.Ctrls[0], s.Ctrls[1]
 	begin(p0)
@@ -169,7 +168,7 @@ func TestUntimestampedAbortPolicy(t *testing.T) {
 // line inside transactions. A hardware queue forms on the data itself; no
 // transaction restarts; each processor pays one miss.
 func TestQueuedTransfer(t *testing.T) {
-	k, s := rig(4, core.DefaultPolicy())
+	k, s := rig(4, core.Policy{EnableTLR: true})
 	commits := make([]*bool, 4)
 	for i, c := range s.Ctrls {
 		d := new(bool)
@@ -205,8 +204,7 @@ func TestQueuedTransfer(t *testing.T) {
 // wait cycle across two blocks that only the marker/probe machinery can
 // break. Priorities P0 > P1 > P2 (by CPU id at equal clocks).
 func TestMarkerProbeBreaksCycle(t *testing.T) {
-	pol := core.DefaultPolicy()
-	pol.StrictTimestamps = true // the relaxation would legitimately avoid the cycle
+	pol := core.Policy{EnableTLR: true, CM: core.CMStrictTS} // the relaxation would legitimately avoid the cycle
 	k, s := rig(3, pol)
 	p0, p1, p2 := s.Ctrls[0], s.Ctrls[1], s.Ctrls[2]
 
@@ -268,8 +266,7 @@ func TestMarkerProbeBreaksCycle(t *testing.T) {
 // forwarding, P1 waits on P0 (its A-miss is deferred) while P0 waits on P1
 // (through the chain at P2) — deadlock.
 func TestProbeThroughPlainPendingOwner(t *testing.T) {
-	pol := core.DefaultPolicy()
-	pol.StrictTimestamps = true // the relaxation would legitimately avoid the cycle
+	pol := core.Policy{EnableTLR: true, CM: core.CMStrictTS} // the relaxation would legitimately avoid the cycle
 	k, s := rig(3, pol)
 	p0, p1, p2 := s.Ctrls[0], s.Ctrls[1], s.Ctrls[2]
 
@@ -317,8 +314,10 @@ func TestProbeThroughPlainPendingOwner(t *testing.T) {
 // later-timestamp holder may keep it even against an earlier request.
 func TestSingleBlockRelaxationAvoidsRestart(t *testing.T) {
 	run := func(strict bool) (lateAborts uint64) {
-		pol := core.DefaultPolicy()
-		pol.StrictTimestamps = strict
+		pol := core.Policy{EnableTLR: true}
+		if strict {
+			pol.CM = core.CMStrictTS
+		}
 		k, s := rig(2, pol)
 		p0, p1 := s.Ctrls[0], s.Ctrls[1]
 		// Make P1 hold the block; P0 (earlier stamp: id 0) then requests.
@@ -358,7 +357,7 @@ func TestSingleBlockRelaxationAvoidsRestart(t *testing.T) {
 // TestUpgradeInducedMisspeculation (§3.1.2): a transaction holding a block
 // only in shared state cannot defer an external writer and must restart.
 func TestUpgradeInducedMisspeculation(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	p0, p1 := s.Ctrls[0], s.Ctrls[1]
 	s.Mem.WriteWord(lineA, 3)
 	load(t, k, p1, lineA) // P1: E
@@ -389,7 +388,7 @@ func TestResourceOverflowAborts(t *testing.T) {
 	k := sim.New(1)
 	cfg := testConfig()
 	cfg.WriteBufferLines = 2
-	engines := []*core.Engine{core.NewEngine(0, core.DefaultPolicy())}
+	engines := []*core.Engine{core.NewEngine(0, core.Policy{EnableTLR: true})}
 	s := NewSystem(k, 1, cfg, engines)
 	p0 := s.Ctrls[0]
 	begin(p0)
@@ -412,7 +411,7 @@ func TestResourceOverflowAborts(t *testing.T) {
 // TestDeferredGetSKeepsOwnership: a read of a speculatively written block is
 // deferred without giving up the block, and the reader sees post-commit data.
 func TestDeferredGetSKeepsOwnership(t *testing.T) {
-	k, s := rig(2, core.DefaultPolicy())
+	k, s := rig(2, core.Policy{EnableTLR: true})
 	p0, p1 := s.Ctrls[0], s.Ctrls[1]
 	s.Mem.WriteWord(lineA, 1)
 	begin(p0)
@@ -442,8 +441,7 @@ func TestDeferredGetSKeepsOwnership(t *testing.T) {
 // eventually holds the earliest timestamp and wins. We model two processors
 // hammering the same two lines in opposite order repeatedly.
 func TestStarvationFreedomUnderRepeatedConflicts(t *testing.T) {
-	pol := core.DefaultPolicy()
-	pol.StrictTimestamps = true
+	pol := core.Policy{EnableTLR: true, CM: core.CMStrictTS}
 	k, s := rig(2, pol)
 	type state struct {
 		c        *Controller
@@ -499,8 +497,7 @@ func TestStarvationFreedomUnderRepeatedConflicts(t *testing.T) {
 // reach the same outcome as Figure 4's deferral, with retry traffic instead
 // of buffering.
 func TestNACKRetentionResolvesConflict(t *testing.T) {
-	pol := core.DefaultPolicy()
-	pol.RetentionNACK = true
+	pol := core.Policy{EnableTLR: true, RetentionNACK: true}
 	k, s := rig(2, pol)
 	p0, p1 := s.Ctrls[0], s.Ctrls[1]
 
@@ -545,8 +542,7 @@ func TestNACKRetentionResolvesConflict(t *testing.T) {
 // access pattern completes immediately (Figure 4).
 func TestLivelockWithoutTimestamps(t *testing.T) {
 	attempt := func(enableTLR bool, rounds int) (commits [2]int, aborts uint64) {
-		pol := core.DefaultPolicy()
-		pol.EnableTLR = enableTLR
+		pol := core.Policy{EnableTLR: enableTLR}
 		k, s := rig(2, pol)
 		type st struct {
 			c     *Controller
@@ -650,7 +646,7 @@ func TestSquashedSpecAtomicDropsStore(t *testing.T) {
 				name = at.name + "/next-transaction"
 			}
 			t.Run(name, func(t *testing.T) {
-				k, s := rig(2, core.DefaultPolicy())
+				k, s := rig(2, core.Policy{EnableTLR: true})
 				p0 := s.Ctrls[0]
 				s.Mem.WriteWord(lineA, 7)
 				begin(p0)

@@ -116,31 +116,26 @@ func (d Decision) String() string {
 	return "service"
 }
 
-// Policy selects the scheme under evaluation and its knobs.
+// Policy selects the scheme under evaluation and its knobs. A zero field
+// means the paper's value, so Policy{EnableTLR: true} is the paper's TLR.
+// A machine derives EnableTLR from its scheme and Seed from its seed;
+// everything else is taken as configured. The §3.2 relaxation is switched
+// off by choosing CMStrictTS.
 type Policy struct {
 	// EnableTLR turns on timestamp conflict resolution and deferral. With
 	// it off the engine behaves as plain SLE: every data conflict is lost
 	// (serviced + restart), matching the paper's BASE+SLE configuration.
 	EnableTLR bool
-	// StrictTimestamps disables the §3.2 single-block relaxation — the
-	// TLR-strict-ts ablation of Figure 9.
-	StrictTimestamps bool
 	// AbortOnUntimestamped selects the paper's first policy for data races
 	// with non-critical-section accesses (trigger misspeculation) instead
 	// of the default second policy (defer them as lowest priority).
 	AbortOnUntimestamped bool
 	// MaxDeferred bounds the deferred-request queue (Figure 5's hardware
-	// queue). A full queue forces Service.
+	// queue). A full queue forces Service. 0 means 16.
 	MaxDeferred int
-	// MaxElisionDepth bounds concurrently elided nested locks (Table 2: 8).
+	// MaxElisionDepth bounds concurrently elided nested locks. 0 means 8
+	// (Table 2).
 	MaxElisionDepth int
-	// SLERestartLimit is how many conflict restarts plain SLE tolerates per
-	// critical-section attempt before acquiring the lock. TLR ignores it.
-	SLERestartLimit int
-	// UpgradeViolationLimit: after this many upgrade-induced aborts on one
-	// line the engine requests the line exclusively inside transactions,
-	// guaranteeing forward progress without the RMW predictor (§3.1.2).
-	UpgradeViolationLimit int
 
 	// MaxRestarts, when >0, bounds how many times one critical-section
 	// attempt may abort-and-retry before the engine falls back to acquiring
@@ -177,16 +172,26 @@ type Policy struct {
 	Seed int64
 }
 
-// DefaultPolicy returns the paper's TLR configuration.
-func DefaultPolicy() Policy {
-	return Policy{
-		EnableTLR:             true,
-		MaxDeferred:           16,
-		MaxElisionDepth:       8,
-		SLERestartLimit:       1,
-		UpgradeViolationLimit: 2,
+// withDefaults fills the zero-valued limits with the paper's values.
+func (p Policy) withDefaults() Policy {
+	if p.MaxDeferred <= 0 {
+		p.MaxDeferred = 16
 	}
+	if p.MaxElisionDepth <= 0 {
+		p.MaxElisionDepth = 8
+	}
+	return p
 }
+
+const (
+	// sleRestartLimit is how many conflict restarts plain SLE tolerates per
+	// critical-section attempt before acquiring the lock. TLR ignores it.
+	sleRestartLimit = 1
+	// upgradeViolationLimit: after this many upgrade-induced aborts on one
+	// line the engine requests the line exclusively inside transactions,
+	// guaranteeing forward progress without the RMW predictor (§3.1.2).
+	upgradeViolationLimit = 2
+)
 
 // Deferred is one buffered incoming request awaiting transaction commit.
 // Payload is the controller's private request record, carried through
@@ -267,12 +272,7 @@ type Engine struct {
 
 // NewEngine returns an engine for processor cpu.
 func NewEngine(cpu int, pol Policy) *Engine {
-	if pol.MaxDeferred <= 0 {
-		pol.MaxDeferred = 16
-	}
-	if pol.MaxElisionDepth <= 0 {
-		pol.MaxElisionDepth = 8
-	}
+	pol = pol.withDefaults()
 	e := &Engine{
 		cpu:               cpu,
 		pol:               pol,
@@ -292,13 +292,7 @@ func NewEngine(cpu int, pol Policy) *Engine {
 // change across a reset (the scheme is a runtime knob of machine reuse), so
 // NewEngine's defaulting is reapplied to pol.
 func (e *Engine) Reset(pol Policy) {
-	if pol.MaxDeferred <= 0 {
-		pol.MaxDeferred = 16
-	}
-	if pol.MaxElisionDepth <= 0 {
-		pol.MaxElisionDepth = 8
-	}
-	e.pol = pol
+	e.pol = pol.withDefaults()
 	e.cm = PolicyFor(pol.CM)
 	e.clk.Reset()
 	e.clk.SetBits(pol.TimestampBits)
@@ -560,7 +554,7 @@ func (e *Engine) AckAbort() {
 // scheme should stop eliding and acquire the lock. The generic rules come
 // first: resource-class aborts always fall back, Policy.MaxRestarts (when
 // set) caps any attempt's restarts whatever the reasons, and plain SLE
-// gives up after SLERestartLimit conflict restarts (it has no
+// gives up after sleRestartLimit conflict restarts (it has no
 // conflict-resolution scheme to make retrying fair). Past those, the
 // contention policy decides: the paper's timestamp policies retry
 // conflict-class aborts indefinitely, relying on timestamp fairness;
@@ -575,7 +569,7 @@ func (e *Engine) ShouldFallback(r Reason) bool {
 		return true
 	}
 	if !e.pol.EnableTLR {
-		return e.restartsThisAttempt > e.pol.SLERestartLimit
+		return e.restartsThisAttempt > sleRestartLimit
 	}
 	return e.cm.ShouldFallback(e, r)
 }
@@ -641,11 +635,11 @@ func (e *Engine) Restarts() int { return e.restartsThisAttempt }
 func (e *Engine) NoteUpgradeViolation(line memsys.Addr) bool {
 	line = line.Line()
 	e.upgradeViolations[line]++
-	return e.upgradeViolations[line] >= e.pol.UpgradeViolationLimit
+	return e.upgradeViolations[line] >= upgradeViolationLimit
 }
 
 // WantExclusiveRead reports whether reads of line inside transactions
 // should request ownership up front due to past upgrade violations.
 func (e *Engine) WantExclusiveRead(line memsys.Addr) bool {
-	return e.upgradeViolations[line.Line()] >= e.pol.UpgradeViolationLimit
+	return e.upgradeViolations[line.Line()] >= upgradeViolationLimit
 }

@@ -8,13 +8,9 @@ import (
 	"tlrsim/internal/stamp"
 )
 
-func tlrEngine(cpu int) *Engine { return NewEngine(cpu, DefaultPolicy()) }
+func tlrEngine(cpu int) *Engine { return NewEngine(cpu, Policy{EnableTLR: true}) }
 
-func sleEngine(cpu int) *Engine {
-	p := DefaultPolicy()
-	p.EnableTLR = false
-	return NewEngine(cpu, p)
-}
+func sleEngine(cpu int) *Engine { return NewEngine(cpu, Policy{}) }
 
 func beginTx(e *Engine) {
 	e.EnterCritical(true)
@@ -130,8 +126,7 @@ func TestSingleBlockRelaxation(t *testing.T) {
 }
 
 func TestStrictTimestampsDisableRelaxation(t *testing.T) {
-	p := DefaultPolicy()
-	p.StrictTimestamps = true
+	p := Policy{EnableTLR: true, CM: CMStrictTS}
 	e := NewEngine(3, p)
 	beginTx(e)
 	if d := e.ResolveIncoming(stamp.New(0, 0), 0x40, true, false); d != Service {
@@ -157,8 +152,7 @@ func TestCannotDeferWithoutOwnership(t *testing.T) {
 }
 
 func TestDeferredQueueBound(t *testing.T) {
-	p := DefaultPolicy()
-	p.MaxDeferred = 2
+	p := Policy{EnableTLR: true, MaxDeferred: 2}
 	e := NewEngine(0, p)
 	beginTx(e)
 	for i := 0; i < 2; i++ {
@@ -188,8 +182,7 @@ func TestUntimestampedPolicyDeferByDefault(t *testing.T) {
 	if d := e.ResolveUntimestamped(0x40, true); d != Defer {
 		t.Fatal("default policy should defer untimestamped requests")
 	}
-	p := DefaultPolicy()
-	p.AbortOnUntimestamped = true
+	p := Policy{EnableTLR: true, AbortOnUntimestamped: true}
 	e2 := NewEngine(0, p)
 	beginTx(e2)
 	if d := e2.ResolveUntimestamped(0x40, true); d != Service {
@@ -203,7 +196,7 @@ func TestUntimestampedPolicyDeferByDefault(t *testing.T) {
 // (resource exhaustion §3.3, untimestamped data race §2.2) force immediate
 // lock acquisition under either scheme; conflict-class reasons retry — TLR
 // indefinitely (timestamp fairness guarantees eventual success), SLE only
-// up to SLERestartLimit. Policy.MaxRestarts is the outermost safety net:
+// up to sleRestartLimit. Policy.MaxRestarts is the outermost safety net:
 // once one attempt aborts that many times, both schemes acquire regardless
 // of reason.
 func TestFallbackRules(t *testing.T) {
@@ -238,14 +231,14 @@ func TestFallbackRules(t *testing.T) {
 		}
 	}
 
-	// SLE escalation: retries conflict-class aborts up to SLERestartLimit
+	// SLE escalation: retries conflict-class aborts up to sleRestartLimit
 	// per attempt, then acquires; TLR keeps retrying at the same depth.
 	restartOnce := func(e *Engine) {
 		beginTx(e)
 		e.Abort(ReasonConflict)
 		e.AckAbort()
 	}
-	limit := DefaultPolicy().SLERestartLimit
+	limit := sleRestartLimit
 	sle, tlr := sleEngine(0), tlrEngine(0)
 	for i := 0; i < limit; i++ {
 		restartOnce(sle)
@@ -299,8 +292,7 @@ func TestFallbackRules(t *testing.T) {
 }
 
 func TestNestingDepth(t *testing.T) {
-	p := DefaultPolicy()
-	p.MaxElisionDepth = 2
+	p := Policy{EnableTLR: true, MaxElisionDepth: 2}
 	e := NewEngine(0, p)
 	beginTx(e)
 	if !e.CanElide() {
@@ -383,8 +375,7 @@ func TestPropertyConflictAntisymmetry(t *testing.T) {
 		if s1.Equal(s2) {
 			return true
 		}
-		pol := DefaultPolicy()
-		pol.StrictTimestamps = true
+		pol := Policy{EnableTLR: true, CM: CMStrictTS}
 		e1, e2 := NewEngine(int(p1), pol), NewEngine(int(p2), pol)
 		// Force the engines' transaction stamps.
 		for e1.ClockValue() < uint64(c1) {
@@ -475,7 +466,7 @@ func TestTopLevelAckReturnsToIdle(t *testing.T) {
 }
 
 func TestStampBeforeWrapped(t *testing.T) {
-	p := DefaultPolicy()
+	p := Policy{EnableTLR: true}
 	p.TimestampBits = 4 // window 16
 	e := NewEngine(0, p)
 	a := stamp.New(14, 0)
@@ -494,7 +485,7 @@ func TestStampBeforeWrapped(t *testing.T) {
 }
 
 func TestWrappedClockAdvancesThroughRollover(t *testing.T) {
-	p := DefaultPolicy()
+	p := Policy{EnableTLR: true}
 	p.TimestampBits = 3 // window 8
 	e := NewEngine(0, p)
 	var prev stamp.Stamp
@@ -513,8 +504,7 @@ func TestWrappedClockAdvancesThroughRollover(t *testing.T) {
 }
 
 func TestNackPolicySelection(t *testing.T) {
-	p := DefaultPolicy()
-	p.RetentionNACK = true
+	p := Policy{EnableTLR: true, RetentionNACK: true}
 	e := NewEngine(0, p)
 	if !e.Policy().RetentionNACK {
 		t.Fatal("policy lost")

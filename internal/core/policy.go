@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"tlrsim/internal/memsys"
+	"tlrsim/internal/sim"
 	"tlrsim/internal/stamp"
 )
 
@@ -32,10 +33,10 @@ type CM int
 
 const (
 	// CMTimestamp is the paper's rule: earlier timestamp wins, with the
-	// §3.2 single-block relaxation unless Policy.StrictTimestamps is set.
+	// §3.2 single-block relaxation.
 	CMTimestamp CM = iota
 	// CMStrictTS is the timestamp rule without the §3.2 relaxation — the
-	// TLR-strict-ts ablation of Figure 9, absorbed as a policy.
+	// TLR-strict-ts ablation of Figure 9.
 	CMStrictTS
 	// CMRequesterWins always services the incoming request — the
 	// obstruction-free strawman. Local transactions never retain ownership
@@ -136,7 +137,7 @@ func PolicyFor(cm CM) ContentionPolicy {
 // timestampPolicy is the paper's rule (§2.1.1 + §3.2): the earlier
 // timestamp wins; a later transaction may still win when the conflict is
 // confined to a single block with no other miss outstanding (deadlock is
-// then impossible), unless Policy.StrictTimestamps disables the relaxation.
+// then impossible). strictTSPolicy is the same rule without the relaxation.
 type timestampPolicy struct{}
 
 func (timestampPolicy) Name() string { return CMTimestamp.String() }
@@ -150,7 +151,7 @@ func (timestampPolicy) ResolveTimestamped(e *Engine, in stamp.Stamp, line memsys
 	// single block is under conflict and no other miss is outstanding,
 	// deadlock is impossible (the coherence chain head is stable) and the
 	// protocol's own request queue provides the ordering (§3.2).
-	if !e.pol.StrictTimestamps && !otherLineOutstanding && e.singleConflictLine(line.Line()) {
+	if !otherLineOutstanding && e.singleConflictLine(line.Line()) {
 		e.stats.RelaxedWins++
 		return Defer
 	}
@@ -272,7 +273,7 @@ func jitteredDelay(e *Engine, base uint64, maxShift uint) uint64 {
 		shift = maxShift
 	}
 	d := base << shift
-	j := mix64(uint64(e.pol.Seed)*0x9e3779b97f4a7c15 + uint64(e.cpu+1)*0xbf58476d1ce4e5b9 + uint64(r))
+	j := sim.Mix64(uint64(e.pol.Seed)*0x9e3779b97f4a7c15 + uint64(e.cpu+1)*0xbf58476d1ce4e5b9 + uint64(r) + 0x9e3779b97f4a7c15)
 	return d + j%d
 }
 
@@ -339,13 +340,4 @@ func (karmaPolicy) AttemptStamp(e *Engine) stamp.Stamp {
 
 func (karmaPolicy) RetryDelay(e *Engine) uint64 {
 	return jitteredDelay(e, karmaBackoffBase, karmaBackoffMaxShift)
-}
-
-// mix64 is the splitmix64 finalizer — the repo's standard seeded hash for
-// deterministic perturbation (see proc.startDelay, fault.mix).
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

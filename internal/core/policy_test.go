@@ -7,8 +7,7 @@ import (
 )
 
 func engineWithCM(cpu int, cm CM) *Engine {
-	p := DefaultPolicy()
-	p.CM = cm
+	p := Policy{EnableTLR: true, CM: cm}
 	return NewEngine(cpu, p)
 }
 
@@ -36,38 +35,34 @@ func TestPolicyForInvalidPanics(t *testing.T) {
 	PolicyFor(cmCount)
 }
 
-// TestStrictTSPolicyMatchesStrictTimestampsFlag pins the ablation
-// absorption: CMStrictTS must make exactly the decisions the pre-seam
-// StrictTimestamps flag made, across the win/lose/relaxation-eligible cases.
-func TestStrictTSPolicyMatchesStrictTimestampsFlag(t *testing.T) {
-	flag := DefaultPolicy()
-	flag.StrictTimestamps = true
+// TestStrictTSPolicyDecisionTable pins CMStrictTS, the Figure 9
+// TLR-strict-ts ablation: pure timestamp order, with no §3.2 relaxation.
+func TestStrictTSPolicyDecisionTable(t *testing.T) {
 	cases := []struct {
+		name             string
 		in               stamp.Stamp
 		otherOutstanding bool
+		want             Decision
 	}{
-		{stamp.New(5, 1), false}, // local earlier: win either way
-		{stamp.New(0, 0), false}, // local later, single block: relaxation point
-		{stamp.New(0, 0), true},  // local later, other miss outstanding
-		{stamp.Stamp{}, false},   // untimestamped handled separately below
+		{"local earlier: win", stamp.New(5, 1), false, Defer},
+		{"local later, single block: the relaxation point", stamp.New(0, 0), false, Service},
+		{"local later, other miss outstanding", stamp.New(0, 0), true, Service},
+		{"untimestamped", stamp.Stamp{}, false, Defer},
 	}
 	for _, tc := range cases {
-		a := NewEngine(3, flag)
-		b := engineWithCM(3, CMStrictTS)
-		beginTx(a)
-		beginTx(b)
-		if !tc.in.Valid {
-			da := a.ResolveUntimestamped(0x40, true)
-			db := b.ResolveUntimestamped(0x40, true)
-			if da != db {
-				t.Fatalf("untimestamped: flag=%v policy=%v", da, db)
-			}
-			continue
+		e := engineWithCM(3, CMStrictTS)
+		beginTx(e)
+		var got Decision
+		if tc.in.Valid {
+			got = e.ResolveIncoming(tc.in, 0x40, true, tc.otherOutstanding)
+		} else {
+			got = e.ResolveUntimestamped(0x40, true)
 		}
-		da := a.ResolveIncoming(tc.in, 0x40, true, tc.otherOutstanding)
-		db := b.ResolveIncoming(tc.in, 0x40, true, tc.otherOutstanding)
-		if da != db {
-			t.Fatalf("in=%v other=%v: flag=%v policy=%v", tc.in, tc.otherOutstanding, da, db)
+		if got != tc.want {
+			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
+		}
+		if n := e.Stats().RelaxedWins; n != 0 {
+			t.Errorf("%s: strict-ts counted %d relaxed wins", tc.name, n)
 		}
 	}
 }
@@ -134,8 +129,7 @@ func TestTimestampPoliciesNeverFallbackOnConflict(t *testing.T) {
 }
 
 func TestBackoffRetryDelay(t *testing.T) {
-	p := DefaultPolicy()
-	p.CM = CMBackoff
+	p := Policy{EnableTLR: true, CM: CMBackoff}
 	p.Seed = 2002
 	e := NewEngine(1, p)
 	beginTx(e)
@@ -181,12 +175,10 @@ func TestBackoffRetryDelay(t *testing.T) {
 // see TestKarmaServiceNoLivelock in internal/workloads for the livelock it
 // prevents).
 func TestKarmaRetryDelay(t *testing.T) {
-	p := DefaultPolicy()
-	p.CM = CMKarma
+	p := Policy{EnableTLR: true, CM: CMKarma}
 	p.Seed = 2002
 	e := NewEngine(1, p)
-	b := DefaultPolicy()
-	b.CM = CMBackoff
+	b := Policy{EnableTLR: true, CM: CMBackoff}
 	b.Seed = 2002
 	eb := NewEngine(1, b)
 	beginTx(e)
@@ -213,8 +205,7 @@ func TestKarmaRetryDelay(t *testing.T) {
 	// Distinct CPUs stagger — the whole point: lockstep restarts must land
 	// at different cycles or the leapfrog never breaks.
 	delays := func(cpu int) [6]uint64 {
-		pc := DefaultPolicy()
-		pc.CM = CMKarma
+		pc := Policy{EnableTLR: true, CM: CMKarma}
 		pc.Seed = 2002
 		ec := NewEngine(cpu, pc)
 		beginTx(ec)
@@ -236,8 +227,7 @@ func TestKarmaRetryDelay(t *testing.T) {
 // few retries.
 func TestBackoffDesynchronisesCPUs(t *testing.T) {
 	delays := func(cpu int, seed int64) []uint64 {
-		p := DefaultPolicy()
-		p.CM = CMBackoff
+		p := Policy{EnableTLR: true, CM: CMBackoff}
 		p.Seed = seed
 		e := NewEngine(cpu, p)
 		beginTx(e)

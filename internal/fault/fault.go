@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"tlrsim/internal/core"
+	"tlrsim/internal/sim"
 )
 
 // Spec declares which faults to inject and how hard. The zero value injects
@@ -322,7 +323,7 @@ func (in *Injector) Reset() {
 		return
 	}
 	// splitmix64 of the seed decorrelates neighbouring seeds.
-	in.rng = mix(uint64(in.spec.Seed) ^ 0x9e3779b97f4a7c15)
+	in.rng = sim.Mix64(uint64(in.spec.Seed) ^ 0x9e3779b97f4a7c15)
 	in.stats = Stats{}
 }
 
@@ -345,13 +346,7 @@ func (in *Injector) Stats() Stats {
 // next advances the splitmix64 stream.
 func (in *Injector) next() uint64 {
 	in.rng += 0x9e3779b97f4a7c15
-	return mix(in.rng)
-}
-
-func mix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return sim.Mix64(in.rng)
 }
 
 // roll returns true with probability pct/100, consuming one draw (none for
@@ -439,7 +434,7 @@ func (in *Injector) StampSkew(cpu int) uint64 {
 	if in == nil || in.spec.SkewMax == 0 {
 		return 0
 	}
-	return mix(uint64(in.spec.Seed)*0x100000001b3+uint64(cpu)) % (in.spec.SkewMax + 1)
+	return sim.Mix64(uint64(in.spec.Seed)*0x100000001b3+uint64(cpu)) % (in.spec.SkewMax + 1)
 }
 
 // MsgDelay returns extra cycles to add to a marker or probe delivery.

@@ -37,10 +37,7 @@ func NackVsDeferral(o Options) (*Result, error) {
 		for _, p := range o.Procs {
 			points = append(points, point{
 				label: fmt.Sprintf("%s procs=%d", labels[li], p),
-				cfg: policyConfig(o, p, func(c *proc.Config) {
-					c.Policy = core.DefaultPolicy()
-					c.Policy.RetentionNACK = nack
-				}),
+				cfg:   policyConfig(o, p, func(c *proc.Config) { c.Policy.RetentionNACK = nack }),
 				build: build,
 			})
 		}
@@ -77,10 +74,7 @@ func DeferredQueueSweep(o Options) (*Result, error) {
 	for _, size := range sizes {
 		points = append(points, point{
 			label: fmt.Sprintf("size=%d", size),
-			cfg: policyConfig(o, procs, func(c *proc.Config) {
-				c.Policy = core.DefaultPolicy()
-				c.Policy.MaxDeferred = size
-			}),
+			cfg:   policyConfig(o, procs, func(c *proc.Config) { c.Policy.MaxDeferred = size }),
 			build: func() workloads.Workload { return &workloads.ReadHeavy{Rounds: rounds} },
 		})
 	}
@@ -149,8 +143,7 @@ func RestartPenaltySweep(o Options) (*Result, error) {
 			label: fmt.Sprintf("penalty=%d", pen),
 			cfg: policyConfig(o, procs, func(c *proc.Config) {
 				c.RestartPenalty = pen
-				c.Policy = core.DefaultPolicy()
-				c.Policy.StrictTimestamps = true // strict mode restarts more; the penalty matters
+				c.Policy.CM = core.CMStrictTS // strict mode restarts more; the penalty matters
 			}),
 			build: func() workloads.Workload { return &workloads.SingleCounter{TotalOps: total} },
 		})

@@ -3,8 +3,6 @@ package litmus
 import (
 	"fmt"
 	"strings"
-
-	"tlrsim/internal/proc"
 )
 
 // Reproducer printer: any divergence is emitted as a minimal, ready-to-paste
@@ -28,7 +26,7 @@ func (d Divergence) GoTest(name string) string {
 	fmt.Fprintf(&b, "\tp := %s\n", d.Prog.GoLiteral("\t"))
 	fmt.Fprintf(&b, "\tpt := Perturb{StartJitter: %d, ArbJitter: %d}\n",
 		DefaultPerturb.StartJitter, DefaultPerturb.ArbJitter)
-	fmt.Fprintf(&b, "\tout, err := Run(p, proc.%s, %d, pt)\n", schemeIdent(d.Scheme), d.Seed)
+	fmt.Fprintf(&b, "\tout, err := Run(p, proc.%s, %d, pt)\n", d.Scheme.Ident(), d.Seed)
 	b.WriteString("\tif err != nil {\n\t\tt.Fatalf(\"run failed: %v\", err)\n\t}\n")
 	b.WriteString("\tif escaped := CheckOutcomes(p, []string{out}); len(escaped) != 0 {\n")
 	b.WriteString("\t\tt.Fatalf(\"elided outcome %q not in locked set %v\", escaped[0], ReferenceOutcomes(p))\n")
@@ -62,22 +60,4 @@ func (p Program) GoLiteral(indent string) string {
 	}
 	b.WriteString(indent + "}}")
 	return b.String()
-}
-
-// schemeIdent returns the proc package identifier for a scheme.
-func schemeIdent(s proc.Scheme) string {
-	switch s {
-	case proc.Base:
-		return "Base"
-	case proc.SLE:
-		return "SLE"
-	case proc.TLR:
-		return "TLR"
-	case proc.TLRStrictTS:
-		return "TLRStrictTS"
-	case proc.MCS:
-		return "MCS"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
 }

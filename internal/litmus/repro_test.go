@@ -53,8 +53,8 @@ func TestSchemeIdent(t *testing.T) {
 		proc.TLRStrictTS: "TLRStrictTS", proc.MCS: "MCS",
 	}
 	for s, want := range cases {
-		if got := schemeIdent(s); got != want {
-			t.Errorf("schemeIdent(%v) = %q, want %q", s, got, want)
+		if got := s.Ident(); got != want {
+			t.Errorf("%v.Ident() = %q, want %q", s, got, want)
 		}
 	}
 }

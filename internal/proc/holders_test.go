@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"tlrsim/internal/core"
 	"tlrsim/internal/fault"
 )
 
@@ -24,7 +23,6 @@ func TestHolderSetCoversState(t *testing.T) {
 	variants := []variant{
 		{"default", func(*Config) {}},
 		{"nack", func(c *Config) {
-			c.Policy = core.DefaultPolicy()
 			c.Policy.RetentionNACK = true
 		}},
 		{"storebuf", func(c *Config) { c.Coherence.StoreBufferEntries = 4 }},

@@ -67,6 +67,24 @@ func (s Scheme) String() string {
 	}
 }
 
+// Ident returns the Go identifier of the scheme constant, so generated
+// reproducers compile when pasted.
+func (s Scheme) Ident() string {
+	switch s {
+	case Base:
+		return "Base"
+	case SLE:
+		return "SLE"
+	case TLR:
+		return "TLR"
+	case TLRStrictTS:
+		return "TLRStrictTS"
+	case MCS:
+		return "MCS"
+	}
+	return fmt.Sprintf("Scheme(%d)", int(s))
+}
+
 // Elides reports whether the scheme attempts lock elision.
 func (s Scheme) Elides() bool { return s == SLE || s == TLR || s == TLRStrictTS }
 
@@ -89,7 +107,10 @@ type Config struct {
 	RMWEntries      int
 	ElisionEntries  int
 
-	// Policy is the core engine policy; zero value means derive from Scheme.
+	// Policy is the core engine policy. A zero field means the paper's
+	// value; EnableTLR (Scheme != SLE) and Seed are derived from the
+	// machine, and TLRStrictTS selects core.CMStrictTS unless CM names
+	// another policy.
 	Policy core.Policy
 
 	// MaxEvents bounds a run (runaway/livelock guard).
@@ -144,26 +165,11 @@ type Config struct {
 
 func (c Config) policy() core.Policy {
 	p := c.Policy
-	if p.MaxDeferred == 0 {
-		p = core.DefaultPolicy()
-		p.StrictTimestamps = c.Policy.StrictTimestamps
-		p.AbortOnUntimestamped = c.Policy.AbortOnUntimestamped
-		p.CM = c.Policy.CM
-	}
-	switch c.Scheme {
-	case SLE:
-		p.EnableTLR = false
-	case TLR:
-		p.EnableTLR = true
-	case TLRStrictTS:
-		p.EnableTLR = true
-		p.StrictTimestamps = true
-	}
-	// The strict-ts policy is the StrictTimestamps ablation absorbed as a
-	// contention policy: keep the flag in sync so every reader of either
-	// knob (e.g. the §3.2 revocation check) sees a consistent view.
-	if p.CM == core.CMStrictTS {
-		p.StrictTimestamps = true
+	p.EnableTLR = c.Scheme != SLE
+	// TLR-strict-ts is TLR under the strict-ts contention policy; an
+	// explicitly chosen policy replaces it.
+	if c.Scheme == TLRStrictTS && p.CM == core.CMTimestamp {
+		p.CM = core.CMStrictTS
 	}
 	// Policies derive deterministic jitter from the machine seed (the
 	// StartJitter idiom); the seed is a run knob, not part of the policy a
@@ -372,13 +378,7 @@ func (m *Machine) runLoop(srcs []opSource) error {
 // startDelay mixes (seed, cpu) through splitmix64: cheap, well-distributed,
 // and deterministic for a given configuration.
 func startDelay(seed int64, cpu int) uint64 {
-	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(cpu+1)*0xbf58476d1ce4e5b9
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return sim.Mix64(uint64(seed)*0x9e3779b97f4a7c15 + uint64(cpu+1)*0xbf58476d1ce4e5b9)
 }
 
 // stopThreads unwinds every coroutine thread that did not finish, so a run

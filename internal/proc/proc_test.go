@@ -6,7 +6,6 @@ import (
 	"tlrsim/internal/bus"
 	"tlrsim/internal/cache"
 	"tlrsim/internal/coherence"
-	"tlrsim/internal/core"
 	"tlrsim/internal/sim"
 )
 
@@ -230,7 +229,7 @@ func TestNestedCriticalSections(t *testing.T) {
 // lock is acquired as speculative data (§4) and everything stays correct.
 func TestDeepNestingTreatsInnerLockAsData(t *testing.T) {
 	c := cfg(2, TLR)
-	c.Policy = corePolicyWithDepth(2)
+	c.Policy.MaxElisionDepth = 2
 	m := NewMachine(c)
 	l1, l2, l3 := m.NewLock(), m.NewLock(), m.NewLock()
 	x := m.Alloc.PaddedWord()
@@ -429,13 +428,6 @@ func TestBodyReexecutionIsTransparent(t *testing.T) {
 	if total < 100 {
 		t.Fatalf("bodies executed %d times < 100 commits?", total)
 	}
-}
-
-// corePolicyWithDepth builds a TLR policy with a reduced nesting budget.
-func corePolicyWithDepth(d int) core.Policy {
-	p := core.DefaultPolicy()
-	p.MaxElisionDepth = d
-	return p
 }
 
 // TestLockStatsWaitFreeDetector (§4): per-lock counters expose whether

@@ -243,7 +243,7 @@ func (e *StallError) Error() string {
 		b.WriteString(e.Flight)
 	}
 	b.WriteString("\n  reproduce:")
-	fmt.Fprintf(&b, "\n    cfg := proc.BaselineConfig(%d, proc.%s, %d)", e.Procs, schemeIdent(e.Scheme), e.Seed)
+	fmt.Fprintf(&b, "\n    cfg := proc.BaselineConfig(%d, proc.%s, %d)", e.Procs, e.Scheme.Ident(), e.Seed)
 	fmt.Fprintf(&b, "\n    cfg.MaxEvents = %d", e.Budget)
 	if e.Window > 0 {
 		fmt.Fprintf(&b, "\n    cfg.StallCycles = %d", e.Window)
@@ -253,24 +253,6 @@ func (e *StallError) Error() string {
 	}
 	b.WriteString("\n    // then re-run the same workload on proc.NewMachine(cfg)")
 	return b.String()
-}
-
-// schemeIdent returns the Go identifier of a scheme constant, so the
-// reproducer block compiles when pasted.
-func schemeIdent(s Scheme) string {
-	switch s {
-	case Base:
-		return "Base"
-	case SLE:
-		return "SLE"
-	case TLR:
-		return "TLR"
-	case TLRStrictTS:
-		return "TLRStrictTS"
-	case MCS:
-		return "MCS"
-	}
-	return fmt.Sprintf("Scheme(%d)", int(s))
 }
 
 // stallError assembles the structured report for a failed run.

@@ -162,7 +162,6 @@ func TestDeterministicWorkload(t *testing.T) {
 // the contended microbenchmarks correctly.
 func TestNACKRetentionWorkloads(t *testing.T) {
 	c := cfg(4, proc.TLR)
-	c.Policy = core.DefaultPolicy()
 	c.Policy.RetentionNACK = true
 	for _, w := range []Workload{
 		&SingleCounter{TotalOps: 120},
@@ -205,7 +204,6 @@ func TestGuaranteedFootprint(t *testing.T) {
 // conflict resolution fair and the result exact (§2.1.2).
 func TestTimestampRolloverPreservesCorrectness(t *testing.T) {
 	c := cfg(4, proc.TLR)
-	c.Policy = core.DefaultPolicy()
 	c.Policy.TimestampBits = 6 // wraps at 64; each CPU commits ~100 times
 	w := &SingleCounter{TotalOps: 400}
 	m, err := Run(c, w)
@@ -242,7 +240,6 @@ func TestRandomMixStress(t *testing.T) {
 // being deferred).
 func TestRandomMixAbortOnUntimestamped(t *testing.T) {
 	c := cfg(4, proc.TLR)
-	c.Policy = core.DefaultPolicy()
 	c.Policy.AbortOnUntimestamped = true
 	for seed := int64(1); seed <= 3; seed++ {
 		if _, err := Run(c, &RandomMix{Iters: 40, Seed: seed}); err != nil {
@@ -254,7 +251,6 @@ func TestRandomMixAbortOnUntimestamped(t *testing.T) {
 // TestRandomMixNACK: the stress under NACK retention.
 func TestRandomMixNACK(t *testing.T) {
 	c := cfg(4, proc.TLR)
-	c.Policy = core.DefaultPolicy()
 	c.Policy.RetentionNACK = true
 	for seed := int64(1); seed <= 3; seed++ {
 		if _, err := Run(c, &RandomMix{Iters: 40, Seed: seed}); err != nil {

@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	tlrlitmus [-cpus N] [-locs N] [-ops N] [-seeds N] [-jobs N] [-short] [-coldstart] [-faults SPEC] [-fault-seed N] [-v]
+//	tlrlitmus [-cpus N] [-locs N] [-ops N] [-seeds N] [-jobs N] [-short] [-faults SPEC] [-fault-seed N] [-v]
 package main
 
 import (
@@ -44,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seeds = fs.Int("seeds", 8, "seeds per (program, scheme)")
 		jobs  = fs.Int("jobs", 0, "parallel programs (0 = host cores)")
 		short = fs.Bool("short", false, "quick smoke shape: at most 2 ops per thread, 4 seeds")
-		cold  = fs.Bool("coldstart", false, "construct a fresh machine per run instead of reusing warm machines (cross-check; outcomes are identical either way)")
 		verb  = fs.Bool("v", false, "progress output")
 
 		faultSpec = fs.String("faults", "", "chaos mode: fault-injection spec applied to every machine run (e.g. \"nack=25,abort=10,cap=16\"; see internal/fault)")
@@ -78,11 +77,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seedList[i] = int64(i + 1)
 	}
 	opts := litmus.Options{
-		Shape:     litmus.Shape{CPUs: *cpus, Locs: *locs, MaxOps: *ops},
-		Seeds:     seedList,
-		Jobs:      *jobs,
-		ColdStart: *cold,
-		Perturb:   litmus.Perturb{Faults: faults},
+		Shape:   litmus.Shape{CPUs: *cpus, Locs: *locs, MaxOps: *ops},
+		Seeds:   seedList,
+		Jobs:    *jobs,
+		Perturb: litmus.Perturb{Faults: faults},
 	}
 	if *verb {
 		start := time.Now()

@@ -95,6 +95,13 @@ func exitStatus(err error, stderr io.Writer) int {
 	return 1
 }
 
+// experimentResult is what the experiments return: a rendered report (the
+// Report field of either result type), its CSV form and its metrics dumps.
+type experimentResult interface {
+	CSV() string
+	MetricsDumps() string
+}
+
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tlrsim", flag.ContinueOnError)
 	var (
@@ -107,7 +114,6 @@ func run(args []string, stdout io.Writer) error {
 		jobs       = fs.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = sequential; results are identical at any value)")
 		verbose    = fs.Bool("v", false, "print per-job completion lines on stderr")
 		metricsOut = fs.String("metrics", "", "attach observability instruments and write per-run dumps to this file")
-		coldstart  = fs.Bool("coldstart", false, "disable warm-machine reuse (cross-check; output is identical either way)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 		memprofile = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 		faultSpec  = fs.String("faults", "", "fault-injection spec applied to every simulated machine (e.g. \"nack=25,abort=10:conflict,cap=16\"; see internal/fault)")
@@ -134,6 +140,9 @@ func run(args []string, stdout io.Writer) error {
 	asCSV := *format == "csv"
 	if *jobs < 1 {
 		return fmt.Errorf("-jobs must be >= 1")
+	}
+	if *appProcs < 1 {
+		return fmt.Errorf("-app-procs must be >= 1")
 	}
 	if *telemetry != "" && *experiment != "service" {
 		return fmt.Errorf("-telemetry applies only to -experiment service (got %q)", *experiment)
@@ -191,7 +200,6 @@ func run(args []string, stdout io.Writer) error {
 	o.AppProcs = *appProcs
 	o.Jobs = *jobs
 	o.Metrics = metricsFile != nil
-	o.ColdStart = *coldstart
 	o.Faults = faults
 	o.Flight = *flight
 	o.CM = cm
@@ -209,75 +217,55 @@ func run(args []string, stdout io.Writer) error {
 		o.Procs = append(o.Procs, p)
 	}
 
-	dumpMetrics := func(name, dumps string) {
-		if metricsFile == nil || dumps == "" {
-			return
-		}
-		fmt.Fprintf(metricsFile, "# %s\n%s", name, dumps)
-	}
-	report := func(name string, r *tlrsim.ExperimentResult, err error) error {
-		if err != nil {
-			return err
-		}
-		if asCSV {
-			fmt.Fprint(stdout, r.CSV())
-		} else {
-			fmt.Fprintln(stdout, r.Report)
-		}
-		dumpMetrics(name, r.MetricsDumps())
-		return nil
-	}
-
 	runOne := func(name string) error {
+		// report prints an experiment's result, fig11's and every other
+		// experiment's alike, and passes err through unwrapped so that
+		// exitStatus and callers can still match its type.
+		report := func(r experimentResult, err error) error {
+			if err != nil {
+				return err
+			}
+			if asCSV {
+				fmt.Fprint(stdout, r.CSV())
+			} else if ar, ok := r.(*tlrsim.AppExperimentResult); ok {
+				fmt.Fprintln(stdout, ar.Report)
+			} else {
+				fmt.Fprintln(stdout, r.(*tlrsim.ExperimentResult).Report)
+			}
+			if dumps := r.MetricsDumps(); metricsFile != nil && dumps != "" {
+				fmt.Fprintf(metricsFile, "# %s\n%s", name, dumps)
+			}
+			return nil
+		}
 		switch name {
 		case "table1":
 			fmt.Fprintln(stdout, tlrsim.Table1())
 		case "table2":
 			fmt.Fprintln(stdout, tlrsim.Table2())
 		case "fig8":
-			r, err := tlrsim.Fig8(o)
-			return report(name, r, err)
+			return report(tlrsim.Fig8(o))
 		case "fig9":
-			r, err := tlrsim.Fig9(o)
-			return report(name, r, err)
+			return report(tlrsim.Fig9(o))
 		case "fig10":
-			r, err := tlrsim.Fig10(o)
-			return report(name, r, err)
+			return report(tlrsim.Fig10(o))
 		case "fig11":
-			r, err := tlrsim.Fig11(o)
-			if err != nil {
-				return fmt.Errorf("fig11: %v", err)
-			}
-			if asCSV {
-				fmt.Fprint(stdout, r.CSV())
-			} else {
-				fmt.Fprintln(stdout, r.Report)
-			}
-			dumpMetrics(name, r.MetricsDumps())
+			return report(tlrsim.Fig11(o))
 		case "coarse":
-			r, err := tlrsim.CoarseVsFine(o)
-			return report(name, r, err)
+			return report(tlrsim.CoarseVsFine(o))
 		case "rmw":
-			r, err := tlrsim.RMWEffect(o)
-			return report(name, r, err)
+			return report(tlrsim.RMWEffect(o))
 		case "nack":
-			r, err := tlrsim.NackVsDeferral(o)
-			return report(name, r, err)
+			return report(tlrsim.NackVsDeferral(o))
 		case "queue":
-			r, err := tlrsim.DeferredQueueSweep(o)
-			return report(name, r, err)
+			return report(tlrsim.DeferredQueueSweep(o))
 		case "victim":
-			r, err := tlrsim.VictimCacheSweep(o)
-			return report(name, r, err)
+			return report(tlrsim.VictimCacheSweep(o))
 		case "penalty":
-			r, err := tlrsim.RestartPenaltySweep(o)
-			return report(name, r, err)
+			return report(tlrsim.RestartPenaltySweep(o))
 		case "storebuf":
-			r, err := tlrsim.StoreBufferEffect(o)
-			return report(name, r, err)
+			return report(tlrsim.StoreBufferEffect(o))
 		case "robust":
-			r, err := tlrsim.RobustnessSweep(o)
-			return report(name, r, err)
+			return report(tlrsim.RobustnessSweep(o))
 		case "service":
 			so := tlrsim.DefaultServiceExperimentOptions()
 			so.WindowCycles = *windows
@@ -290,11 +278,9 @@ func run(args []string, stdout io.Writer) error {
 				so.Telemetry = f
 				so.CSV = strings.HasSuffix(*telemetry, ".csv")
 			}
-			r, err := tlrsim.ServiceSweep(o, so)
-			return report(name, r, err)
+			return report(tlrsim.ServiceSweep(o, so))
 		case "cm":
-			r, err := tlrsim.ContentionMatrix(o)
-			return report(name, r, err)
+			return report(tlrsim.ContentionMatrix(o))
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,6 +24,8 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{"experiment", []string{"-experiment", "nope"}, `unknown experiment "nope"`},
 		{"procs", []string{"-experiment", "fig8", "-procs", "2,x"}, `bad -procs entry "x"`},
 		{"jobs", []string{"-jobs", "0"}, "-jobs must be >= 1"},
+		{"app-procs", []string{"-experiment", "fig11", "-app-procs", "0"}, "-app-procs must be >= 1"},
+		{"coldstart-removed", []string{"-coldstart"}, "flag provided but not defined: -coldstart"},
 		{"faults-key", []string{"-faults", "bogus=5"}, "-faults:"},
 		{"faults-value", []string{"-faults", "nack=notanumber"}, "-faults:"},
 		{"faults-range", []string{"-faults", "nack=150"}, "-faults:"},
@@ -221,5 +224,21 @@ func TestRunFaultedExperiment(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "Figure 8") {
 		t.Fatalf("missing report title:\n%s", out.String())
+	}
+}
+
+// TestRunFig11KeepsTypedError pins that a fig11 failure reaches the caller
+// with its type intact, like every other experiment's: this faulted run
+// stalls, and the watchdog's StallError must still match errors.As (so a
+// checker violation in fig11 would also exit 2, not 1).
+func TestRunFig11KeepsTypedError(t *testing.T) {
+	err := run([]string{"-experiment", "fig11", "-ops", "0.05", "-app-procs", "4",
+		"-faults", "abort=90:conflict,nack=90"}, io.Discard)
+	if err == nil {
+		t.Fatal("expected the faulted fig11 run to stall")
+	}
+	var stall *tlrsim.StallError
+	if !errors.As(err, &stall) {
+		t.Fatalf("errors.As found no *StallError in %T: %v", err, err)
 	}
 }

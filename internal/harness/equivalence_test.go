@@ -29,12 +29,12 @@ func TestExperimentReportEquivalence(t *testing.T) {
 				o.Procs = []int{2, 4}
 				o.AppProcs = 4
 
-				o.ColdStart = true
+				o.cold = true
 				cold, err := ex.run(o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				o.ColdStart = false
+				o.cold = false
 				warm, err := ex.run(o)
 				if err != nil {
 					t.Fatal(err)

@@ -51,11 +51,6 @@ type Options struct {
 	// (Result.MetricsDumps renders them per experiment). The instruments
 	// never alter simulation results.
 	Metrics bool
-	// ColdStart disables warm-machine reuse: every point constructs a fresh
-	// machine instead of rewinding a pooled one. Reports are identical
-	// either way — machine reset is exact — so this exists for
-	// cross-checking and benchmarking.
-	ColdStart bool
 	// Flight arms the post-mortem flight recorder on every simulated machine:
 	// a bounded ring of the most recent protocol events (cfg.TraceCapacity)
 	// that StallError and checker-violation reports dump alongside the
@@ -76,6 +71,12 @@ type Options struct {
 	// Policy.CM of their own keep it; ContentionMatrix enumerates all policies
 	// itself and ignores this field.
 	CM core.CM
+
+	// cold constructs a fresh machine for every point instead of rewinding
+	// a cached one (runner.NewMachines). Reports are identical either way —
+	// machine reset is exact — so only tests set it, as the reference warm
+	// reuse is checked against.
+	cold bool
 }
 
 // faultStallCycles is the watchdog window armed on faulted experiment
@@ -164,7 +165,7 @@ func (o Options) apply(cfg proc.Config) proc.Config {
 
 // pool returns the worker pool configured by o.
 func (o Options) pool() *runner.Pool {
-	return &runner.Pool{Workers: o.Jobs, Progress: o.Progress, Cold: o.ColdStart}
+	return &runner.Pool{Workers: o.Jobs, Progress: o.Progress, Cold: o.cold}
 }
 
 // runPoints executes the experiment's points on the worker pool configured

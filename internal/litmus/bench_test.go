@@ -20,10 +20,10 @@ func BenchmarkLitmusSweepShortCold(b *testing.B) {
 
 func benchSweep(b *testing.B, cold bool) {
 	opts := Options{
-		Shape:     Shape{CPUs: 2, Locs: 2, MaxOps: 2},
-		Seeds:     []int64{1, 2, 3, 4},
-		Jobs:      1,
-		ColdStart: cold,
+		Shape: Shape{CPUs: 2, Locs: 2, MaxOps: 2},
+		Seeds: []int64{1, 2, 3, 4},
+		Jobs:  1,
+		cold:  cold,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

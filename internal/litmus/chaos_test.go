@@ -49,27 +49,36 @@ func TestChaosContainmentSweep(t *testing.T) {
 	}
 }
 
-// TestChaosRunDeterminism pins the replay property the chaos sweep's pooled
-// runners rely on: the same (program, scheme, seed, faults) run, warm or
-// cold, produces the identical outcome.
+// TestChaosRunDeterminism pins the replay property the sweeps' warm
+// runners rely on: the same (program, scheme, seed, perturbation) run,
+// reused through the shared machine cache or on a fresh machine (Run),
+// produces the identical outcome. It covers every default scheme, under the
+// clean perturbation the containment gate runs and under a chaos fault
+// spec, with one warm runner carried across all of them.
 func TestChaosRunDeterminism(t *testing.T) {
 	fs, err := fault.ParseSpec("nack=25,abort=10,cap=16,seed=103")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := DefaultPerturb
-	pt.Faults = fs
+	chaos := DefaultPerturb
+	chaos.Faults = fs
 	progs, _ := Enumerate(Shape{CPUs: 2, Locs: 2, MaxOps: 2})
 	warm := NewRunner()
-	for _, p := range progs[:40] {
-		for _, seed := range []int64{1, 2} {
-			a, errA := warm.Run(p, 2, seed, pt) // proc.TLR
-			b, errB := Run(p, 2, seed, pt)      // cold
-			if errA != nil || errB != nil {
-				t.Fatalf("%s seed %d: warm err %v, cold err %v", p, seed, errA, errB)
-			}
-			if a != b {
-				t.Fatalf("%s seed %d: warm outcome %q != cold %q", p, seed, a, b)
+	for _, pt := range []Perturb{DefaultPerturb, chaos} {
+		for _, scheme := range DefaultSchemes {
+			for _, p := range progs[:40] {
+				for _, seed := range []int64{1, 2} {
+					a, errA := warm.Run(p, scheme, seed, pt)
+					b, errB := Run(p, scheme, seed, pt)
+					if errA != nil || errB != nil {
+						t.Fatalf("%s %v seed %d faults %q: warm err %v, fresh err %v",
+							p, scheme, seed, pt.Faults, errA, errB)
+					}
+					if a != b {
+						t.Fatalf("%s %v seed %d faults %q: warm outcome %q != fresh %q",
+							p, scheme, seed, pt.Faults, a, b)
+					}
+				}
 			}
 		}
 	}

@@ -2,12 +2,11 @@ package litmus
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
 
 	"tlrsim/internal/proc"
+	"tlrsim/internal/runner"
 )
 
 // Options configures a containment-checking sweep.
@@ -30,13 +29,13 @@ type Options struct {
 	// MaxDivergences bounds how many divergences are retained with full
 	// detail (the total is always counted). 0 means DefaultMaxDivergences.
 	MaxDivergences int
-	// ColdStart disables warm-machine reuse: every run constructs a fresh
-	// machine (the pre-pool behaviour). Outcomes are identical either way —
-	// Reset is exact — so this exists for cross-checking and benchmarking.
-	ColdStart bool
 	// Progress, when non-nil, is called after each program completes with
 	// (done, total). Calls arrive in completion order.
 	Progress func(done, total int)
+
+	// cold runs every machine cold (runner.NewMachines): the reference
+	// warm reuse is benchmarked against. Only tests set it.
+	cold bool
 }
 
 // DefaultSeeds is the standard sweep: eight seeds, as the correctness gate
@@ -140,63 +139,27 @@ func checkPrograms(progs []Program, st EnumStats, opts Options) *Report {
 	if opts.MaxDivergences == 0 {
 		opts.MaxDivergences = DefaultMaxDivergences
 	}
-	workers := opts.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(progs) {
-		workers = len(progs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	results := make([]progResult, len(progs))
-	var (
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-		next int
-		done int
-	)
-	claim := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= len(progs) {
-			return 0, false
-		}
-		i := next
-		next++
-		return i, true
+	// One runner (machine cache and scratch arenas) and one reference-model
+	// explorer per worker: both are single-goroutine state. checkOne never
+	// fails (a failed run is a divergence), so Each returns nil.
+	type worker struct {
+		r *Runner
+		e *explorer
 	}
-	work := func() {
-		defer wg.Done()
-		// One pooled runner and one reference-model explorer per worker:
-		// both are single-goroutine state, and per-worker reuse needs no
-		// locking.
-		r := NewRunner()
-		if opts.ColdStart {
-			r = NewColdRunner()
-		}
-		e := newExplorer()
-		for {
-			i, ok := claim()
-			if !ok {
-				return
-			}
-			results[i] = checkOne(r, e, progs[i], opts)
+	completed := 0
+	runner.Each(opts.Jobs, len(progs),
+		func() worker { return worker{newRunner(opts.cold), newExplorer()} },
+		func(w worker, i int) error {
+			results[i] = checkOne(w.r, w.e, progs[i], opts)
+			return nil
+		},
+		func(int) {
+			completed++
 			if opts.Progress != nil {
-				mu.Lock()
-				done++
-				opts.Progress(done, len(progs))
-				mu.Unlock()
+				opts.Progress(completed, len(progs))
 			}
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go work()
-	}
-	wg.Wait()
+		})
 
 	rep := &Report{Shape: opts.Shape, EnumStats: st, Programs: len(progs)}
 	for _, r := range results {

@@ -9,6 +9,7 @@ import (
 	"tlrsim/internal/fault"
 	"tlrsim/internal/memsys"
 	"tlrsim/internal/proc"
+	"tlrsim/internal/runner"
 )
 
 // Perturb is the scheduling perturbation applied to a machine run. Litmus
@@ -96,10 +97,10 @@ func machineConfig(cpus int, scheme proc.Scheme, seed int64, pt Perturb) proc.Co
 // better than pooling per (threads, scheme, perturbation), since the
 // perturbation's only shape-relevant field (ArbJitter) lands in the bus
 // config and keys the pool automatically. A Runner is single-goroutine
-// state; sweeps create one per worker.
+// state; sweeps create one per worker. Its machines live in a
+// runner.Machines cache.
 type Runner struct {
-	cold     bool
-	machines map[proc.ResetShape]*proc.Machine
+	machines *runner.Machines
 
 	// Scratch arenas reused across runs (threads/ops/locs slices).
 	threads []proc.LitmusThread
@@ -107,44 +108,23 @@ type Runner struct {
 	locs    []memsys.Addr
 }
 
-// NewRunner returns a pooling runner.
-func NewRunner() *Runner {
-	return &Runner{machines: make(map[proc.ResetShape]*proc.Machine)}
-}
+// NewRunner returns a runner that reuses warm machines.
+func NewRunner() *Runner { return newRunner(false) }
 
-// NewColdRunner returns a runner that constructs a fresh machine per run
-// (the pre-reuse behaviour; the containment gate can be run this way to
-// cross-check the pool).
-func NewColdRunner() *Runner { return &Runner{cold: true} }
+func newRunner(cold bool) *Runner { return &Runner{machines: runner.NewMachines(cold)} }
 
 // Run executes the program on the simulated machine under one
 // (scheme, seed, perturbation) and returns its outcome string.
 func (r *Runner) Run(p Program, scheme proc.Scheme, seed int64, pt Perturb) (string, error) {
-	cfg := machineConfig(len(p.Threads), scheme, seed, pt)
-	var m *proc.Machine
-	var key proc.ResetShape
-	if !r.cold {
-		key = cfg.ResetShape()
-		if pooled := r.machines[key]; pooled != nil && pooled.Reset(cfg) == nil {
-			m = pooled
-		}
-	}
-	if m == nil {
-		m = proc.NewMachine(cfg)
-	}
+	m := r.machines.Acquire(machineConfig(len(p.Threads), scheme, seed, pt))
 	out, err := r.runOn(m, p)
 	if err != nil {
 		// An errored run (deadlock, livelock, checker violation) leaves
 		// unfinished threads and pending events behind: the machine is not
-		// quiescent and must never be reused.
-		if !r.cold {
-			delete(r.machines, key)
-		}
+		// quiescent and is never released for reuse.
 		return "", err
 	}
-	if !r.cold {
-		r.machines[key] = m
-	}
+	r.machines.Release(m)
 	return out, nil
 }
 
@@ -194,8 +174,8 @@ func (r *Runner) runOn(m *proc.Machine, p Program) (string, error) {
 
 // Run executes the program on a freshly built machine under one
 // (scheme, seed, perturbation) and returns its outcome string. Sweeps use a
-// pooled Runner instead; this remains the one-shot entry point (reproducer
-// tests, external callers).
+// Runner instead; this one-shot run is the entry point for reproducer tests
+// and the fresh-machine reference that warm reuse is tested against.
 func Run(p Program, scheme proc.Scheme, seed int64, pt Perturb) (string, error) {
-	return NewColdRunner().Run(p, scheme, seed, pt)
+	return newRunner(true).Run(p, scheme, seed, pt)
 }

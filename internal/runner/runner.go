@@ -1,5 +1,6 @@
-// Package runner executes independent simulation jobs across a bounded
-// worker pool.
+// Package runner executes batches of independent simulated machines: the
+// one worker pool (Each) and the one warm-machine cache (Machines) that
+// both the experiment harness (Pool) and the litmus sweep run on.
 //
 // Each simulated machine is an isolated, deterministic discrete-event run
 // (internal/sim): it shares no mutable state with any other machine, so
@@ -54,36 +55,39 @@ type Pool struct {
 	Workers int
 	// Progress, when non-nil, receives one callback per completed job.
 	Progress Progress
-	// Cold disables warm-machine reuse: every job constructs a fresh
-	// machine. Results are identical either way — Reset is exact — so cold
-	// runs are the reference reuse is checked against, and a benchmarking
-	// baseline.
+	// Cold gives every worker a cold machine cache (see NewMachines).
 	Cold bool
 }
 
-// machineCache is one worker's pool of warm machines, keyed by construction
-// shape. It is single-goroutine state: each worker owns one.
-type machineCache struct {
+// Machines is a cache of warm machines keyed by construction shape
+// (proc.ResetShape). It is single-goroutine state: each worker owns one.
+type Machines struct {
 	cold     bool
 	machines map[proc.ResetShape]*proc.Machine
 }
 
-// newMachineCache returns an empty cache; cold caches never reuse.
-func newMachineCache(cold bool) *machineCache {
-	return &machineCache{cold: cold, machines: make(map[proc.ResetShape]*proc.Machine)}
+// NewMachines returns an empty cache. A cold cache never reuses: every
+// Acquire constructs a fresh machine. Reset is exact, so results are
+// identical either way; cold caches are the reference tests check reuse
+// against.
+func NewMachines(cold bool) *Machines {
+	return &Machines{cold: cold, machines: make(map[proc.ResetShape]*proc.Machine)}
 }
 
-// acquire returns a machine constructed (or exactly rewound) for cfg. The
-// caller owns it until release; a machine that errors out mid-run must NOT
-// be released — dropping it is how poisoned (non-quiescent) machines leave
-// the pool.
-func (c *machineCache) acquire(cfg proc.Config) *proc.Machine {
+// Acquire returns a machine constructed (or exactly rewound) for cfg. The
+// caller owns it until Release; a machine whose run errored must NOT be
+// released — dropping it is how poisoned (non-quiescent) machines leave the
+// cache.
+func (c *Machines) Acquire(cfg proc.Config) *proc.Machine {
 	if c.cold {
 		return proc.NewMachine(cfg)
 	}
 	key := cfg.ResetShape()
 	if m := c.machines[key]; m != nil {
-		delete(c.machines, key)
+		// Clear the entry in place rather than deleting it: ResetShape is
+		// too large for a map to store inline, so re-inserting a deleted
+		// key on Release would allocate on every run.
+		c.machines[key] = nil
 		if m.Reset(cfg) == nil {
 			return m
 		}
@@ -91,8 +95,8 @@ func (c *machineCache) acquire(cfg proc.Config) *proc.Machine {
 	return proc.NewMachine(cfg)
 }
 
-// release returns a successfully finished machine to the cache for reuse.
-func (c *machineCache) release(m *proc.Machine) {
+// Release returns a successfully finished machine to the cache for reuse.
+func (c *Machines) Release(m *proc.Machine) {
 	if c.cold {
 		return
 	}
@@ -104,94 +108,115 @@ func (c *machineCache) release(m *proc.Machine) {
 // error does not depend on host scheduling), and jobs not yet started are
 // cancelled.
 func (p *Pool) Run(jobs []Job) ([]*stats.Run, error) {
-	workers := p.Workers
+	results := make([]*stats.Run, len(jobs))
+	completed := 0
+	err := Each(p.Workers, len(jobs),
+		func() *Machines { return NewMachines(p.Cold) },
+		func(mc *Machines, i int) (err error) {
+			results[i], err = execute(mc, jobs[i])
+			return err
+		},
+		func(i int) {
+			completed++
+			if p.Progress != nil {
+				p.Progress(completed, len(jobs), jobs[i].Label, results[i])
+			}
+		})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// Each runs work(state, i) for every i in [0, n) on up to workers
+// goroutines and returns the error of the earliest-indexed failed item, so
+// the reported error does not depend on host scheduling.
+//   - workers <= 0 means runtime.GOMAXPROCS(0); 1 runs the items in order
+//     on the caller's goroutine and stops at the first error.
+//   - Every worker calls newState once and passes its state to every item it
+//     runs, so single-goroutine state (a machine cache, scratch arenas)
+//     needs no locking.
+//   - done, when non-nil, is called after each successful item. Calls are
+//     serialised and arrive in completion order, which under parallel
+//     execution is not index order.
+//   - The first error stops new items from being claimed; items already
+//     running finish.
+func Each[S any](workers, n int, newState func() S, work func(S, int) error, done func(int)) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > n {
+		workers = n
 	}
-	results := make([]*stats.Run, len(jobs))
 	if workers <= 1 {
-		// Sequential path: identical to the pre-runner harness loops,
-		// including stopping at the first error in order.
-		mc := newMachineCache(p.Cold)
-		for i, j := range jobs {
-			run, err := execute(mc, j)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = run
-			p.report(i+1, len(jobs), j.Label, run)
+		if n == 0 {
+			return nil
 		}
-		return results, nil
+		s := newState()
+		for i := 0; i < n; i++ {
+			if err := work(s, i); err != nil {
+				return err
+			}
+			if done != nil {
+				done(i)
+			}
+		}
+		return nil
 	}
 
 	var (
-		mu        sync.Mutex
-		wg        sync.WaitGroup
-		next      int
-		done      int
-		errs      = make([]error, len(jobs))
-		cancelled bool
+		mu       sync.Mutex
+		wg       sync.WaitGroup
+		next     int
+		firstErr error
+		firstIdx int
 	)
-	// claim hands out the next job index, or false once the list is
-	// exhausted or a failure has cancelled the remaining jobs.
+	// claim hands out the next index, or false once the items are
+	// exhausted or a failure has cancelled the rest.
 	claim := func() (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if cancelled || next >= len(jobs) {
+		if firstErr != nil || next >= n {
 			return 0, false
 		}
 		i := next
 		next++
 		return i, true
 	}
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mc := newMachineCache(p.Cold)
+			s := newState()
 			for {
 				i, ok := claim()
 				if !ok {
 					return
 				}
-				run, err := execute(mc, jobs[i])
+				err := work(s, i)
 				mu.Lock()
 				if err != nil {
-					errs[i] = err
-					cancelled = true // first error wins: stop handing out jobs
-				} else {
-					results[i] = run
-					done++
-					p.report(done, len(jobs), jobs[i].Label, run)
+					// Several in-flight items may fail; keep the
+					// earliest-indexed error so the outcome is
+					// deterministic.
+					if firstErr == nil || i < firstIdx {
+						firstErr, firstIdx = err, i
+					}
+				} else if done != nil {
+					done(i)
 				}
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	// Several in-flight jobs may have failed; report the earliest-indexed
-	// error so the outcome is deterministic.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-func (p *Pool) report(done, total int, label string, run *stats.Run) {
-	if p.Progress != nil {
-		p.Progress(done, total, label, run)
-	}
+	return firstErr
 }
 
 // execute runs one job to completion on a cached machine and aggregates its
 // counters.
-func execute(mc *machineCache, j Job) (*stats.Run, error) {
-	m := mc.acquire(j.Config)
+func execute(mc *Machines, j Job) (*stats.Run, error) {
+	m := mc.Acquire(j.Config)
 	var err error
 	if j.Run != nil {
 		err = j.Run(m)
@@ -207,6 +232,6 @@ func execute(mc *machineCache, j Job) (*stats.Run, error) {
 		return nil, err
 	}
 	run := stats.Collect(m)
-	mc.release(m)
+	mc.Release(m)
 	return run, nil
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tlrsim/internal/bus"
@@ -161,5 +162,80 @@ func TestEdgeCases(t *testing.T) {
 	res, err = (&Pool{Workers: 16}).Run([]Job{counterJob("solo", 2, 32)})
 	if err != nil || len(res) != 1 || res[0] == nil {
 		t.Fatalf("more workers than jobs: res=%v err=%v", res, err)
+	}
+}
+
+// TestMachinesReuseAllocFree pins the cache's own cost: once a shape is
+// warm, an Acquire (an exact Reset) plus a Release allocates nothing. In
+// particular the cache must not delete and re-insert its ResetShape key,
+// which is too large to store inline and would allocate once per run.
+func TestMachinesReuseAllocFree(t *testing.T) {
+	cfg := testConfig(2, 7)
+	c := NewMachines(false)
+	first := c.Acquire(cfg)
+	c.Release(first)
+	allocs := testing.AllocsPerRun(100, func() {
+		m := c.Acquire(cfg)
+		if m != first {
+			t.Fatal("warm Acquire constructed a new machine instead of reusing the cached one")
+		}
+		c.Release(m)
+	})
+	if allocs != 0 {
+		t.Errorf("warm Acquire+Release allocates %.1f objects per cycle, want 0", allocs)
+	}
+}
+
+// An acquired machine that is never released (its run errored) leaves the
+// cache, and a cold cache never reuses.
+func TestMachinesDropAndCold(t *testing.T) {
+	cfg := testConfig(2, 7)
+	c := NewMachines(false)
+	dropped := c.Acquire(cfg)
+	if m := c.Acquire(cfg); m == dropped {
+		t.Error("an unreleased machine was handed out again")
+	}
+	cold := NewMachines(true)
+	m := cold.Acquire(cfg)
+	cold.Release(m)
+	if cold.Acquire(cfg) == m {
+		t.Error("a cold cache reused a machine")
+	}
+}
+
+// Each hands every worker its own state, runs every item exactly once, and
+// with one worker runs (and reports) in index order on the caller's
+// goroutine.
+func TestEachStateAndOrder(t *testing.T) {
+	const n = 50
+	for _, workers := range []int{1, 3} {
+		var states atomic.Int32
+		ran := make([]int, n)
+		var order []int
+		err := Each(workers, n,
+			func() *int { states.Add(1); return new(int) },
+			func(s *int, i int) error { *s++; ran[i]++; return nil },
+			func(i int) { order = append(order, i) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(states.Load()) != workers {
+			t.Errorf("workers=%d: %d states made", workers, states.Load())
+		}
+		for i, k := range ran {
+			if k != 1 {
+				t.Errorf("workers=%d: item %d ran %d times", workers, i, k)
+			}
+		}
+		if len(order) != n {
+			t.Errorf("workers=%d: %d done calls, want %d", workers, len(order), n)
+		}
+		if workers == 1 {
+			for i, k := range order {
+				if k != i {
+					t.Fatalf("sequential done order %v", order)
+				}
+			}
+		}
 	}
 }

@@ -68,3 +68,18 @@ func TestSteadyStateRunMachineAllocFree(t *testing.T) {
 			p, warm, warmRunAllocCeiling)
 	}
 }
+
+// BenchmarkReferenceModel times the reference model alone: one iteration
+// computes the outcome set of every program of the 2x2x<=3 shape on one
+// reused explorer, as a sweep worker does.
+func BenchmarkReferenceModel(b *testing.B) {
+	progs, _ := Enumerate(Shape{CPUs: 2, Locs: 2, MaxOps: 3})
+	e := newExplorer()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			e.outcomesOf(p)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package litmus
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sort"
 
 	"tlrsim/internal/proc"
@@ -61,6 +60,9 @@ type Divergence struct {
 	Err error
 	// Locked is the reference outcome set the outcome escaped from.
 	Locked []string
+	// Perturb is the perturbation the run used, jitter defaulted as Check
+	// defaults it: with Prog, Scheme and Seed it replays the run exactly.
+	Perturb Perturb
 }
 
 func (d Divergence) String() string {
@@ -99,18 +101,6 @@ func (r *Report) Ok() bool { return r.TotalDivergences == 0 }
 // in enumeration order and divergences reported in that order regardless of
 // host scheduling.
 func Check(opts Options) *Report {
-	// A sweep's live heap is tiny (pooled machines, one explorer, the
-	// program list) while its garbage is not: outcome strings, one per
-	// machine run and per reference outcome, about 58 MB per sweep of the
-	// 2x2x<=3 shape with one seed. GOGC=600 for the duration of the sweep
-	// (restored on return) lets the collector run a few times instead of
-	// dozens. Measured on that shape (175,449 runs; 2-vCPU x86-64 host,
-	// GOMAXPROCS=1, 11 alternating pairs in fresh processes) when each run
-	// also left about 30 closures behind: with the override 4 GC cycles,
-	// 2.74 s median and about 70 MB peak RSS; without it 28-29 cycles,
-	// 3.29 s (+20%; the override won 10 of 11 pairs) and about 24 MB. The
-	// time is worth more than the memory here.
-	defer debug.SetGCPercent(debug.SetGCPercent(600))
 	progs, st := Enumerate(opts.Shape)
 	return checkPrograms(progs, st, opts)
 }
@@ -130,12 +120,7 @@ func checkPrograms(progs []Program, st EnumStats, opts Options) *Report {
 	if len(opts.Schemes) == 0 {
 		opts.Schemes = DefaultSchemes
 	}
-	if opts.Perturb.StartJitter == 0 && opts.Perturb.ArbJitter == 0 {
-		// Default the scheduling jitter while keeping any fault spec: chaos
-		// sweeps compose injected adversity with the standard perturbation.
-		opts.Perturb.StartJitter = DefaultPerturb.StartJitter
-		opts.Perturb.ArbJitter = DefaultPerturb.ArbJitter
-	}
+	opts.Perturb = opts.Perturb.withDefaultJitter()
 	if opts.MaxDivergences == 0 {
 		opts.MaxDivergences = DefaultMaxDivergences
 	}
@@ -197,6 +182,7 @@ func checkOne(r *Runner, e *explorer, p Program, opts Options) progResult {
 			if err != nil {
 				res.divergences = append(res.divergences, Divergence{
 					Prog: p, Scheme: scheme, Seed: seed, Err: err, Locked: keepLocked(),
+					Perturb: opts.Perturb,
 				})
 				continue
 			}
@@ -204,6 +190,7 @@ func checkOne(r *Runner, e *explorer, p Program, opts Options) progResult {
 			if _, ok := lockedSet[out]; !ok {
 				res.divergences = append(res.divergences, Divergence{
 					Prog: p, Scheme: scheme, Seed: seed, Outcome: out, Locked: keepLocked(),
+					Perturb: opts.Perturb,
 				})
 			}
 		}

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestFaultInjectionEndToEnd(t *testing.T) {
 			if escaped := CheckOutcomes(locked, []string{out}); len(escaped) != 0 {
 				divs = append(divs, Divergence{
 					Prog: locked, Scheme: proc.Base, Seed: seed,
-					Outcome: out, Locked: ReferenceOutcomes(locked),
+					Outcome: out, Locked: ReferenceOutcomes(locked), Perturb: pt,
 				})
 			}
 		}
@@ -66,6 +67,7 @@ func TestFaultInjectionEndToEnd(t *testing.T) {
 		"Program{NumLocs: 2,",
 		"CritLo: 0, CritHi: 2",
 		"proc.Base",
+		fmt.Sprintf("Perturb{StartJitter: %d,", divs[0].Perturb.StartJitter),
 		"CheckOutcomes",
 		divs[0].Outcome,
 	} {

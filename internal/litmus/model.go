@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"tlrsim/internal/proc"
@@ -12,22 +13,49 @@ import (
 // release is a plain buffered store — exactly the semantics of
 // internal/coherence's store buffer and internal/locks' TTS lock).
 //
-// The set is computed by exhaustive interleaving search, so it is the full
-// architectural envelope, not a sample: every schedule, every store-buffer
-// drain point. Containment against this set is therefore sound in the
-// direction that matters — an elided outcome outside it is a genuine new
-// behaviour — and free of the false positives a dynamically-explored
+// The set is computed by exhaustive search, so it is the full architectural
+// envelope, not a sample: every outcome of every schedule and every
+// store-buffer drain point. Containment against this set is therefore sound
+// in the direction that matters — an elided outcome outside it is a genuine
+// new behaviour — and free of the false positives a dynamically-explored
 // lock-based baseline would produce when a seed sweep under-explores.
 //
 // The model over-approximates only where over-approximation is safe: it
 // allows any drain schedule the FIFO discipline admits, including ones the
 // timing simulator's concrete latencies would never produce.
 //
-// The search walks the state graph depth-first with in-place mutation and
-// undo — a step is applied, explored, and reverted. The mutable state is
-// itself the visited-set key: a fixed-size comparable stateKey, so neither a
-// state's size nor its membership test costs an allocation. Only outcome
-// strings allocate.
+// The search walks the state graph depth-first, mutating one fixed-size
+// comparable stateKey in place; since the thread programs are static, the
+// key is the whole mutable state, so a step is undone by restoring a copy.
+// The visited set is an open-addressed table of stateKeys (stateTable)
+// reused across programs, so neither a state's size nor its membership test
+// costs an allocation. Only outcome strings allocate.
+//
+// Not every interleaving is walked. A step that commutes with every step
+// the threads can still take is taken alone, without branching: a
+// persistent set of size one. Three kinds of step qualify:
+//
+//	(a) a store or release micro-op: it only appends to its own buffer,
+//	    which no other thread reads and whose own drains consume the other
+//	    end;
+//	(b) a load of a slot no other thread can still write (a location
+//	    nobody stores to included): it reads the same value from memory or
+//	    its own buffer whenever it runs, into a load slot of its own;
+//	(c) a drain of a buffer's head entry to a slot no other thread can
+//	    still read or write — for the lock word, no other thread can still
+//	    acquire or release: nobody else observes when the word changes, and
+//	    the thread's own later loads see the value forwarded or in memory.
+//
+// Each commutes with every step that can still run before it, and neither
+// enables nor disables it, so a schedule that takes other steps first
+// reaches, with the forced step swapped forward, a state the reduced search
+// also reaches. Every step advances a pc or a head, so the state graph is
+// acyclic, and a persistent-set search of an acyclic graph reaches every
+// terminal state even with state caching: the terminal states, and with
+// them the outcome set, are exactly those of the full search. Forcing is
+// deterministic, so only the states where the search branches are recorded
+// as visited. The string-keyed oracle in the tests still walks every
+// interleaving unreduced.
 
 // micro-op kinds of the expanded thread program.
 type mopKind uint8
@@ -76,10 +104,13 @@ const (
 // if it overflows a uint8.
 const _ uint8 = (maxThreads-1)*8 + maxThreadOps
 
-// tbufCap bounds one thread's store buffer: at most maxThreadOps data stores
-// plus the lock release can be buffered at once (an acquire requires the
-// buffer empty first).
+// tbufCap bounds one thread's store-buffer entries: its data stores, at
+// most maxThreadOps, plus one release.
 const tbufCap = maxThreadOps + 1
+
+// maxThreadMops bounds one thread's micro-ops: its data ops plus one
+// acquire and one release.
+const maxThreadMops = maxThreadOps + 2
 
 // stateKey is the complete search state, and the visited-set key. Per
 // thread: the next micro-op (pc) and how many of its store-buffer entries
@@ -98,22 +129,146 @@ type stateKey struct {
 	lock     uint8
 }
 
-// threadBuf is one thread's FIFO store buffer: ents[head:tail], with head
-// kept in stateKey. Draining advances head; undo rewinds it — entries are
-// never overwritten until the enclosing push is itself undone.
-type threadBuf struct {
-	ents [tbufCap]sbEntry
-	tail uint8
+// hash mixes the key's words (multiply, then fold the high half down); the
+// table indexes by the top bits of the result. Only the first valWords
+// words of vals are mixed: a program's slots past them are always zero.
+func (k *stateKey) hash(valWords int) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(binary.LittleEndian.Uint32(k.pc[:])) | uint64(binary.LittleEndian.Uint32(k.head[:]))<<32
+	h = (h ^ uint64(k.lock)) * m
+	for i := 0; i < 8*valWords; i += 8 {
+		h ^= h >> 32
+		h = (h ^ binary.LittleEndian.Uint64(k.vals[i:i+8])) * m
+	}
+	return h
 }
 
+// stateTable is the visited set: open addressing with linear probing over
+// stateKeys. A slot is live when its generation stamp is the table's, so
+// reset is a counter bump rather than a clear, and the slots are reused
+// from program to program. The table doubles when half full.
+type stateTable struct {
+	slots []tableSlot
+	gen   uint32
+	n     int  // live keys
+	shift uint // 64 - log2(len(slots))
+	words int  // stateKey.hash's valWords for the current program
+}
+
+type tableSlot struct {
+	k   stateKey
+	gen uint32
+}
+
+const tableMinLog2 = 9
+
+// reset empties the table for a program whose value slots fit in the
+// first words 8-byte words of stateKey.vals.
+func (t *stateTable) reset(words int) {
+	t.n, t.words = 0, words
+	t.gen++
+	if t.gen == 0 {
+		// The stamp wrapped: slots of every earlier generation must read
+		// empty again.
+		clear(t.slots)
+		t.gen = 1
+	}
+	if t.slots == nil {
+		t.slots = make([]tableSlot, 1<<tableMinLog2)
+		t.shift = 64 - tableMinLog2
+	}
+}
+
+// insert adds k, reporting whether it was absent.
+func (t *stateTable) insert(k *stateKey) bool {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	for i := int(k.hash(t.words) >> t.shift); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			s.k, s.gen = *k, t.gen
+			t.n++
+			return true
+		}
+		if s.k == *k {
+			return false
+		}
+	}
+}
+
+// grow doubles the table and re-inserts the live keys.
+func (t *stateTable) grow() {
+	old := t.slots
+	t.slots = make([]tableSlot, 2*len(old))
+	t.shift--
+	t.n = 0
+	for i := range old {
+		if old[i].gen == t.gen {
+			t.insert(&old[i].k)
+		}
+	}
+}
+
+// threadProg is one thread's compiled program. Its store-buffer entries
+// are static: the j-th entry is always the j-th store or release micro-op,
+// so the buffer holds ents[head:tail[pc]], executing a store only advances
+// pc, and draining only advances head.
+type threadProg struct {
+	mops [maxThreadMops]mop
+	n    uint8 // micro-ops
+	ents [tbufCap]sbEntry
+	// tail[pc] counts the entries pushed before micro-op pc.
+	tail [maxThreadMops + 1]uint8
+	// skip[pc] is the first micro-op at or after pc that is not a store or
+	// release (n if none): where the thread rests once it reaches pc.
+	skip [maxThreadMops + 1]uint8
+	// writes[h] is the slot mask the thread can still write once h of its
+	// entries have drained: its entries from index h on, buffered or not
+	// yet pushed. reads[pc] is the mask its loads from micro-op pc on can
+	// still read. A thread that can still acquire can still release, so
+	// writes covers the lock word for both.
+	writes [tbufCap + 1]uint64
+	reads  [maxThreadMops + 1]uint64
+}
+
+// lockBit is the lock word's bit in the reduction's slot masks (memory
+// slots take bits 0..len(stateKey.vals)-1).
+const lockBit = uint64(1) << 63
+
+// slotBit is mem's bit in a slot mask: lockLoc maps to lockBit, noSlot to
+// no bit (nothing writes it).
+func slotBit(mem int8) uint64 {
+	switch mem {
+	case lockLoc:
+		return lockBit
+	case noSlot:
+		return 0
+	}
+	return 1 << uint(mem)
+}
+
+// The kinds of forced step, (a) to (c) at the top of the file.
+const (
+	ruleStore = iota // (a) a store or release
+	ruleLoad         // (b) a load of a slot no other thread can still write
+	ruleDrain        // (c) a drain to a slot no other thread can still touch
+	numRules
+)
+
 // explorer is the DFS over interleavings. It is reusable across programs
-// (the map buckets and every scratch slice survive) — one per sweep worker.
+// (the visited table and every scratch slice survive) — one per sweep
+// worker.
 type explorer struct {
-	mops     [][]mop
-	bufs     []threadBuf
-	k        stateKey
-	visited  map[stateKey]struct{}
-	outcomes map[string]struct{}
+	th   [maxThreads]threadProg
+	n    int // threads
+	k    stateKey
+	seen stateTable
+
+	// fired counts the steps the last outcomesOf forced, per kind (test
+	// instrumentation).
+	fired [numRules]int
 
 	// Outcome formatting: memSlot maps a program location to its value
 	// slot (noSlot when never stored); loadVals backs loadViews, one view
@@ -127,10 +282,7 @@ type explorer struct {
 }
 
 func newExplorer() *explorer {
-	return &explorer{
-		visited:  make(map[stateKey]struct{}),
-		outcomes: make(map[string]struct{}),
-	}
+	return &explorer{}
 }
 
 // ReferenceOutcomes returns the sorted outcome set of the lock-based
@@ -147,30 +299,32 @@ func (e *explorer) outcomesOf(p Program) []string {
 	if n > maxThreads {
 		panic("litmus: program exceeds the model's thread bound")
 	}
-	e.compile(p)
+	slots := e.compile(p)
 	e.k = stateKey{}
-	clear(e.visited)
-	clear(e.outcomes)
+	e.fired = [numRules]int{}
+	// Leading stores are forced.
+	for ti := 0; ti < e.n; ti++ {
+		e.k.pc[ti] = e.th[ti].skip[0]
+		e.fired[ruleStore] += int(e.k.pc[ti])
+	}
+	e.seen.reset((slots + 7) / 8)
+	e.out = e.out[:0]
 
 	e.explore()
 
-	e.out = e.out[:0]
-	for o := range e.outcomes {
-		e.out = append(e.out, o)
-	}
 	slices.Sort(e.out)
 	return e.out
 }
 
 // compile expands every thread into micro-ops and assigns the value slots:
 // load slots in (thread, load order) order, then one memory slot per stored
-// location in location order. Scratch slices are resized with
-// slices.Grow(s[:0], n)[:n], which reuses the backing array (and the
-// elements already in it) when its capacity suffices.
-func (e *explorer) compile(p Program) {
+// location in location order. It returns the number of value slots.
+// Scratch slices are resized with slices.Grow(s[:0], n)[:n], which reuses
+// the backing array (and the elements already in it) when its capacity
+// suffices.
+func (e *explorer) compile(p Program) int {
 	n := len(p.Threads)
-	e.mops = slices.Grow(e.mops[:0], n)[:n]
-	e.bufs = slices.Grow(e.bufs[:0], n)[:n]
+	e.n = n
 	e.loadViews = slices.Grow(e.loadViews[:0], n)[:n]
 	e.memSlot = slices.Grow(e.memSlot[:0], p.NumLocs)[:p.NumLocs]
 	e.memVals = slices.Grow(e.memVals[:0], p.NumLocs)[:p.NumLocs]
@@ -203,113 +357,194 @@ func (e *explorer) compile(p Program) {
 	load := int8(0)
 	for ti, t := range p.Threads {
 		first := load
-		e.mops[ti], load = e.expandThread(ti, t, e.mops[ti][:0], load)
+		load = e.compileThread(ti, t, load)
 		e.loadViews[ti] = e.loadVals[first:load]
-		e.bufs[ti].tail = 0
 	}
+	return int(next)
 }
 
-// expandThread compiles a thread into micro-ops: its data ops plus the lock
-// acquire/release brackets around the critical window. load is the next
-// free load slot; the updated value is returned.
-func (e *explorer) expandThread(tid int, t Thread, out []mop, load int8) ([]mop, int8) {
+// compileThread expands thread tid into micro-ops — its data ops plus the
+// lock acquire/release brackets around the critical window — and fills its
+// entries, tails and masks. load is the next free load slot; the updated
+// value is returned.
+func (e *explorer) compileThread(tid int, t Thread, load int8) int8 {
+	th := &e.th[tid]
+	th.n = 0
+	add := func(m mop) {
+		th.mops[th.n] = m
+		th.n++
+	}
 	for i, o := range t.Ops {
 		if t.HasCrit() && i == int(t.CritLo) {
-			out = append(out, mop{kind: mAcquire})
+			add(mop{kind: mAcquire})
 		}
 		if o.Kind == Load {
-			out = append(out, mop{kind: mLoad, mem: e.memSlot[o.Loc], load: load})
+			add(mop{kind: mLoad, mem: e.memSlot[o.Loc], load: load})
 			load++
 		} else {
-			out = append(out, mop{kind: mStore, mem: e.memSlot[o.Loc], val: uint8(StoreVal(tid, i))})
+			add(mop{kind: mStore, mem: e.memSlot[o.Loc], val: uint8(StoreVal(tid, i))})
 		}
 		if t.HasCrit() && i == int(t.CritHi)-1 {
-			out = append(out, mop{kind: mRelease, mem: lockLoc})
+			add(mop{kind: mRelease, mem: lockLoc})
 		}
 	}
-	return out, load
+	ents := uint8(0)
+	for pc, m := range th.mops[:th.n] {
+		th.tail[pc] = ents
+		if m.kind == mStore || m.kind == mRelease {
+			th.ents[ents] = sbEntry{m.mem, m.val}
+			ents++
+		}
+	}
+	th.tail[th.n] = ents
+	th.skip[th.n] = th.n
+	for pc := int(th.n) - 1; pc >= 0; pc-- {
+		th.skip[pc] = uint8(pc)
+		if m := th.mops[pc]; m.kind == mStore || m.kind == mRelease {
+			th.skip[pc] = th.skip[pc+1]
+		}
+	}
+	th.writes[ents], th.reads[th.n] = 0, 0
+	for pc := int(th.n) - 1; pc >= 0; pc-- {
+		m := th.mops[pc]
+		th.reads[pc] = th.reads[pc+1]
+		switch m.kind {
+		case mStore, mRelease:
+			ents--
+			th.writes[ents] = th.writes[ents+1] | slotBit(m.mem)
+		case mLoad:
+			th.reads[pc] |= slotBit(m.mem)
+		}
+	}
+	return load
 }
 
-// explore walks every enabled step from the current state, mutating in place
-// and undoing each step after its subtree. Steps per thread: execute its
-// next micro-op (if enabled), or drain the oldest entry of its store buffer.
+// explore searches every state the reduced search reaches from the current
+// one. It takes forced steps in place until none applies, then, at a state
+// not visited before, branches on every enabled step: per thread, drain the
+// oldest entry of its store buffer, or execute its next micro-op. explore
+// leaves e.k changed; its caller restores it.
 func (e *explorer) explore() {
-	if _, seen := e.visited[e.k]; seen {
+	for {
+		ti, drain, rule, ok := e.forced()
+		if !ok {
+			break
+		}
+		e.fired[rule]++
+		e.apply(ti, drain)
+	}
+	if !e.seen.insert(&e.k) {
 		return
 	}
-	e.visited[e.k] = struct{}{}
-
 	k := &e.k
+	here := *k
 	terminal := true
-	for ti := range e.mops {
-		buf := &e.bufs[ti]
-		// Drain step.
-		if head := k.head[ti]; head < buf.tail {
+	for ti := 0; ti < e.n; ti++ {
+		th := &e.th[ti]
+		pc, head := here.pc[ti], here.head[ti]
+		if head < th.tail[pc] {
 			terminal = false
-			ent := buf.ents[head]
-			k.head[ti]++
-			if ent.mem == lockLoc {
-				saved := k.lock
-				k.lock = ent.val
-				e.explore()
-				k.lock = saved
-			} else {
-				saved := k.vals[ent.mem]
-				k.vals[ent.mem] = ent.val
-				e.explore()
-				k.vals[ent.mem] = saved
-			}
-			k.head[ti]--
+			e.apply(ti, true)
+			e.explore()
+			*k = here
 		}
-		// Execute step.
-		pc := k.pc[ti]
-		if int(pc) >= len(e.mops[ti]) {
+		if pc >= th.n {
 			continue
 		}
 		terminal = false
-		m := e.mops[ti][pc]
-		switch m.kind {
-		case mLoad:
-			var v uint8
-			if m.mem != noSlot {
-				var fwd bool
-				if v, fwd = forward(buf, k.head[ti], m.mem); !fwd {
-					v = k.vals[m.mem]
-				}
-			}
-			k.pc[ti]++
-			k.vals[m.load] = v
-			e.explore()
-			k.vals[m.load] = 0
-			k.pc[ti]--
-		case mStore, mRelease:
-			// A release is a plain buffered store of 0 to the lock word.
-			k.pc[ti]++
-			buf.ents[buf.tail] = sbEntry{m.mem, m.val}
-			buf.tail++
-			e.explore()
-			buf.tail--
-			k.pc[ti]--
-		case mAcquire:
-			// Atomics fence: the buffer must have drained (drain steps get
-			// the search there), and the lock word must be free in memory.
-			if k.head[ti] == buf.tail && k.lock == 0 {
-				k.pc[ti]++
-				k.lock = 1
-				e.explore()
-				k.lock = 0
-				k.pc[ti]--
-			}
+		// Atomics fence: an acquire waits for its own buffer to drain
+		// (drain steps get the search there) and for the lock word to be
+		// free in memory. Every other micro-op is always enabled.
+		if th.mops[pc].kind == mAcquire && (head != th.tail[pc] || here.lock != 0) {
+			continue
 		}
+		e.apply(ti, false)
+		e.explore()
+		*k = here
 	}
 	if terminal {
 		e.noteOutcome()
 	}
 }
 
-// noteOutcome records the terminal state's outcome. Formatting goes
-// through a reused buffer; only an outcome not yet in the set allocates its
-// string.
+// forced picks a step of kind (b) or (c) (see the top of the file),
+// trying each thread in order and, per thread, its load before its drain.
+// Kind (a) needs no search: apply moves pc past stores and releases as soon
+// as they are reached (threadProg.skip).
+func (e *explorer) forced() (ti int, drain bool, rule int, ok bool) {
+	k := &e.k
+	n := e.n
+	var can [maxThreads]uint64 // slots each thread can still write or read
+	var wr [maxThreads]uint64  // slots each thread can still write
+	for t := 0; t < n; t++ {
+		th := &e.th[t]
+		wr[t] = th.writes[k.head[t]]
+		can[t] = wr[t] | th.reads[k.pc[t]]
+	}
+	for t := 0; t < n; t++ {
+		th := &e.th[t]
+		var othersW, othersAny uint64
+		for u := 0; u < n; u++ {
+			if u != t {
+				othersW |= wr[u]
+				othersAny |= can[u]
+			}
+		}
+		pc, head := k.pc[t], k.head[t]
+		if pc < th.n {
+			if m := th.mops[pc]; m.kind == mLoad && othersW&slotBit(m.mem) == 0 {
+				return t, false, ruleLoad, true
+			}
+		}
+		if head < th.tail[pc] && othersAny&slotBit(th.ents[head].mem) == 0 {
+			return t, true, ruleDrain, true
+		}
+	}
+	return 0, false, 0, false
+}
+
+// apply takes thread ti's drain step (drain) or execute step, which must be
+// enabled. The thread's pc never rests on a store or release, so the step
+// executed is a load or an acquire.
+func (e *explorer) apply(ti int, drain bool) {
+	k, th := &e.k, &e.th[ti]
+	if drain {
+		ent := th.ents[k.head[ti]]
+		k.head[ti]++
+		if ent.mem == lockLoc {
+			k.lock = ent.val
+		} else {
+			k.vals[ent.mem] = ent.val
+		}
+		return
+	}
+	// Stores and releases (a release is a plain buffered store of 0 to the
+	// lock word) that follow are forced: pc moves past them, which pushes
+	// their entries.
+	pc := k.pc[ti]
+	k.pc[ti] = th.skip[pc+1]
+	e.fired[ruleStore] += int(k.pc[ti] - pc - 1)
+	switch m := th.mops[pc]; m.kind {
+	case mLoad:
+		var v uint8
+		if m.mem != noSlot {
+			var fwd bool
+			if v, fwd = th.forward(k.head[ti], pc, m.mem); !fwd {
+				v = k.vals[m.mem]
+			}
+		}
+		k.vals[m.load] = v
+	case mAcquire:
+		k.lock = 1
+	}
+}
+
+// noteOutcome records the terminal state's outcome. A terminal state's key
+// is its load values and memory words (every pc at the end, every buffer
+// drained, the lock free), which the outcome string renders one-to-one; the
+// visited table admits each state once, so every terminal reached is a new
+// outcome and needs no set. Formatting goes through a reused buffer; only
+// the string allocates.
 func (e *explorer) noteOutcome() {
 	for i := range e.loadVals {
 		e.loadVals[i] = uint64(e.k.vals[i])
@@ -321,17 +556,15 @@ func (e *explorer) noteOutcome() {
 		}
 	}
 	e.fmtBuf = proc.AppendOutcome(e.fmtBuf[:0], e.loadViews, e.memVals)
-	if _, ok := e.outcomes[string(e.fmtBuf)]; !ok {
-		e.outcomes[string(e.fmtBuf)] = struct{}{}
-	}
+	e.out = append(e.out, string(e.fmtBuf))
 }
 
-// forward returns the newest buffered value for memory slot mem, if any
-// (TSO store->load forwarding).
-func forward(buf *threadBuf, head uint8, mem int8) (uint8, bool) {
-	for i := int(buf.tail) - 1; i >= int(head); i-- {
-		if buf.ents[i].mem == mem {
-			return buf.ents[i].val, true
+// forward returns the newest value the buffer ents[head:tail[pc]] holds
+// for memory slot mem, if any (TSO store->load forwarding).
+func (th *threadProg) forward(head, pc uint8, mem int8) (uint8, bool) {
+	for i := int(th.tail[pc]) - 1; i >= int(head); i-- {
+		if th.ents[i].mem == mem {
+			return th.ents[i].val, true
 		}
 	}
 	return 0, false

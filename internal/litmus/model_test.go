@@ -129,19 +129,104 @@ func stripCrits(p Program) Program {
 	return q
 }
 
-// The explorer keys its visited set by a fixed-size stateKey; the oracle
-// (model_oracle_test.go) by a byte rendering of the whole state. Both must
-// produce identical outcome sets on every program of a 2-CPU and a 3-CPU
-// shape.
+// The explorer keys its visited set by a fixed-size stateKey and takes
+// commuting steps without branching; the oracle (model_oracle_test.go)
+// walks every interleaving, keyed by a byte rendering of the whole state.
+// Both must produce identical outcome sets on every program of a 2-CPU and
+// a 3-CPU shape and of the gate's own shape.
 func TestExplorerMatchesStringKeyedOracle(t *testing.T) {
 	e, o := newExplorer(), newOracleExplorer()
-	for _, s := range []Shape{{CPUs: 2, Locs: 2, MaxOps: 2}, {CPUs: 3, Locs: 2, MaxOps: 2}} {
+	shapes := []Shape{{CPUs: 2, Locs: 2, MaxOps: 2}, {CPUs: 3, Locs: 2, MaxOps: 2}}
+	if sweepMaxOps != 2 {
+		shapes = append(shapes, Shape{CPUs: 2, Locs: 2, MaxOps: sweepMaxOps})
+	}
+	for _, s := range shapes {
 		progs, _ := Enumerate(s)
 		for _, p := range progs {
 			got, want := e.outcomesOf(p), o.outcomesOf(p)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%+v %s: explorer outcomes %v, oracle %v", s, p, got, want)
 			}
+		}
+	}
+}
+
+// Each kind of forced step fires on this program: P0's stores, its loads
+// of x (which nobody else writes) and the drains of x; P1 and P2 contend on
+// y and z, and the last release drains when nobody can acquire any more.
+func TestExplorerForcedSteps(t *testing.T) {
+	p := Program{NumLocs: 3, Threads: []Thread{
+		{Ops: []Op{{Store, 0}, {Load, 0}, {Store, 0}, {Load, 1}}},
+		{Ops: []Op{{Store, 1}, {Load, 2}, {Load, 0}}, CritLo: 0, CritHi: 2},
+		{Ops: []Op{{Store, 2}, {Load, 1}}, CritLo: 0, CritHi: 2},
+	}}
+	e := newExplorer()
+	got, want := e.outcomesOf(p), newOracleExplorer().outcomesOf(p)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: explorer outcomes %v, oracle %v", p, got, want)
+	}
+	for rule, name := range []string{"(a) store", "(b) load", "(c) drain"} {
+		if e.fired[rule] == 0 {
+			t.Errorf("%s: no %s step was forced (fired %v)", p, name, e.fired)
+		}
+	}
+}
+
+// Pinned totals over whole shapes: the summed reference set sizes must not
+// move (the oracle test checks the sets themselves), and the number of
+// states the reduced search records as visited pins the reduction, so a
+// change that quietly weakens a forcing rule fails here while the outcomes
+// still match. The unreduced search visits 41,988 states on 2x2x2 and
+// 8,691,384 on 3x2x2.
+func TestReferenceOutcomeTotals(t *testing.T) {
+	cases := []struct {
+		shape            Shape
+		outcomes, states int
+	}{
+		{Shape{CPUs: 2, Locs: 2, MaxOps: 2}, 2301, 9315},
+		{Shape{CPUs: 3, Locs: 2, MaxOps: 2}, 258993, 1618248},
+		{Shape{CPUs: 2, Locs: 2, MaxOps: 3}, 253486, 1154987},
+	}
+	e := newExplorer()
+	for _, c := range cases {
+		progs, _ := Enumerate(c.shape)
+		outcomes, states := 0, 0
+		for _, p := range progs {
+			outcomes += len(e.outcomesOf(p))
+			states += e.seen.n
+		}
+		if outcomes != c.outcomes || states != c.states {
+			t.Errorf("%+v: %d outcomes over %d visited states, want %d over %d",
+				c.shape, outcomes, states, c.outcomes, c.states)
+		}
+	}
+}
+
+// The visited table forgets every key on reset, also when the generation
+// stamp wraps around, and keeps every key across a grow.
+func TestStateTableResetAndGrow(t *testing.T) {
+	var tb stateTable
+	key := func(i int) *stateKey {
+		k := &stateKey{}
+		k.vals[0], k.vals[1] = uint8(i), uint8(i>>8)
+		return k
+	}
+	const n = 5000 // grows the table several times
+	for _, gen := range []uint32{0, ^uint32(0)} {
+		tb.gen = gen
+		tb.reset(1)
+		for i := 0; i < n; i++ {
+			if !tb.insert(key(i)) {
+				t.Fatalf("gen %d: key %d reported present", gen, i)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if tb.insert(key(i)) {
+				t.Fatalf("gen %d: key %d lost", gen, i)
+			}
+		}
+		if tb.n != n {
+			t.Fatalf("gen %d: %d live keys, want %d", gen, tb.n, n)
 		}
 	}
 }

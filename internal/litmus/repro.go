@@ -3,6 +3,9 @@ package litmus
 import (
 	"fmt"
 	"strings"
+
+	"tlrsim/internal/core"
+	"tlrsim/internal/fault"
 )
 
 // Reproducer printer: any divergence is emitted as a minimal, ready-to-paste
@@ -11,8 +14,12 @@ import (
 
 // GoTest renders the divergence as a self-contained test function for
 // package litmus. The emitted test pins the exact (program, scheme, seed,
-// perturbation) that diverged and re-asserts outcome-set containment.
+// perturbation) that diverged and re-asserts outcome-set containment. It
+// uses packages testing and proc, plus fault when the run injected faults
+// and core when it ran a non-default contention policy. A divergence whose
+// Perturb sets no jitter renders DefaultPerturb's, as Check runs it.
 func (d Divergence) GoTest(name string) string {
+	pt := d.Perturb.withDefaultJitter()
 	var b strings.Builder
 	fmt.Fprintf(&b, "// %s reproduces a litmus containment divergence found by the\n", name)
 	fmt.Fprintf(&b, "// enumerator: %s\n", d.Prog)
@@ -24,8 +31,17 @@ func (d Divergence) GoTest(name string) string {
 	}
 	fmt.Fprintf(&b, "func %s(t *testing.T) {\n", name)
 	fmt.Fprintf(&b, "\tp := %s\n", d.Prog.GoLiteral("\t"))
-	fmt.Fprintf(&b, "\tpt := Perturb{StartJitter: %d, ArbJitter: %d}\n",
-		DefaultPerturb.StartJitter, DefaultPerturb.ArbJitter)
+	fmt.Fprintf(&b, "\tpt := Perturb{StartJitter: %d, ArbJitter: %d}\n", pt.StartJitter, pt.ArbJitter)
+	faults, cm := pt.Faults != fault.Spec{}, pt.CM != core.CMTimestamp
+	if faults || cm {
+		b.WriteString("\tvar err error\n")
+	}
+	if faults {
+		fmt.Fprintf(&b, "\tif pt.Faults, err = fault.ParseSpec(%q); err != nil {\n\t\tt.Fatal(err)\n\t}\n", pt.Faults.String())
+	}
+	if cm {
+		fmt.Fprintf(&b, "\tif pt.CM, err = core.ParseCM(%q); err != nil {\n\t\tt.Fatal(err)\n\t}\n", pt.CM.String())
+	}
 	fmt.Fprintf(&b, "\tout, err := Run(p, proc.%s, %d, pt)\n", d.Scheme.Ident(), d.Seed)
 	b.WriteString("\tif err != nil {\n\t\tt.Fatalf(\"run failed: %v\", err)\n\t}\n")
 	b.WriteString("\tif escaped := CheckOutcomes(p, []string{out}); len(escaped) != 0 {\n")

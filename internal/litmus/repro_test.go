@@ -1,9 +1,14 @@
 package litmus
 
 import (
+	"fmt"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 
+	"tlrsim/internal/core"
+	"tlrsim/internal/fault"
 	"tlrsim/internal/proc"
 )
 
@@ -55,6 +60,45 @@ func TestSchemeIdent(t *testing.T) {
 	for s, want := range cases {
 		if got := s.Ident(); got != want {
 			t.Errorf("%v.Ident() = %q, want %q", s, got, want)
+		}
+	}
+}
+
+// A divergence found under injected faults and a non-default contention
+// policy must replay under both: its reproducer re-parses the fault spec
+// and the policy rather than running the default perturbation, and it
+// parses as Go. The spec is rendered with Spec.String, so that must
+// round-trip through fault.ParseSpec for every chaos configuration the
+// sweeps run.
+func TestGoTestRendersFaultsAndPolicy(t *testing.T) {
+	for _, spec := range chaosFaults {
+		fs, err := fault.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := fault.ParseSpec(fs.String()); err != nil || back != fs {
+			t.Errorf("%q: ParseSpec(%q) = %+v, %v; want %+v", spec, fs.String(), back, err, fs)
+		}
+		d := Divergence{
+			Prog:    progSB(true),
+			Scheme:  proc.SLE,
+			Seed:    3,
+			Outcome: "P0=[0] P1=[0] m=[1 9]",
+			Perturb: Perturb{StartJitter: 40, ArbJitter: 7, Faults: fs, CM: core.CMKarma},
+		}
+		src := d.GoTest("TestX")
+		for _, frag := range []string{
+			"pt := Perturb{StartJitter: 40, ArbJitter: 7}",
+			fmt.Sprintf("pt.Faults, err = fault.ParseSpec(%q)", fs.String()),
+			`pt.CM, err = core.ParseCM("karma")`,
+			"Run(p, proc.SLE, 3, pt)",
+		} {
+			if !strings.Contains(src, frag) {
+				t.Fatalf("missing %q in:\n%s", frag, src)
+			}
+		}
+		if _, err := parser.ParseFile(token.NewFileSet(), "repro_test.go", "package litmus\n\n"+src, 0); err != nil {
+			t.Fatalf("reproducer does not parse: %v\n%s", err, src)
 		}
 	}
 }

@@ -47,6 +47,17 @@ type Perturb struct {
 // kernel RNG (~16us of lag-table setup), which would dominate the sweep.
 var DefaultPerturb = Perturb{StartJitter: 300}
 
+// withDefaultJitter returns pt with DefaultPerturb's scheduling jitter when
+// it sets none, keeping any fault spec and policy: chaos and policy sweeps
+// compose their adversity with the standard perturbation.
+func (pt Perturb) withDefaultJitter() Perturb {
+	if pt.StartJitter == 0 && pt.ArbJitter == 0 {
+		pt.StartJitter = DefaultPerturb.StartJitter
+		pt.ArbJitter = DefaultPerturb.ArbJitter
+	}
+	return pt
+}
+
 // maxEvents is the litmus run event budget. A healthy run of a <=9-op
 // program completes in a few thousand events; a livelocked scheme hits this
 // bound in well under a millisecond instead of grinding toward the

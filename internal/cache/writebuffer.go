@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"slices"
-
-	"tlrsim/internal/memsys"
-)
+import "tlrsim/internal/memsys"
 
 // WriteBuffer is the speculative store buffer (Table 2: 64 entries, 64 bytes
 // wide). During transactional execution every store lands here instead of in
@@ -14,102 +10,62 @@ import (
 //
 // Writes are merged: re-writing a word or a line costs no new entry, so the
 // capacity limit is the number of *unique cache lines* written in the
-// critical section (§3.3).
+// critical section (§3.3). The buffer is a memsys.WordSet capped at that
+// many lines: one entry per line, kept in address order, so the commit walks
+// it without sorting and Discard keeps its arrays.
 type WriteBuffer struct {
-	words    map[memsys.Addr]uint64
-	lines    map[memsys.Addr]int // line -> word count
+	set      memsys.WordSet
 	maxLines int
-	linebuf  []memsys.Addr // reusable backing array for Lines
 }
 
 // NewWriteBuffer returns a buffer limited to maxLines distinct lines.
 func NewWriteBuffer(maxLines int) *WriteBuffer {
-	return &WriteBuffer{
-		words:    make(map[memsys.Addr]uint64),
-		lines:    make(map[memsys.Addr]int),
-		maxLines: maxLines,
-	}
+	return &WriteBuffer{maxLines: maxLines}
 }
 
 // Write buffers v at word address a. It reports false — without buffering —
 // when the store would exceed the line capacity: the resource constraint
 // that forces lock acquisition (§2.2 step 3, §3.3).
 func (wb *WriteBuffer) Write(a memsys.Addr, v uint64) bool {
-	line := a.Line()
-	if _, ok := wb.lines[line]; !ok && len(wb.lines) >= wb.maxLines {
+	if !wb.set.HasLine(a) && wb.set.Len() >= wb.maxLines {
 		return false
 	}
-	if _, ok := wb.words[a]; !ok {
-		wb.lines[line]++
-	}
-	wb.words[a] = v
+	wb.set.Put(a, v)
 	return true
 }
 
 // Read forwards the newest buffered value for a, if any.
-func (wb *WriteBuffer) Read(a memsys.Addr) (uint64, bool) {
-	v, ok := wb.words[a]
-	return v, ok
-}
+func (wb *WriteBuffer) Read(a memsys.Addr) (uint64, bool) { return wb.set.Get(a) }
 
 // HasLine reports whether any buffered store targets the line.
-func (wb *WriteBuffer) HasLine(line memsys.Addr) bool {
-	_, ok := wb.lines[line.Line()]
-	return ok
-}
+func (wb *WriteBuffer) HasLine(line memsys.Addr) bool { return wb.set.HasLine(line) }
 
 // Lines returns the distinct buffered lines in ascending address order
-// (deterministic commit order). The slice shares one reusable backing array:
-// it is valid only until the next Lines call.
-func (wb *WriteBuffer) Lines() []memsys.Addr {
-	out := wb.linebuf[:0]
-	for l := range wb.lines {
-		out = append(out, l)
-	}
-	slices.Sort(out)
-	wb.linebuf = out
-	return out
-}
+// (deterministic commit order). The slice is the buffer's own: it is valid
+// only until the buffer next changes.
+func (wb *WriteBuffer) Lines() []memsys.Addr { return wb.set.Lines() }
 
 // Drain applies every buffered word of line into data (the line's committed
-// payload) and removes those entries. Commit calls this per line while
-// holding write permission.
+// payload) and removes the line's entry. Commit drains the lines in
+// address order while holding write permission.
 func (wb *WriteBuffer) Drain(line memsys.Addr, data *memsys.LineData) {
-	line = line.Line()
-	for i := 0; i < memsys.WordsPerLine; i++ {
-		a := line + memsys.Addr(i*memsys.WordBytes)
-		if v, ok := wb.words[a]; ok {
-			data[i] = v
-			delete(wb.words, a)
-		}
+	if i, ok := wb.set.Find(line); ok {
+		wb.set.Apply(i, data)
+		wb.set.Remove(i)
 	}
-	delete(wb.lines, line)
 }
 
-// Words exposes the buffered word map directly (functional-checker support:
+// Words exposes the buffered words directly (functional-checker support:
 // the transaction's write set at commit). The caller must treat it as
 // read-only and must not retain it past the next Write/Drain/Discard.
-func (wb *WriteBuffer) Words() map[memsys.Addr]uint64 { return wb.words }
-
-// Snapshot returns a copy of all buffered words (functional-checker
-// support: the transaction's write set at commit).
-func (wb *WriteBuffer) Snapshot() map[memsys.Addr]uint64 {
-	out := make(map[memsys.Addr]uint64, len(wb.words))
-	for a, v := range wb.words {
-		out[a] = v
-	}
-	return out
-}
+func (wb *WriteBuffer) Words() *memsys.WordSet { return &wb.set }
 
 // Discard empties the buffer (misspeculation recovery: the speculative
 // updates vanish without ever becoming visible).
-func (wb *WriteBuffer) Discard() {
-	clear(wb.words)
-	clear(wb.lines)
-}
+func (wb *WriteBuffer) Discard() { wb.set.Clear() }
 
 // LineCount reports distinct buffered lines.
-func (wb *WriteBuffer) LineCount() int { return len(wb.lines) }
+func (wb *WriteBuffer) LineCount() int { return wb.set.Len() }
 
 // Empty reports whether nothing is buffered.
-func (wb *WriteBuffer) Empty() bool { return len(wb.words) == 0 }
+func (wb *WriteBuffer) Empty() bool { return wb.set.Len() == 0 }

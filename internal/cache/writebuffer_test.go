@@ -98,53 +98,93 @@ func TestWriteBufferLinesSorted(t *testing.T) {
 	}
 }
 
-// Property: last write wins per word; drain of every line reconstructs
-// exactly the buffered state; line count never exceeds the limit.
+// Property: against a map oracle, over interleaved Write, Drain and
+// Discard, the last write wins per word, a write to a new line is refused
+// exactly when the buffer is full, Drain applies a line's words and drops
+// them, Lines is strictly ascending and names exactly the buffered lines,
+// and draining every line reconstructs the buffered state.
 func TestPropertyWriteBufferSemantics(t *testing.T) {
-	type w struct {
+	type op struct {
+		Kind uint8 // 0-5 Write, 6 Drain, 7 Discard
 		Slot uint8
 		Val  uint64
 	}
-	f := func(writes []w) bool {
-		const maxLines = 4
+	const maxLines = 4
+	f := func(ops []op) bool {
 		wb := NewWriteBuffer(maxLines)
 		want := map[memsys.Addr]uint64{}
-		for _, x := range writes {
-			a := memsys.Addr(x.Slot%64) * memsys.WordBytes
-			if wb.Write(a, x.Val) {
-				want[a] = x.Val
-			} else if _, present := want[a]; present {
-				return false // rejected a write to an already-buffered line
+		lines := func() map[memsys.Addr]bool {
+			ls := map[memsys.Addr]bool{}
+			for a := range want {
+				ls[a.Line()] = true
 			}
-			if wb.LineCount() > maxLines {
+			return ls
+		}
+		for _, o := range ops {
+			a := memsys.Addr(o.Slot%64) * memsys.WordBytes
+			switch o.Kind % 8 {
+			case 6:
+				// Words the buffer does not hold must keep the line's
+				// committed payload.
+				var d memsys.LineData
+				for i := range d {
+					d[i] = ^uint64(i)
+				}
+				wb.Drain(a, &d)
+				for i, v := range d {
+					w := a.Line() + memsys.Addr(i*memsys.WordBytes)
+					wv, ok := want[w]
+					if !ok {
+						wv = ^uint64(i)
+					}
+					if v != wv {
+						return false
+					}
+					delete(want, w)
+				}
+			case 7:
+				wb.Discard()
+				clear(want)
+			default:
+				full := !lines()[a.Line()] && len(lines()) >= maxLines
+				if wb.Write(a, o.Val) == full {
+					return false
+				}
+				if !full {
+					want[a] = o.Val
+				}
+			}
+			got := wb.Lines()
+			if len(got) != len(lines()) || wb.LineCount() != len(got) || wb.Empty() != (len(want) == 0) {
 				return false
 			}
-		}
-		for a, v := range want {
-			got, ok := wb.Read(a)
-			if !ok || got != v {
-				return false
+			for i, l := range got {
+				if !lines()[l] || i > 0 && got[i-1] >= l {
+					return false
+				}
 			}
-		}
-		// Drain everything and confirm reconstruction.
-		got := map[memsys.Addr]uint64{}
-		for _, line := range wb.Lines() {
-			var d memsys.LineData
-			wb.Drain(line, &d)
-			for i, v := range d {
-				if v != 0 {
-					got[line+memsys.Addr(i*memsys.WordBytes)] = v
+			for s := 0; s < 64; s++ {
+				w := memsys.Addr(s * memsys.WordBytes)
+				v, ok := wb.Read(w)
+				if wv, in := want[w]; ok != in || v != wv {
+					return false
 				}
 			}
 		}
-		for a, v := range want {
-			if v != 0 && got[a] != v {
-				return false
+		// Drain everything and confirm reconstruction.
+		for wb.LineCount() > 0 {
+			line := wb.Lines()[0]
+			var d memsys.LineData
+			wb.Drain(line, &d)
+			for i, v := range d {
+				if wv := want[line+memsys.Addr(i*memsys.WordBytes)]; wv != v {
+					return false
+				}
 			}
 		}
 		return wb.Empty()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,7 +16,6 @@ package checker
 
 import (
 	"fmt"
-	"slices"
 
 	"tlrsim/internal/memsys"
 )
@@ -94,7 +93,6 @@ type Checker struct {
 	violations []Violation
 	dropped    int // violations beyond the retention limit (counted, not kept)
 	limit      int
-	scratch    []memsys.Addr // reusable sort buffer for commit validation
 }
 
 // New returns an empty checker (shadow state all zero, matching the
@@ -107,8 +105,8 @@ func New() *Checker {
 // time).
 func (c *Checker) Preload(a memsys.Addr, v uint64) { c.shadow[a] = v }
 
-// Reset rewinds the checker to the state New constructs, keeping its maps
-// and scratch buffers.
+// Reset rewinds the checker to the state New constructs, keeping its map and
+// violation buffer.
 func (c *Checker) Reset() {
 	clear(c.shadow)
 	c.txns, c.plainOps = 0, 0
@@ -119,16 +117,29 @@ func (c *Checker) Reset() {
 // CommitTxn validates one committed transaction: reads must match the
 // shadow at this (commit) point — TLR's conflict detection guarantees no
 // writer intervened between read and commit — then writes apply atomically.
-func (c *Checker) CommitTxn(cpu int, reads, writes map[memsys.Addr]uint64) {
+// Both sets are walked in address order, so the violations a commit reports
+// come out in address order.
+func (c *Checker) CommitTxn(cpu int, reads, writes *memsys.WordSet) {
 	c.txns++
-	for _, a := range c.sortedAddrs(reads) {
-		v := reads[a]
-		if got := c.shadow[a]; got != v {
-			c.report(Violation{Kind: TxnReadStale, CPU: cpu, Addr: a, Got: v, Want: got, Txn: c.txns})
+	for i := range reads.Len() {
+		line, mask, words := reads.Entry(i)
+		for w, v := range words {
+			if mask&(1<<w) == 0 {
+				continue
+			}
+			a := line + memsys.Addr(w*memsys.WordBytes)
+			if got := c.shadow[a]; got != v {
+				c.report(Violation{Kind: TxnReadStale, CPU: cpu, Addr: a, Got: v, Want: got, Txn: c.txns})
+			}
 		}
 	}
-	for a, v := range writes {
-		c.shadow[a] = v
+	for i := range writes.Len() {
+		line, mask, words := writes.Entry(i)
+		for w, v := range words {
+			if mask&(1<<w) != 0 {
+				c.shadow[line+memsys.Addr(w*memsys.WordBytes)] = v
+			}
+		}
 	}
 }
 
@@ -213,15 +224,3 @@ func (c *Checker) Stats() (txns, plainOps uint64) { return c.txns, c.plainOps }
 
 // Word returns the shadow value at a (test support).
 func (c *Checker) Word(a memsys.Addr) uint64 { return c.shadow[a] }
-
-// sortedAddrs collects m's keys in ascending order into the checker's
-// reusable scratch buffer (valid until the next call).
-func (c *Checker) sortedAddrs(m map[memsys.Addr]uint64) []memsys.Addr {
-	out := c.scratch[:0]
-	for a := range m {
-		out = append(out, a)
-	}
-	slices.Sort(out)
-	c.scratch = out
-	return out
-}

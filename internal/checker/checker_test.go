@@ -8,12 +8,13 @@ import (
 	"tlrsim/internal/memsys"
 )
 
-func rw(pairs ...uint64) map[memsys.Addr]uint64 {
-	m := make(map[memsys.Addr]uint64)
+// rw builds a read or write set from (address, value) pairs.
+func rw(pairs ...uint64) *memsys.WordSet {
+	s := new(memsys.WordSet)
 	for i := 0; i+1 < len(pairs); i += 2 {
-		m[memsys.Addr(pairs[i])] = pairs[i+1]
+		s.Put(memsys.Addr(pairs[i]), pairs[i+1])
 	}
-	return m
+	return s
 }
 
 func TestSerialCommitsValidate(t *testing.T) {
@@ -31,7 +32,7 @@ func TestSerialCommitsValidate(t *testing.T) {
 
 func TestStaleReadDetected(t *testing.T) {
 	c := New()
-	c.CommitTxn(0, nil, rw(0x100, 5))
+	c.CommitTxn(0, rw(), rw(0x100, 5))
 	c.CommitTxn(1, rw(0x100, 4), rw(0x100, 6)) // read 4, but 5 was committed
 	err := c.Err()
 	if err == nil {
@@ -53,7 +54,7 @@ func TestStaleReadDetected(t *testing.T) {
 func TestPreloadSeedsShadow(t *testing.T) {
 	c := New()
 	c.Preload(0x200, 42)
-	c.CommitTxn(0, rw(0x200, 42), nil)
+	c.CommitTxn(0, rw(0x200, 42), rw())
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestViolationLimitBounded(t *testing.T) {
 
 func TestStatsCount(t *testing.T) {
 	c := New()
-	c.CommitTxn(0, nil, nil)
+	c.CommitTxn(0, rw(), rw())
 	c.PlainStore(0, 0x10, 1)
 	c.PlainLoad(0, 0x10, 1, false)
 	txns, plain := c.Stats()
@@ -158,6 +159,56 @@ func TestPropertyLostUpdateCaught(t *testing.T) {
 		return c.Err() != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a read set keeps the first value recorded per word (as the
+// controller records a transaction's reads), and the checker validates it
+// in ascending address order. Against an all-zero shadow every non-zero
+// read is stale, so the retained violations must name each such word once,
+// in ascending order, with its first recorded value.
+func TestPropertyReadSetFirstValueAscending(t *testing.T) {
+	type read struct {
+		Slot uint8
+		Val  uint8
+	}
+	f := func(reads []read) bool {
+		var rs memsys.WordSet
+		first := map[memsys.Addr]uint64{}
+		for _, r := range reads {
+			a := memsys.Addr(r.Slot%32) * 24 // 32 words over 12 lines
+			rs.Record(a, uint64(r.Val))
+			if _, ok := first[a]; !ok {
+				first[a] = uint64(r.Val)
+			}
+		}
+		for a, v := range first {
+			if got, ok := rs.Get(a); !ok || got != v {
+				return false
+			}
+		}
+		c := New()
+		c.limit = len(first) + 1
+		c.CommitTxn(0, &rs, rw())
+		stale := 0
+		for _, v := range first {
+			if v != 0 {
+				stale++
+			}
+		}
+		vs := c.Violations()
+		if len(vs) != stale {
+			return false
+		}
+		for i, v := range vs {
+			if v.Got != first[v.Addr] || v.Want != 0 || i > 0 && vs[i-1].Addr >= v.Addr {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

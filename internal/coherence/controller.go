@@ -210,7 +210,10 @@ type Controller struct {
 	sb    *storeBuffer
 	eng   *core.Engine
 
-	mshrs map[memsys.Addr]*mshr
+	// mshrs are the outstanding misses, at most one per line, in issue
+	// order. Every per-request list below is as short as the requests in
+	// flight, so each is a slice searched linearly.
+	mshrs []*mshr
 
 	// freeMSHRs recycles released MSHRs (see freeMSHR).
 	freeMSHRs []*mshr
@@ -218,41 +221,40 @@ type Controller struct {
 	// draining holds invalidated GetS requests (ordered before a writer)
 	// detached from the line: their data, when it arrives, is forwarded to
 	// the waiters that attached before the invalidation and nothing more.
-	// Keyed by transaction id. New requests for the line reissue freshly.
-	draining map[uint64]*mshr
+	// Found by transaction id. New requests for the line reissue freshly.
+	draining []*mshr
 
 	// wbPending holds dirty lines between eviction and write-back ordering
-	// so the controller can still supply them (split-transaction race).
-	wbPending map[memsys.Addr]memsys.LineData
+	// so the controller can still supply them (split-transaction race), at
+	// most one per line.
+	wbPending []wbEntry
 
-	// wbSuperseded marks in-flight write-backs whose data was handed to a
+	// wbSuperseded lists in-flight write-backs whose data was handed to a
 	// new exclusive owner before the write-back ordered: memory must skip
 	// them, or a stale write-back ordered after the new owner's fresher one
 	// would corrupt memory.
-	wbSuperseded map[memsys.Addr]bool
+	wbSuperseded []memsys.Addr
 
 	// LL/SC link register.
 	linkLine  memsys.Addr
 	linkValid bool
 
 	// specReads is the functional checker's view of the transaction's read
-	// set: the first value observed per word (own buffered writes excluded).
-	specReads map[memsys.Addr]uint64
-
-	// drainForwarding is set while forward-only fill waiters run, exempting
-	// those loads from the checker's equality test (they legally observe
-	// pre-writer data).
-	drainForwarding bool
+	// set: the first value observed per word (own buffered writes excluded),
+	// bounded by the transaction's footprint.
+	specReads memsys.WordSet
 
 	// sbLoadForward is set while a load forwards from the store buffer
 	// (the buffered store has not reached its global ordering point, so the
 	// checker must not compare against the shadow).
 	sbLoadForward bool
 
-	// lineSubs are spin-wait subscribers notified when the line changes
-	// visibility (invalidation or fill). A notified line keeps its (empty)
-	// slice for the next subscription.
-	lineSubs map[memsys.Addr][]lineSub
+	// lineSubs are the spin-wait subscriptions, one entry per line that is
+	// spun on, notified when the line changes visibility (invalidation or
+	// fill). A notified line's entry goes and its array returns to freeSubs
+	// for the next subscription.
+	lineSubs []lineSubs
+	freeSubs [][]lineSub
 
 	// commitArmed is set while the CPU sits at transaction end waiting for
 	// all write-buffer lines to reach a writable state (§2.2 step 4); the
@@ -265,11 +267,12 @@ type Controller struct {
 	// drain (storeBuffer.drained), bound once at construction.
 	drained Sink
 
-	// fillForward passes values to waiters when a fill cannot be installed
-	// (a GetS that was invalidated while pending): the load was ordered
-	// before the writer, so it legally observes the pre-write data, but the
-	// line must not be cached.
-	fillForward map[memsys.Addr]uint64
+	// fwd passes values to waiters when a fill cannot be installed (a GetS
+	// that was invalidated while pending): the load was ordered before the
+	// writer, so it legally observes the pre-write data, but the line must
+	// not be cached. While it is valid the forward-only fill's waiters run,
+	// and their loads are exempt from the checker's equality test.
+	fwd fillForward
 
 	// OnAbort is invoked (synchronously, in kernel context) whenever the
 	// in-flight transaction is squashed; the CPU uses it to unblock the
@@ -281,19 +284,12 @@ type Controller struct {
 
 func newController(s *System, id int, eng *core.Engine) *Controller {
 	c := &Controller{
-		sys:          s,
-		id:           id,
-		cache:        cache.New(s.cfg.Cache),
-		wb:           cache.NewWriteBuffer(s.cfg.WriteBufferLines),
-		sb:           newStoreBuffer(s.cfg.StoreBufferEntries),
-		eng:          eng,
-		mshrs:        make(map[memsys.Addr]*mshr),
-		draining:     make(map[uint64]*mshr),
-		wbPending:    make(map[memsys.Addr]memsys.LineData),
-		wbSuperseded: make(map[memsys.Addr]bool),
-		specReads:    make(map[memsys.Addr]uint64),
-		lineSubs:     make(map[memsys.Addr][]lineSub),
-		fillForward:  make(map[memsys.Addr]uint64),
+		sys:   s,
+		id:    id,
+		cache: cache.New(s.cfg.Cache),
+		wb:    cache.NewWriteBuffer(s.cfg.WriteBufferLines),
+		sb:    newStoreBuffer(s.cfg.StoreBufferEntries),
+		eng:   eng,
 	}
 	c.drained = c.sbDrained
 	return c
@@ -415,12 +411,10 @@ func (c *Controller) checkLoad(a memsys.Addr, v uint64, txSeq uint64) {
 		if _, own := c.wb.Read(a); own {
 			return // reads own buffered write
 		}
-		if _, seen := c.specReads[a]; !seen {
-			c.specReads[a] = v
-		}
+		c.specReads.Record(a, v)
 		return
 	}
-	c.sys.Check.PlainLoad(c.id, a, v, c.drainForwarding || c.sbLoadForward)
+	c.sys.Check.PlainLoad(c.id, a, v, c.fwd.valid || c.sbLoadForward)
 }
 
 // localWord returns the value this CPU currently observes for a (write
@@ -435,8 +429,11 @@ func (c *Controller) localWord(a memsys.Addr) uint64 {
 		return l.Data[a.WordIndex()]
 	}
 	// Fill-and-forward without install (invalidated GetS): the fill path
-	// passes the value through fillForward.
-	return c.fillForward[a]
+	// passes the value through fwd.
+	if c.fwd.valid && c.fwd.line == a.Line() {
+		return c.fwd.data[a.WordIndex()]
+	}
+	return 0
 }
 
 // StoreOutcome reports how StoreFast handled a store.
@@ -477,7 +474,7 @@ func (c *Controller) StoreFast(a memsys.Addr, v uint64) StoreOutcome {
 				c.ensureWritable(line, true, true)
 			}
 		} else {
-			if _, inFlight := c.mshrs[line]; !inFlight {
+			if c.mshrFor(line) == nil {
 				c.stats.Misses++
 			}
 			m := c.ensureMSHR(line, true, true, true)
@@ -756,31 +753,53 @@ type lineSub struct {
 	n    uint64
 }
 
+// lineSubs are the subscriptions waiting on one line.
+type lineSubs struct {
+	line memsys.Addr
+	subs []lineSub
+}
+
 // SubscribeLine registers cb(recv, nil, n) to run once when the visibility
 // of line next changes (invalidation, fill, or local write) — the spin-wait
 // mechanism.
 func (c *Controller) SubscribeLine(line memsys.Addr, cb sim.Callback, recv any, n uint64) {
 	line = line.Line()
-	c.lineSubs[line] = append(c.lineSubs[line], lineSub{cb, recv, n})
+	for i := range c.lineSubs {
+		if e := &c.lineSubs[i]; e.line == line {
+			e.subs = append(e.subs, lineSub{cb, recv, n})
+			return
+		}
+	}
+	var subs []lineSub
+	if n := len(c.freeSubs); n > 0 {
+		subs = c.freeSubs[n-1]
+		c.freeSubs = c.freeSubs[:n-1]
+	}
+	c.lineSubs = append(c.lineSubs, lineSubs{line, append(subs, lineSub{cb, recv, n})})
 }
 
 func (c *Controller) notifyLine(line memsys.Addr) {
 	line = line.Line()
-	subs := c.lineSubs[line]
-	if len(subs) == 0 {
+	for i := range c.lineSubs {
+		if c.lineSubs[i].line != line {
+			continue
+		}
+		// Detach the list before it runs: a subscriber that re-subscribes
+		// starts a fresh one.
+		subs := c.lineSubs[i].subs
+		c.lineSubs = append(c.lineSubs[:i], c.lineSubs[i+1:]...)
+		for _, s := range subs {
+			s.cb(s.recv, nil, s.n)
+		}
+		c.freeLineSubs(subs)
 		return
 	}
-	// Detach the list while it runs: a subscriber that re-subscribes starts
-	// a fresh one. The line keeps its array for the next subscription unless
-	// that happened.
-	c.lineSubs[line] = nil
-	for _, s := range subs {
-		s.cb(s.recv, nil, s.n)
-	}
-	if len(c.lineSubs[line]) == 0 {
-		clear(subs)
-		c.lineSubs[line] = subs[:0]
-	}
+}
+
+// freeLineSubs returns a finished subscription list's array to freeSubs.
+func (c *Controller) freeLineSubs(subs []lineSub) {
+	clear(subs)
+	c.freeSubs = append(c.freeSubs, subs[:0])
 }
 
 // ---------------------------------------------------------------------------
@@ -790,7 +809,7 @@ func (c *Controller) notifyLine(line memsys.Addr) {
 // ensureWritable guarantees an in-flight request that will leave the line
 // writable: an Upgrade if we hold it shared, else a GetX.
 func (c *Controller) ensureWritable(line memsys.Addr, spec, specWrite bool) *mshr {
-	if m, ok := c.mshrs[line]; ok {
+	if m := c.mshrFor(line); m != nil {
 		m.wantWritable = true
 		if specWrite {
 			m.specWrite = true
@@ -813,7 +832,7 @@ func (c *Controller) ensureWritable(line memsys.Addr, spec, specWrite bool) *msh
 
 // ensureMSHR guarantees an in-flight fill for the line.
 func (c *Controller) ensureMSHR(line memsys.Addr, excl, spec, specWrite bool) *mshr {
-	if m, ok := c.mshrs[line]; ok {
+	if m := c.mshrFor(line); m != nil {
 		if excl {
 			m.wantWritable = true
 			if m.kind == bus.GetS {
@@ -844,7 +863,7 @@ func (c *Controller) issue(line memsys.Addr, kind bus.Kind, spec, specWrite bool
 	m.specWrite = specWrite
 	m.wantWritable = kind != bus.GetS
 	m.upstream = bus.MemID
-	c.mshrs[line] = m
+	c.mshrs = append(c.mshrs, m)
 	c.hold(line)
 	c.noteMSHRs()
 	c.issueTxn(m)
@@ -931,15 +950,15 @@ func (c *Controller) enforceTimestampOrderAfterNewMiss(newLine memsys.Addr) {
 // SpecMissOutstanding reports whether a speculative miss for the line is in
 // flight (stall-attribution support).
 func (c *Controller) SpecMissOutstanding(a memsys.Addr) bool {
-	m, ok := c.mshrs[a.Line()]
-	return ok && m.spec
+	m := c.mshrFor(a.Line())
+	return m != nil && m.spec
 }
 
 // otherSpecMissOutstanding reports whether the transaction has an unfilled
 // miss on a line other than exclude (the §3.2 relaxation guard).
 func (c *Controller) otherSpecMissOutstanding(exclude memsys.Addr) bool {
-	for line, m := range c.mshrs {
-		if line != exclude && m.spec {
+	for _, m := range c.mshrs {
+		if m.line != exclude && m.spec {
 			return true
 		}
 	}
@@ -952,19 +971,16 @@ func (c *Controller) otherSpecMissOutstanding(exclude memsys.Addr) bool {
 func (c *Controller) DebugString() string {
 	s := fmt.Sprintf("P%d eng=%v aborted=%v deferred=%d wbLines=%d commitWaiter=%v",
 		c.id, c.eng.Mode(), c.eng.Aborted(), c.eng.DeferredLen(), c.wb.LineCount(), c.commitArmed)
-	for line, m := range c.mshrs {
+	for _, m := range c.mshrs {
 		s += fmt.Sprintf("\n  mshr %s kind=%v ordered=%v chain=%d handedOff=%v upstream=%d(%v) waiters=%d spec=%v conflictLost=%v probeLost=%v",
-			line, m.kind, m.ordered, len(m.chain), m.handedOff, m.upstream, m.hasUpstream, len(m.waiters), m.spec, m.conflictLost, m.probeLost)
+			m.line, m.kind, m.ordered, len(m.chain), m.handedOff, m.upstream, m.hasUpstream, len(m.waiters), m.spec, m.conflictLost, m.probeLost)
 	}
-	for line, subs := range c.lineSubs {
-		if len(subs) == 0 {
-			continue
-		}
+	for _, e := range c.lineSubs {
 		st := "absent"
-		if l := c.cache.Probe(line); l != nil {
+		if l := c.cache.Probe(e.line); l != nil {
 			st = l.State.String()
 		}
-		s += fmt.Sprintf("\n  subs %s n=%d state=%s", line, len(subs), st)
+		s += fmt.Sprintf("\n  subs %s n=%d state=%s", e.line, len(e.subs), st)
 	}
 	for _, d := range c.eng.PeekDeferred() {
 		s += fmt.Sprintf("\n  deferred line=%s stamp=%v", d.Line, d.Stamp)
@@ -978,4 +994,87 @@ func (c *Controller) mustProbe(line memsys.Addr) *cache.Line {
 		panic(fmt.Sprintf("coherence: P%d expected line %s present", c.id, line))
 	}
 	return l
+}
+
+// ---------------------------------------------------------------------------
+// Per-request state: short slices searched linearly
+// ---------------------------------------------------------------------------
+
+// wbEntry is a dirty line between eviction and write-back ordering.
+type wbEntry struct {
+	line memsys.Addr
+	data memsys.LineData
+}
+
+// fillForward is the line a forward-only fill is passing to its waiters.
+type fillForward struct {
+	line  memsys.Addr
+	data  memsys.LineData
+	valid bool
+}
+
+// mshrFor returns the outstanding miss for line, or nil.
+func (c *Controller) mshrFor(line memsys.Addr) *mshr {
+	for _, m := range c.mshrs {
+		if m.line == line {
+			return m
+		}
+	}
+	return nil
+}
+
+// removeMSHR takes m out of the outstanding misses, keeping issue order,
+// and reports whether it was there.
+func (c *Controller) removeMSHR(m *mshr) bool {
+	for i, o := range c.mshrs {
+		if o == m {
+			c.mshrs = append(c.mshrs[:i], c.mshrs[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// takeDraining removes and returns the drain-detached request with
+// transaction id, or nil.
+func (c *Controller) takeDraining(id uint64) *mshr {
+	for i, m := range c.draining {
+		if m.txnID == id {
+			c.draining = append(c.draining[:i], c.draining[i+1:]...)
+			return m
+		}
+	}
+	return nil
+}
+
+// wbPendingFor returns the pending write-back of line, or nil.
+func (c *Controller) wbPendingFor(line memsys.Addr) *wbEntry {
+	for i := range c.wbPending {
+		if c.wbPending[i].line == line {
+			return &c.wbPending[i]
+		}
+	}
+	return nil
+}
+
+// dropWBPending forgets the pending write-back of line.
+func (c *Controller) dropWBPending(line memsys.Addr) {
+	for i := range c.wbPending {
+		if c.wbPending[i].line == line {
+			c.wbPending = append(c.wbPending[:i], c.wbPending[i+1:]...)
+			return
+		}
+	}
+}
+
+// takeSuperseded reports whether line's write-back was superseded, and
+// forgets it.
+func (c *Controller) takeSuperseded(line memsys.Addr) bool {
+	for i, l := range c.wbSuperseded {
+		if l == line {
+			c.wbSuperseded = append(c.wbSuperseded[:i], c.wbSuperseded[i+1:]...)
+			return true
+		}
+	}
+	return false
 }

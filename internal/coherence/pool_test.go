@@ -79,10 +79,10 @@ func TestReleasedMSHRIsRecycled(t *testing.T) {
 		t.Fatalf("released MSHR not poisoned: %+v", *freed)
 	}
 	c0.Load(a, false, rec.sink, rec.next())
-	if got := c0.mshrs[a.Line()]; got != freed {
+	if got := c0.mshrFor(a.Line()); got != freed {
 		t.Fatal("the next miss did not reuse the released MSHR")
 	}
-	if got := c0.mshrs[a.Line()]; got.line != a.Line() || got.kind != bus.GetS || got.txn == nil || got.ordered {
+	if got := c0.mshrFor(a.Line()); got.line != a.Line() || got.kind != bus.GetS || got.txn == nil || got.ordered {
 		t.Fatalf("recycled MSHR not reinitialised: %+v", *got)
 	}
 	k.Run()

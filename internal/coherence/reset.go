@@ -3,37 +3,36 @@ package coherence
 // Machine reuse. Reset rewinds a quiescent system to construction state
 // without re-allocating. Quiescence is the precondition: no bus transaction
 // in flight, no MSHRs, no buffered stores, no transaction mid-flight in any
-// engine. At such a point every map the controllers own holds only either
-// persistent architectural state (cleared) or per-request bookkeeping
-// (necessarily empty), and all pooled bus messages, bus transactions and
-// MSHRs are back on their free lists — which is why pooling can survive
-// reuse untouched.
+// engine. At such a point every per-request list a controller owns (MSHRs,
+// drains, pending write-backs, the write buffer and read set) is
+// necessarily empty, the rest is persistent architectural state (cleared),
+// and all pooled bus messages, bus transactions and MSHRs are back on their
+// free lists — which is why pooling can survive reuse untouched.
 
 // reset rewinds the controller to the state newController constructs,
-// keeping every map and buffer allocation.
+// keeping every array.
 func (c *Controller) reset() {
 	c.cache.Reset()
 	c.wb.Discard()
 	if c.sb != nil {
 		c.sb.reset()
 	}
-	clear(c.mshrs)
-	clear(c.draining)
-	clear(c.wbPending)
-	clear(c.wbSuperseded)
+	c.mshrs = c.mshrs[:0]
+	c.draining = c.draining[:0]
+	c.wbPending = c.wbPending[:0]
+	c.wbSuperseded = c.wbSuperseded[:0]
 	c.linkLine, c.linkValid = 0, false
-	clear(c.specReads)
-	c.drainForwarding = false
+	c.specReads.Clear()
 	c.sbLoadForward = false
 	// Spin-wait subscriptions and the commit waiter name a finished run's
-	// operations; dropping them is required, not optional. Each line keeps
-	// its subscription array.
-	for line, subs := range c.lineSubs {
-		clear(subs)
-		c.lineSubs[line] = subs[:0]
+	// operations; dropping them is required, not optional. Their arrays go
+	// back to the free list.
+	for _, e := range c.lineSubs {
+		c.freeLineSubs(e.subs)
 	}
+	c.lineSubs = c.lineSubs[:0]
 	c.commitArmed, c.commitSink, c.commitN = false, nil, 0
-	clear(c.fillForward)
+	c.fwd = fillForward{}
 	c.stats = Stats{}
 }
 

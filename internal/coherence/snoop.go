@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"slices"
+
 	"tlrsim/internal/bus"
 	"tlrsim/internal/cache"
 	"tlrsim/internal/core"
@@ -20,13 +22,13 @@ import (
 // ownership-taking request in flight (pending owner, §3.1.1).
 func (c *Controller) SnoopOwner(line memsys.Addr) bool {
 	line = line.Line()
-	if _, ok := c.wbPending[line]; ok {
+	if c.wbPendingFor(line) != nil {
 		return true
 	}
 	if l := c.cache.Probe(line); l != nil && l.State.IsOwner() && !l.Masked {
 		return true
 	}
-	if m, ok := c.mshrs[line]; ok && m.ordered && m.kind != bus.GetS && !m.handedOff {
+	if m := c.mshrFor(line); m != nil && m.ordered && m.kind != bus.GetS && !m.handedOff {
 		return true
 	}
 	return false
@@ -39,7 +41,7 @@ func (c *Controller) SnoopShared(line memsys.Addr) bool {
 	if l := c.cache.Probe(line); l != nil {
 		return true
 	}
-	if m, ok := c.mshrs[line]; ok && m.ordered && !m.invalidated {
+	if m := c.mshrFor(line); m != nil && m.ordered && !m.invalidated {
 		return true
 	}
 	return false
@@ -57,7 +59,7 @@ func (c *Controller) SnoopNack(t *bus.Txn) bool {
 		return false
 	}
 	line := t.Line
-	if m, ok := c.mshrs[line]; ok && m.ordered && m.kind != bus.GetS {
+	if m := c.mshrFor(line); m != nil && m.ordered && m.kind != bus.GetS {
 		// Pending owner: no data to supply; the requester must retry.
 		c.stats.NacksSent++
 		return true
@@ -120,7 +122,8 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 	}
 
 	// Pending owner of record: the request joins our coherence chain.
-	if m, ok := c.mshrs[line]; ok && m.ordered && m.kind != bus.GetS {
+	m := c.mshrFor(line)
+	if m != nil && m.ordered && m.kind != bus.GetS {
 		if t.Kind == bus.Upgrade {
 			return // void: the upgrader's copy died with our GetX
 		}
@@ -137,7 +140,7 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 
 	// A pending GetS loses exclusivity eligibility when another reader's
 	// GetS is ordered behind it.
-	if m, ok := c.mshrs[line]; ok && m.kind == bus.GetS && t.Kind == bus.GetS {
+	if m != nil && m.kind == bus.GetS && t.Kind == bus.GetS {
 		m.mustShare = true
 	}
 
@@ -145,12 +148,12 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 	// request: detach it so its (pre-writer) data only reaches the waiters
 	// already attached; anything later must re-request. An un-ordered GetS
 	// (e.g. awaiting a NACK retry) has no data coming and stays put.
-	if m, ok := c.mshrs[line]; ok && m.ordered && m.kind == bus.GetS && t.Kind != bus.GetS {
+	if m != nil && m.ordered && m.kind == bus.GetS && t.Kind != bus.GetS {
 		m.invalidated = true
-		delete(c.mshrs, line)
+		c.removeMSHR(m)
 		c.release(line)
 		c.noteMSHRs()
-		c.draining[m.txnID] = m
+		c.draining = append(c.draining, m)
 		if c.linkValid && c.linkLine == line {
 			c.linkValid = false
 		}
@@ -162,8 +165,8 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 	}
 
 	// Supplier-of-record duty for dirty data awaiting write-back ordering.
-	if d, ok := c.wbPending[line]; ok {
-		c.supplyFromWBPending(t, d)
+	if wb := c.wbPendingFor(line); wb != nil {
+		c.supplyFromWBPending(t, wb.data)
 		return
 	}
 
@@ -187,19 +190,18 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 	switch t.Kind {
 	case bus.WriteBack:
-		delete(c.wbPending, t.Line)
+		c.dropWBPending(t.Line)
 		c.release(t.Line)
-		if c.wbSuperseded[t.Line] {
+		if c.takeSuperseded(t.Line) {
 			// A GetX consumed this data before the write-back ordered; the
 			// requester now owns a fresher copy, so memory must not apply
 			// the stale payload (its own write-back could order first).
 			t.Cancel = true
-			delete(c.wbSuperseded, t.Line)
 		}
 		return
 	case bus.Upgrade:
-		m, ok := c.mshrs[t.Line]
-		if !ok || m.txnID != t.ID {
+		m := c.mshrFor(t.Line)
+		if m == nil || m.txnID != t.ID {
 			return
 		}
 		m.ordered = true
@@ -226,17 +228,17 @@ func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 			c.nackedOwnRequest(t)
 			return
 		}
-		m, ok := c.mshrs[t.Line]
-		if !ok || m.txnID != t.ID {
+		m := c.mshrFor(t.Line)
+		if m == nil || m.txnID != t.ID {
 			return
 		}
 		m.ordered = true
-		if d, wbOK := c.wbPending[t.Line]; wbOK && owner == c.id {
+		if wb := c.wbPendingFor(t.Line); wb != nil && owner == c.id {
 			// Our own just-evicted dirty data races our re-fetch: no one
 			// else can supply, so self-supply from the write-back buffer.
 			// The closure copies what it needs: t is recycled once the
 			// fill completes it.
-			req, line := t.ID, t.Line
+			req, line, d := t.ID, t.Line, wb.data
 			c.sys.K.After(1, func() {
 				c.Deliver(&bus.DataResp{Req: req, Line: line, Data: d, From: c.id})
 			})
@@ -250,16 +252,15 @@ func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 // drain-detached (an invalidation raced it) is re-armed first — its waiters
 // were never served, so they must ride the retry.
 func (c *Controller) nackedOwnRequest(t *bus.Txn) {
-	m, ok := c.mshrs[t.Line]
-	if !ok || m.txnID != t.ID {
-		dm, drained := c.draining[t.ID]
-		if !drained {
+	m := c.mshrFor(t.Line)
+	if m == nil || m.txnID != t.ID {
+		dm := c.takeDraining(t.ID)
+		if dm == nil {
 			return
 		}
 		// The void (nacked) request cannot legally forward pre-writer data:
 		// it was never ordered. Re-arm it as a fresh miss.
-		delete(c.draining, t.ID)
-		if cur, live := c.mshrs[dm.line]; live {
+		if cur := c.mshrFor(dm.line); cur != nil {
 			// A newer request for the line exists: its fill serves everyone.
 			cur.waiters = append(cur.waiters, dm.waiters...)
 			c.completeTxn(dm)
@@ -271,7 +272,7 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 			dm.spec = false
 			dm.specWrite = false
 		}
-		c.mshrs[dm.line] = dm
+		c.mshrs = append(c.mshrs, dm)
 		c.hold(dm.line)
 		c.noteMSHRs()
 		m = dm
@@ -286,7 +287,7 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 			// resource limit and take the lock (§3.3 guarantees progress).
 			// The request itself dies here; its waiters are squashed by the
 			// abort.
-			delete(c.mshrs, m.line)
+			c.removeMSHR(m)
 			c.release(m.line)
 			c.noteMSHRs()
 			c.AbortTxn(core.ReasonResource)
@@ -306,8 +307,8 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 	line, id := m.line, m.txnID
 	backoff := nackBackoff(c.eng.Policy().Seed, c.id, m.nackRetries)
 	c.sys.K.After(backoff, func() {
-		cur, still := c.mshrs[line]
-		if !still || cur.txnID != id {
+		cur := c.mshrFor(line)
+		if cur == nil || cur.txnID != id {
 			return // the miss was satisfied or replaced meanwhile
 		}
 		c.issueTxn(cur)
@@ -475,9 +476,11 @@ func (c *Controller) supplyFromWBPending(t *bus.Txn, d memsys.LineData) {
 		// the in-flight write-back so its stale payload cannot clobber the
 		// new owner's future one at memory.
 		c.sys.Bus.SendData(t.Src, t.ID, t.Line, &d, c.id, false)
-		delete(c.wbPending, t.Line)
+		c.dropWBPending(t.Line)
 		c.release(t.Line)
-		c.wbSuperseded[t.Line] = true
+		if !slices.Contains(c.wbSuperseded, t.Line) {
+			c.wbSuperseded = append(c.wbSuperseded, t.Line)
+		}
 	}
 }
 
@@ -502,7 +505,7 @@ func (c *Controller) Deliver(msg bus.Msg) {
 	case *bus.DataResp:
 		c.deliverData(v)
 	case *bus.Marker:
-		if m, ok := c.mshrs[v.Line]; ok {
+		if m := c.mshrFor(v.Line); m != nil {
 			m.upstream = v.From
 			m.hasUpstream = true
 			for _, ts := range m.pendingProbes {
@@ -521,7 +524,7 @@ func (c *Controller) deliverProbe(p *bus.Probe) {
 	// conflicting OLDER transaction waits somewhere deeper in the chain
 	// behind us; record it (diagnostic only — see the probeLost field for
 	// why acting on it here is wrong).
-	if m, ok := c.mshrs[p.Line]; ok && m.ordered {
+	if m := c.mshrFor(p.Line); m != nil && m.ordered {
 		if m.spec && c.eng.Speculating() && p.Stamp.Valid &&
 			c.eng.StampBefore(p.Stamp, c.eng.Stamp()) {
 			m.probeLost = true
@@ -543,12 +546,12 @@ func (c *Controller) deliverProbe(p *bus.Probe) {
 }
 
 func (c *Controller) deliverData(r *bus.DataResp) {
-	if m, ok := c.draining[r.Req]; ok {
+	if m := c.takeDraining(r.Req); m != nil {
 		c.finishDraining(m, r)
 		return
 	}
-	m, ok := c.mshrs[r.Line]
-	if !ok || m.txnID != r.Req {
+	m := c.mshrFor(r.Line)
+	if m == nil || m.txnID != r.Req {
 		return // stale response for a retired or reissued MSHR
 	}
 	line := r.Line
@@ -596,26 +599,23 @@ func (c *Controller) deliverData(r *bus.DataResp) {
 	c.finishMSHR(m, frame)
 }
 
-// finishDraining delivers a forward-only fill: the value was ordered before
-// the invalidating writer, so the waiters that attached before the
-// invalidation legally observe it, but the line is not cached.
+// finishDraining delivers a forward-only fill (m, already taken out of
+// draining): the value was ordered before the invalidating writer, so the
+// waiters that attached before the invalidation legally observe it, but
+// the line is not cached.
 func (c *Controller) finishDraining(m *mshr, r *bus.DataResp) {
 	line := m.line
-	delete(c.draining, m.txnID)
 	c.completeTxn(m)
-	for i := 0; i < memsys.WordsPerLine; i++ {
-		c.fillForward[line+memsys.Addr(i*memsys.WordBytes)] = r.Data[i]
+	if c.fwd.valid {
+		panic("coherence: forward-only fill inside another")
 	}
+	c.fwd = fillForward{line: line, data: r.Data, valid: true}
 	waiters := m.waiters
 	m.waiters = nil
-	c.drainForwarding = true
 	for _, w := range waiters {
 		c.wake(w)
 	}
-	c.drainForwarding = false
-	for i := 0; i < memsys.WordsPerLine; i++ {
-		delete(c.fillForward, line+memsys.Addr(i*memsys.WordBytes))
-	}
+	c.fwd.valid = false
 	// The line is NOT cached: wake any spin subscriber registered during the
 	// waiter callbacks so it re-fetches instead of sleeping on a line whose
 	// invalidation it can never observe.
@@ -666,8 +666,7 @@ func (c *Controller) finishMSHR(m *mshr, frame *cache.Line) {
 }
 
 func (c *Controller) retireMSHR(m *mshr) {
-	if _, ok := c.mshrs[m.line]; ok {
-		delete(c.mshrs, m.line)
+	if c.removeMSHR(m) {
 		c.release(m.line)
 		c.noteMSHRs()
 		c.completeTxn(m)
@@ -733,7 +732,11 @@ func (c *Controller) handleEviction(ev *cache.Evicted) {
 		return
 	}
 	c.stats.Writebacks++
-	c.wbPending[ev.Tag] = ev.Data
+	if wb := c.wbPendingFor(ev.Tag); wb != nil {
+		wb.data = ev.Data
+	} else {
+		c.wbPending = append(c.wbPending, wbEntry{ev.Tag, ev.Data})
+	}
 	c.hold(ev.Tag)
 	t := c.sys.Bus.NewTxn()
 	t.Kind, t.Line, t.Src, t.WBData = bus.WriteBack, ev.Tag, c.id, ev.Data
@@ -800,11 +803,12 @@ func (c *Controller) checkCommit() {
 // services the deferred queue in order (Figure 3 step 4).
 func (c *Controller) doCommit() {
 	if c.sys.Check != nil {
-		c.sys.Check.CommitTxn(c.id, c.specReads, c.wb.Words())
+		c.sys.Check.CommitTxn(c.id, &c.specReads, c.wb.Words())
 	}
-	c.sys.Metrics.NoteCommit(c.id, uint64(len(c.wb.Lines())))
-	clear(c.specReads)
-	for _, line := range c.wb.Lines() {
+	c.sys.Metrics.NoteCommit(c.id, uint64(c.wb.LineCount()))
+	c.specReads.Clear()
+	for c.wb.LineCount() > 0 {
+		line := c.wb.Lines()[0]
 		l := c.mustProbe(line)
 		c.wb.Drain(line, &l.Data)
 		l.State = cache.Modified
@@ -833,7 +837,7 @@ func (c *Controller) AbortTxn(reason core.Reason) {
 	}
 	c.sys.Trace(c.id, trace.TxnAbort, 0, reason.String())
 	c.sys.Metrics.NoteAbort(c.id)
-	clear(c.specReads)
+	c.specReads.Clear()
 	c.wb.Discard()
 	c.cache.ClearSpecBits()
 	for _, m := range c.mshrs {

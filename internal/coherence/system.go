@@ -12,7 +12,9 @@
 package coherence
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tlrsim/internal/bus"
 	"tlrsim/internal/cache"
@@ -140,7 +142,8 @@ func (s *System) IsLockLine(a memsys.Addr) bool { return s.lockLines[a.Line()] }
 
 // CheckCoherence validates the global single-writer/multi-reader invariant
 // and owner uniqueness, and that the snoop filter names every controller
-// holding state (CheckHolders); tests call it at quiescent points.
+// holding state (CheckHolders); tests call it at quiescent points. Of
+// several violating lines it reports the lowest.
 func (s *System) CheckCoherence() error {
 	if err := s.CheckHolders(); err != nil {
 		return err
@@ -149,31 +152,44 @@ func (s *System) CheckCoherence() error {
 		cpu int
 		st  cache.State
 	}
-	byLine := map[memsys.Addr][]holder{}
+	type lineCopy struct {
+		line memsys.Addr
+		holder
+	}
+	var copies []lineCopy
 	for _, c := range s.Ctrls {
 		c.cache.ForEachValid(func(l *cache.Line) {
-			byLine[l.Tag] = append(byLine[l.Tag], holder{c.id, l.State})
+			copies = append(copies, lineCopy{l.Tag, holder{c.id, l.State}})
 		})
 	}
-	for line, hs := range byLine {
-		writable, owners := 0, 0
-		for _, h := range hs {
-			if h.st.Writable() {
+	slices.SortStableFunc(copies, func(a, b lineCopy) int { return cmp.Compare(a.line, b.line) })
+	for len(copies) > 0 {
+		n, writable, owners := 0, 0, 0
+		for ; n < len(copies) && copies[n].line == copies[0].line; n++ {
+			if copies[n].st.Writable() {
 				writable++
 			}
-			if h.st.IsOwner() {
+			if copies[n].st.IsOwner() {
 				owners++
 			}
 		}
-		if writable > 1 {
-			return fmt.Errorf("line %s writable in %d caches: %v", line, writable, hs)
+		var what string
+		switch {
+		case writable > 1:
+			what = fmt.Sprintf("writable in %d caches", writable)
+		case writable == 1 && n > 1:
+			what = "writable alongside other copies"
+		case owners > 1:
+			what = fmt.Sprintf("has %d owners", owners)
 		}
-		if writable == 1 && len(hs) > 1 {
-			return fmt.Errorf("line %s writable alongside other copies: %v", line, hs)
+		if what != "" {
+			hs := make([]holder, n)
+			for i := range hs {
+				hs[i] = copies[i].holder
+			}
+			return fmt.Errorf("line %s %s: %v", copies[0].line, what, hs)
 		}
-		if owners > 1 {
-			return fmt.Errorf("line %s has %d owners: %v", line, owners, hs)
-		}
+		copies = copies[n:]
 	}
 	return nil
 }
@@ -193,14 +209,14 @@ func (s *System) CheckHolders() error {
 		if err != nil {
 			return err
 		}
-		for line := range c.mshrs {
-			if !s.holders.has(line, c.id) {
-				return fmt.Errorf("P%d has an MSHR for line %s but is not in its holder set", c.id, line)
+		for _, m := range c.mshrs {
+			if !s.holders.has(m.line, c.id) {
+				return fmt.Errorf("P%d has an MSHR for line %s but is not in its holder set", c.id, m.line)
 			}
 		}
-		for line := range c.wbPending {
-			if !s.holders.has(line, c.id) {
-				return fmt.Errorf("P%d has a pending write-back of line %s but is not in its holder set", c.id, line)
+		for _, wb := range c.wbPending {
+			if !s.holders.has(wb.line, c.id) {
+				return fmt.Errorf("P%d has a pending write-back of line %s but is not in its holder set", c.id, wb.line)
 			}
 		}
 	}
@@ -216,8 +232,8 @@ func (s *System) ArchWord(a memsys.Addr) uint64 {
 		if l := c.cache.Probe(line); l != nil && l.State.IsOwner() {
 			return l.Data[a.WordIndex()]
 		}
-		if d, ok := c.wbPending[line]; ok {
-			return d[a.WordIndex()]
+		if wb := c.wbPendingFor(line); wb != nil {
+			return wb.data[a.WordIndex()]
 		}
 	}
 	return s.Mem.ReadWord(a)

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"tlrsim/internal/memsys"
 	"tlrsim/internal/stamp"
@@ -255,12 +256,16 @@ type Engine struct {
 	aborted     bool
 	abortReason Reason
 
-	deferred            []Deferred
-	deferredSpare       []Deferred // TakeDeferred's second buffer
-	conflictLines       map[memsys.Addr]bool
+	deferred      []Deferred
+	deferredSpare []Deferred // TakeDeferred's second buffer
+	// conflictLines are the distinct lines the transaction has seen a
+	// conflict on, and upgradeViolations the per-line upgrade-violation
+	// counts since the last commit. Both are bounded by one transaction's
+	// footprint, so they are short slices searched linearly.
+	conflictLines       []memsys.Addr
 	restartsThisAttempt int
 
-	upgradeViolations map[memsys.Addr]int
+	upgradeViolations []lineCount
 
 	// karma is the CMKarma priority bank: cycles lost to aborted attempts,
 	// carried across restarts, reset on commit or fallback. Maintained
@@ -274,12 +279,10 @@ type Engine struct {
 func NewEngine(cpu int, pol Policy) *Engine {
 	pol = pol.withDefaults()
 	e := &Engine{
-		cpu:               cpu,
-		pol:               pol,
-		cm:                PolicyFor(pol.CM),
-		clk:               stamp.NewClock(cpu),
-		conflictLines:     make(map[memsys.Addr]bool),
-		upgradeViolations: make(map[memsys.Addr]int),
+		cpu: cpu,
+		pol: pol,
+		cm:  PolicyFor(pol.CM),
+		clk: stamp.NewClock(cpu),
 	}
 	if pol.TimestampBits > 0 {
 		e.clk.SetBits(pol.TimestampBits)
@@ -288,9 +291,9 @@ func NewEngine(cpu int, pol Policy) *Engine {
 }
 
 // Reset rewinds the engine to the state NewEngine(cpu, pol) constructs,
-// keeping its maps and the deferred-queue backing array. The policy may
-// change across a reset (the scheme is a runtime knob of machine reuse), so
-// NewEngine's defaulting is reapplied to pol.
+// keeping its arrays. The policy may change across a reset (the scheme is a
+// runtime knob of machine reuse), so NewEngine's defaulting is reapplied to
+// pol.
 func (e *Engine) Reset(pol Policy) {
 	e.pol = pol.withDefaults()
 	e.cm = PolicyFor(pol.CM)
@@ -303,9 +306,9 @@ func (e *Engine) Reset(pol Policy) {
 	e.aborted = false
 	e.abortReason = ReasonNone
 	e.deferred = e.deferred[:0]
-	clear(e.conflictLines)
+	e.conflictLines = e.conflictLines[:0]
 	e.restartsThisAttempt = 0
-	clear(e.upgradeViolations)
+	e.upgradeViolations = e.upgradeViolations[:0]
 	e.karma = 0
 	e.stats = Stats{}
 }
@@ -432,7 +435,7 @@ func (e *Engine) Outermost() bool { return e.elided == 1 }
 // the outcome.
 func (e *Engine) ResolveIncoming(in stamp.Stamp, line memsys.Addr, canDefer, otherLineOutstanding bool) Decision {
 	e.clk.Observe(in)
-	e.conflictLines[line.Line()] = true
+	e.noteConflictLine(line)
 	if e.mode != ModeSpec || !canDefer {
 		return Service
 	}
@@ -449,10 +452,14 @@ func (e *Engine) ResolveIncoming(in stamp.Stamp, line memsys.Addr, canDefer, oth
 }
 
 func (e *Engine) singleConflictLine(line memsys.Addr) bool {
-	if len(e.conflictLines) > 1 {
-		return false
+	return len(e.conflictLines) == 1 && e.conflictLines[0] == line
+}
+
+// noteConflictLine adds line to the transaction's conflict lines.
+func (e *Engine) noteConflictLine(line memsys.Addr) {
+	if line = line.Line(); !slices.Contains(e.conflictLines, line) {
+		e.conflictLines = append(e.conflictLines, line)
 	}
-	return e.conflictLines[line]
 }
 
 func (e *Engine) deferredFull() bool { return len(e.deferred) >= e.pol.MaxDeferred }
@@ -497,7 +504,7 @@ func (e *Engine) PeekDeferred() []Deferred {
 // conflict-line tracking still apply.
 func (e *Engine) ObserveConflict(in stamp.Stamp, line memsys.Addr) {
 	e.clk.Observe(in)
-	e.conflictLines[line.Line()] = true
+	e.noteConflictLine(line)
 }
 
 // TakeDeferred removes and returns all buffered requests in arrival order.
@@ -547,7 +554,7 @@ func (e *Engine) AckAbort() {
 		e.mode = ModeIdle
 	}
 	e.aborted = false
-	clear(e.conflictLines)
+	e.conflictLines = e.conflictLines[:0]
 }
 
 // ShouldFallback reports whether, after the just-acknowledged abort, the
@@ -617,8 +624,8 @@ func (e *Engine) Commit() {
 	e.stats.Commits++
 	e.restartsThisAttempt = 0
 	e.karma = 0
-	clear(e.conflictLines)
-	clear(e.upgradeViolations)
+	e.conflictLines = e.conflictLines[:0]
+	e.upgradeViolations = e.upgradeViolations[:0]
 }
 
 // ResetAttempt clears the per-critical-section restart counter (called when
@@ -634,12 +641,29 @@ func (e *Engine) Restarts() int { return e.restartsThisAttempt }
 // it exclusively (the §3.1.2 guarantee mechanism).
 func (e *Engine) NoteUpgradeViolation(line memsys.Addr) bool {
 	line = line.Line()
-	e.upgradeViolations[line]++
-	return e.upgradeViolations[line] >= upgradeViolationLimit
+	i := e.upgradeSlot(line)
+	if i < 0 {
+		i = len(e.upgradeViolations)
+		e.upgradeViolations = append(e.upgradeViolations, lineCount{line: line})
+	}
+	e.upgradeViolations[i].n++
+	return e.upgradeViolations[i].n >= upgradeViolationLimit
 }
 
 // WantExclusiveRead reports whether reads of line inside transactions
 // should request ownership up front due to past upgrade violations.
 func (e *Engine) WantExclusiveRead(line memsys.Addr) bool {
-	return e.upgradeViolations[line.Line()] >= upgradeViolationLimit
+	i := e.upgradeSlot(line.Line())
+	return i >= 0 && e.upgradeViolations[i].n >= upgradeViolationLimit
+}
+
+// upgradeSlot returns the index of line's upgrade-violation count, or -1.
+func (e *Engine) upgradeSlot(line memsys.Addr) int {
+	return slices.IndexFunc(e.upgradeViolations, func(v lineCount) bool { return v.line == line })
+}
+
+// lineCount is a per-line counter.
+type lineCount struct {
+	line memsys.Addr
+	n    int
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -134,6 +135,30 @@ func TestRMWTableBounded(t *testing.T) {
 	}
 	if p.TableUsed() > 4 {
 		t.Fatalf("table grew to %d entries, cap 4", p.TableUsed())
+	}
+}
+
+// EndSection trains its untrained loads in program order, so the table it
+// leaves is the same every time. Sites 1 and 2 fill a two-entry table at
+// full confidence; loads at sites 3, 1 and 2 then end untrained. Site 3
+// evicts site 1, site 1 evicts site 2 and site 2 evicts site 3, each
+// entering at 0, so the table ends as sites [1 2] at counters [0 0].
+func TestRMWEndSectionDeterministic(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		p := NewRMWPredictor(2)
+		for _, site := range []int{1, 2} {
+			for i := 0; i < 3; i++ {
+				p.NoteLoad(site, 0x40)
+				p.NoteStore(0x40)
+			}
+		}
+		p.NoteLoad(3, 0x40)
+		p.NoteLoad(1, 0x80)
+		p.NoteLoad(2, 0xc0)
+		p.EndSection()
+		if got := fmt.Sprint(p.sites, p.counters); got != "[1 2] [0 0]" {
+			t.Fatalf("trial %d: table (sites, counters) = %s, want [1 2] [0 0]", trial, got)
+		}
 	}
 }
 

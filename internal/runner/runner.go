@@ -61,9 +61,17 @@ type Pool struct {
 
 // Machines is a cache of warm machines keyed by construction shape
 // (proc.ResetShape). It is single-goroutine state: each worker owns one.
+// A batch uses a handful of shapes, so the cache is a short slice found by
+// comparing shapes: no hashing of the shape on every Acquire.
 type Machines struct {
 	cold     bool
-	machines map[proc.ResetShape]*proc.Machine
+	machines []warmMachine
+}
+
+// warmMachine is one shape's slot; m is nil while the machine is out.
+type warmMachine struct {
+	shape proc.ResetShape
+	m     *proc.Machine
 }
 
 // NewMachines returns an empty cache. A cold cache never reuses: every
@@ -71,7 +79,7 @@ type Machines struct {
 // identical either way; cold caches are the reference tests check reuse
 // against.
 func NewMachines(cold bool) *Machines {
-	return &Machines{cold: cold, machines: make(map[proc.ResetShape]*proc.Machine)}
+	return &Machines{cold: cold}
 }
 
 // Acquire returns a machine constructed (or exactly rewound) for cfg. The
@@ -82,12 +90,9 @@ func (c *Machines) Acquire(cfg proc.Config) *proc.Machine {
 	if c.cold {
 		return proc.NewMachine(cfg)
 	}
-	key := cfg.ResetShape()
-	if m := c.machines[key]; m != nil {
-		// Clear the entry in place rather than deleting it: ResetShape is
-		// too large for a map to store inline, so re-inserting a deleted
-		// key on Release would allocate on every run.
-		c.machines[key] = nil
+	if w := c.slot(cfg.ResetShape()); w != nil && w.m != nil {
+		m := w.m
+		w.m = nil
 		if m.Reset(cfg) == nil {
 			return m
 		}
@@ -95,12 +100,27 @@ func (c *Machines) Acquire(cfg proc.Config) *proc.Machine {
 	return proc.NewMachine(cfg)
 }
 
+// slot returns the cache slot for shape, or nil if the shape has none.
+func (c *Machines) slot(shape proc.ResetShape) *warmMachine {
+	for i := range c.machines {
+		if c.machines[i].shape == shape {
+			return &c.machines[i]
+		}
+	}
+	return nil
+}
+
 // Release returns a successfully finished machine to the cache for reuse.
 func (c *Machines) Release(m *proc.Machine) {
 	if c.cold {
 		return
 	}
-	c.machines[m.Config().ResetShape()] = m
+	shape := m.Config().ResetShape()
+	if w := c.slot(shape); w != nil {
+		w.m = m
+		return
+	}
+	c.machines = append(c.machines, warmMachine{shape, m})
 }
 
 // Run executes the jobs and returns their results in job order. On failure

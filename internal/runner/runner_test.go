@@ -165,24 +165,33 @@ func TestEdgeCases(t *testing.T) {
 	}
 }
 
-// TestMachinesReuseAllocFree pins the cache's own cost: once a shape is
-// warm, an Acquire (an exact Reset) plus a Release allocates nothing. In
-// particular the cache must not delete and re-insert its ResetShape key,
-// which is too large to store inline and would allocate once per run.
+// TestMachinesReuseAllocFree pins the cache's own cost: once its shapes are
+// warm, an Acquire (an exact Reset) plus a Release allocates nothing, and
+// each shape gets back its own machine. A shape keeps its slot while its
+// machine is out, so Release never grows the cache.
 func TestMachinesReuseAllocFree(t *testing.T) {
-	cfg := testConfig(2, 7)
+	cfgs := []proc.Config{testConfig(2, 7), testConfig(4, 7)}
 	c := NewMachines(false)
-	first := c.Acquire(cfg)
-	c.Release(first)
-	allocs := testing.AllocsPerRun(100, func() {
+	var first []*proc.Machine
+	for _, cfg := range cfgs {
 		m := c.Acquire(cfg)
-		if m != first {
-			t.Fatal("warm Acquire constructed a new machine instead of reusing the cached one")
-		}
+		first = append(first, m)
 		c.Release(m)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i, cfg := range cfgs {
+			m := c.Acquire(cfg)
+			if m != first[i] {
+				t.Fatal("warm Acquire constructed a new machine instead of reusing the cached one")
+			}
+			c.Release(m)
+		}
 	})
 	if allocs != 0 {
 		t.Errorf("warm Acquire+Release allocates %.1f objects per cycle, want 0", allocs)
+	}
+	if len(c.machines) != len(cfgs) {
+		t.Errorf("cache holds %d slots for %d shapes", len(c.machines), len(cfgs))
 	}
 }
 

@@ -113,10 +113,6 @@ func Table1() string { return harness.Table1() }
 // Table2 renders the simulated machine parameters (paper Table 2).
 func Table2() string { return harness.Table2() }
 
-func machineConfig(procs int, scheme Scheme, seed int64) Config {
-	return harness.MachineConfig(procs, scheme, seed)
-}
-
 // Benchmarks exposes the paper's workloads for custom studies.
 var Benchmarks = struct {
 	MultipleCounter func(totalOps int) Workload

@@ -514,12 +514,15 @@ func (c *Controller) Store(a memsys.Addr, v uint64, sink Sink, n uint64) {
 	case StoreAborted:
 		sink(n, 0, false)
 	default:
-		c.storeSlow(waiter{kind: waitStore, sink: sink, n: n, addr: a, val: v})
+		c.StoreMiss(a, v, sink, n)
 	}
 }
 
-// storeSlow runs a non-speculative store StoreFast declined.
-func (c *Controller) storeSlow(w waiter) {
+// StoreMiss runs the asynchronous path for a non-speculative store that
+// StoreFast declined (StoreSlow); sink receives the completion tagged n.
+// Callers must have called StoreFast in the same event.
+func (c *Controller) StoreMiss(a memsys.Addr, v uint64, sink Sink, n uint64) {
+	w := waiter{kind: waitStore, sink: sink, n: n, addr: a, val: v}
 	c.stats.Stores++
 	// Non-speculative path: through the TSO store buffer when enabled.
 	if c.sb != nil {
@@ -931,11 +934,11 @@ func (c *Controller) freeMSHR(m *mshr) {
 // enforceTimestampOrderAfterNewMiss aborts the transaction if a deferred
 // request with an earlier timestamp exists on a different line than the new
 // miss: the single-block relaxation no longer applies and continuing to
-// defer could deadlock. Only CMTimestamp relaxes; under every other policy
-// each deferred stamp is later than the transaction's, so there is nothing
-// to revoke.
+// defer could deadlock. Only a policy that relaxes can hold such a request;
+// under every other policy each deferred stamp is later than the
+// transaction's, so there is nothing to revoke.
 func (c *Controller) enforceTimestampOrderAfterNewMiss(newLine memsys.Addr) {
-	if !c.eng.Speculating() || c.eng.Policy().CM != core.CMTimestamp {
+	if !c.eng.Speculating() || !c.eng.Relaxes() {
 		return
 	}
 	my := c.eng.Stamp()

@@ -1,6 +1,16 @@
 package coherence
 
-import "testing"
+import (
+	"testing"
+
+	"tlrsim/internal/sim"
+)
+
+// nackDelay is the delay snoop.go schedules after a request's retries-th
+// NACK.
+func nackDelay(seed int64, cpu, retries int) uint64 {
+	return sim.Backoff(nackBackoffBase, nackBackoffCap, retries, nackJitterKey(seed, cpu, retries))
+}
 
 // TestNackBackoffShape pins the NACK-retry delay curve: exponential from
 // nackBackoffBase, plateauing at the nackBackoffCap shift, jitter strictly
@@ -14,18 +24,26 @@ func TestNackBackoffShape(t *testing.T) {
 			shift = nackBackoffCap
 		}
 		lo := uint64(nackBackoffBase) << shift
-		d := nackBackoff(2002, 0, retries)
+		d := nackDelay(2002, 0, retries)
 		if d < lo || d >= 2*lo {
 			t.Fatalf("retry %d: delay %d outside [%d, %d)", retries, d, lo, 2*lo)
 		}
-		if again := nackBackoff(2002, 0, retries); again != d {
+		if again := nackDelay(2002, 0, retries); again != d {
 			t.Fatalf("retry %d: not deterministic (%d then %d)", retries, d, again)
 		}
 	}
 	// The plateau: past the cap the lower bound stops growing.
 	capLo := uint64(nackBackoffBase) << nackBackoffCap
-	if d := nackBackoff(2002, 0, nackBackoffCap+50); d < capLo || d >= 2*capLo {
+	if d := nackDelay(2002, 0, nackBackoffCap+50); d < capLo || d >= 2*capLo {
 		t.Fatalf("past-cap delay %d outside plateau [%d, %d)", d, capLo, 2*capLo)
+	}
+	// The exact schedule: a change to the curve or its jitter key moves
+	// every NACK-retention run.
+	want := [12]uint64{25, 42, 90, 146, 404, 671, 1868, 3037, 4243, 6760, 7927, 6682}
+	for r := 1; r <= len(want); r++ {
+		if d := nackDelay(2002, 3, r); d != want[r-1] {
+			t.Errorf("seed 2002 cpu 3 retry %d: delay %d, want %d", r, d, want[r-1])
+		}
 	}
 }
 
@@ -38,7 +56,7 @@ func TestNackBackoffDesynchronisesRequesters(t *testing.T) {
 		var s [8]uint64
 		var at uint64
 		for r := 1; r <= len(s); r++ {
-			at += nackBackoff(seed, cpu, r)
+			at += nackDelay(seed, cpu, r)
 			s[r-1] = at
 		}
 		return s

@@ -305,7 +305,7 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 	// pointer: if the miss is satisfied meanwhile, its MSHR is recycled and
 	// may come back for the same line under a newer transaction.
 	line, id := m.line, m.txnID
-	backoff := nackBackoff(c.eng.Policy().Seed, c.id, m.nackRetries)
+	backoff := sim.Backoff(nackBackoffBase, nackBackoffCap, m.nackRetries, nackJitterKey(c.eng.Policy().Seed, c.id, m.nackRetries))
 	c.sys.K.After(backoff, func() {
 		cur := c.mshrFor(line)
 		if cur == nil || cur.txnID != id {
@@ -320,20 +320,13 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 // plain miss escalates to a Priority reissue.
 const pathologicalNacks = 100
 
-// nackBackoff is the retry delay after a request's n-th NACK: exponential
-// from nackBackoffBase up to the nackBackoffCap shift, plus a deterministic
-// jitter in [0, delay) mixed from (machine seed, cpu, retry ordinal) — the
-// StartJitter idiom, no global RNG. The jitter is what desynchronises two
+// The retry delay after a request's n-th NACK is sim.Backoff from
+// nackBackoffBase up to the nackBackoffCap shift, jittered from (machine
+// seed, cpu, retry ordinal). The jitter is what desynchronises two
 // NACK-storming requesters: under the old linear 10*n rule both recomputed
 // identical delays every round and retried in lockstep forever.
-func nackBackoff(seed int64, cpu, retries int) uint64 {
-	shift := uint(retries - 1)
-	if shift > nackBackoffCap {
-		shift = nackBackoffCap
-	}
-	d := uint64(nackBackoffBase) << shift
-	x := sim.Mix64(uint64(seed)*0x9e3779b97f4a7c15 + uint64(cpu+1)*0xbf58476d1ce4e5b9 + uint64(retries)*0x94d049bb133111eb)
-	return d + x%d
+func nackJitterKey(seed int64, cpu, retries int) uint64 {
+	return uint64(seed)*0x9e3779b97f4a7c15 + uint64(cpu+1)*0xbf58476d1ce4e5b9 + uint64(retries)*0x94d049bb133111eb
 }
 
 const (

@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"tlrsim/internal/memsys"
+	"tlrsim/internal/sim"
 	"tlrsim/internal/stamp"
 )
 
@@ -158,13 +159,13 @@ type Policy struct {
 	// TimestampBits bounds the hardware timestamp width: logical clocks
 	// wrap at 2^bits and priorities compare in the half-window sense
 	// (§2.1.2: "timestamp roll-over due to fixed size timestamps is easily
-	// handled"). 0 means unbounded (simulation default). Not compatible
-	// with CMKarma (karma stamps use a wide priority encoding).
+	// handled"). 0 means unbounded (simulation default). The engine rejects
+	// it with CMKarma (karma stamps use a wide priority encoding).
 	TimestampBits uint
 
-	// CM selects the contention-management strategy consulted at the
-	// engine's conflict-decision sites. The zero value is the paper's
-	// timestamp policy, byte-identical to the pre-seam engine.
+	// CM selects the contention-management rule (one cmRules row) the
+	// engine reads at its conflict-decision sites. The zero value is the
+	// paper's timestamp policy.
 	CM CM
 
 	// Seed is the machine seed, threaded in so policies can derive
@@ -242,10 +243,10 @@ func Reasons() []Reason {
 
 // Engine is the per-processor TLR/SLE state machine.
 type Engine struct {
-	cpu int
-	pol Policy
-	cm  ContentionPolicy // singleton for pol.CM, cached at construction/Reset
-	clk *stamp.Clock
+	cpu  int
+	pol  Policy
+	rule cmRule // pol.CM's row, cached at construction/Reset
+	clk  *stamp.Clock
 
 	mode        Mode
 	depth       int // current lock nesting depth inside Critical frames
@@ -269,7 +270,8 @@ type Engine struct {
 
 	// karma is the CMKarma priority bank: cycles lost to aborted attempts,
 	// carried across restarts, reset on commit or fallback. Maintained
-	// unconditionally (one add per abort); only karmaPolicy reads it.
+	// unconditionally (one add per abort); only a karma row's stamp reads
+	// it.
 	karma uint64
 
 	stats Stats
@@ -279,10 +281,10 @@ type Engine struct {
 func NewEngine(cpu int, pol Policy) *Engine {
 	pol = pol.withDefaults()
 	e := &Engine{
-		cpu: cpu,
-		pol: pol,
-		cm:  PolicyFor(pol.CM),
-		clk: stamp.NewClock(cpu),
+		cpu:  cpu,
+		pol:  pol,
+		rule: ruleFor(pol),
+		clk:  stamp.NewClock(cpu),
 	}
 	if pol.TimestampBits > 0 {
 		e.clk.SetBits(pol.TimestampBits)
@@ -295,8 +297,8 @@ func NewEngine(cpu int, pol Policy) *Engine {
 // runtime knob of machine reuse), so NewEngine's defaulting is reapplied to
 // pol.
 func (e *Engine) Reset(pol Policy) {
+	e.rule = ruleFor(pol)
 	e.pol = pol.withDefaults()
-	e.cm = PolicyFor(pol.CM)
 	e.clk.Reset()
 	e.clk.SetBits(pol.TimestampBits)
 	e.mode = ModeIdle
@@ -387,12 +389,23 @@ func (e *Engine) EnterCritical(elide bool) {
 	if e.mode != ModeSpec {
 		e.mode = ModeSpec
 		e.specBase = e.depth - 1 // enclosing acquired levels stay entered
-		e.txStamp = e.cm.AttemptStamp(e)
+		e.txStamp = e.attemptStamp()
 		e.aborted = false
 		e.abortReason = ReasonNone
 		e.txSeq++
 		e.stats.Starts++
 	}
+}
+
+// attemptStamp is the timestamp a fresh transaction attempt carries (step
+// 1 of Figure 3): the logical clock, or under karma the bank encoded as
+// seniority below karmaStampBase.
+func (e *Engine) attemptStamp() stamp.Stamp {
+	if !e.rule.karma {
+		return e.clk.Current()
+	}
+	k := min(e.karma, karmaStampBase-1)
+	return stamp.New(karmaStampBase-k, e.cpu)
 }
 
 // TxSeq identifies the current (or most recent) speculative transaction
@@ -448,8 +461,28 @@ func (e *Engine) ResolveIncoming(in stamp.Stamp, line memsys.Addr, canDefer, oth
 		e.stats.DeferOverflow++
 		return Service
 	}
-	return e.cm.ResolveTimestamped(e, in, line, otherLineOutstanding)
+	if !e.rule.ordered {
+		return Service
+	}
+	if e.StampBefore(e.txStamp, in) {
+		// Local transaction is earlier: it wins and the requester waits.
+		return Defer
+	}
+	// Local transaction is later. Strictly we must lose, but if only this
+	// single block is under conflict and no other miss is outstanding,
+	// deadlock is impossible (the coherence chain head is stable) and the
+	// protocol's own request queue provides the ordering (§3.2).
+	if e.rule.relaxed && !otherLineOutstanding && e.singleConflictLine(line.Line()) {
+		e.stats.RelaxedWins++
+		return Defer
+	}
+	return Service
 }
+
+// Relaxes reports whether the policy applies the §3.2 single-block
+// relaxation, so the controller knows whether a deferral may need revoking
+// when the transaction issues a new miss.
+func (e *Engine) Relaxes() bool { return e.rule.relaxed }
 
 func (e *Engine) singleConflictLine(line memsys.Addr) bool {
 	return len(e.conflictLines) == 1 && e.conflictLines[0] == line
@@ -478,7 +511,12 @@ func (e *Engine) ResolveUntimestamped(line memsys.Addr, canDefer bool) Decision 
 		e.stats.DeferOverflow++
 		return Service
 	}
-	return e.cm.ResolveUntimestamped(e, line)
+	if !e.rule.ordered {
+		return Service
+	}
+	// Treated as carrying the latest timestamp in the system: always
+	// deferrable, ordered after the current transaction.
+	return Defer
 }
 
 // PushDeferred buffers a request the engine decided to Defer.
@@ -563,7 +601,7 @@ func (e *Engine) AckAbort() {
 // set) caps any attempt's restarts whatever the reasons, and plain SLE
 // gives up after sleRestartLimit conflict restarts (it has no
 // conflict-resolution scheme to make retrying fair). Past those, the
-// contention policy decides: the paper's timestamp policies retry
+// policy's restart limit decides: the paper's timestamp policies retry
 // conflict-class aborts indefinitely, relying on timestamp fairness;
 // requester-wins and backoff cap restarts because they have no fairness
 // mechanism to lean on.
@@ -578,7 +616,7 @@ func (e *Engine) ShouldFallback(r Reason) bool {
 	if !e.pol.EnableTLR {
 		return e.restartsThisAttempt > sleRestartLimit
 	}
-	return e.cm.ShouldFallback(e, r)
+	return e.rule.restartLimit > 0 && e.restartsThisAttempt >= e.rule.restartLimit
 }
 
 // NoteFallback records a lock acquisition after giving up on elision. The
@@ -596,12 +634,18 @@ func (e *Engine) NoteAbortedWork(cycles uint64) { e.karma += cycles }
 // Karma reports the accumulated aborted-work bank (observability/tests).
 func (e *Engine) Karma() uint64 { return e.karma }
 
-// RetryBackoff returns the contention policy's extra delay (cycles) before
-// re-dispatching the squashed attempt; 0 for every policy but CMBackoff.
-func (e *Engine) RetryBackoff() uint64 { return e.cm.RetryDelay(e) }
-
-// ContentionName returns the active contention policy's name.
-func (e *Engine) ContentionName() string { return e.cm.Name() }
+// RetryBackoff returns the contention policy's extra delay (cycles, beyond
+// the machine's restart penalty) before re-dispatching the squashed
+// attempt: the row's seeded curve keyed on (seed, cpu, restart ordinal),
+// or 0 for a policy without one (every policy but backoff and karma).
+func (e *Engine) RetryBackoff() uint64 {
+	if e.rule.backoffBase == 0 {
+		return 0
+	}
+	r := max(e.restartsThisAttempt, 1)
+	key := uint64(e.pol.Seed)*0x9e3779b97f4a7c15 + uint64(e.cpu+1)*0xbf58476d1ce4e5b9 + uint64(r) + 0x9e3779b97f4a7c15
+	return sim.Backoff(e.rule.backoffBase, e.rule.backoffShift, r, key)
+}
 
 // Commit finishes a successful transaction: the logical clock advances
 // strictly monotonically past every observed conflicting clock (invariant

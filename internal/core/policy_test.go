@@ -26,15 +26,6 @@ func TestParseCMRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPolicyForInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PolicyFor(cmCount) should panic")
-		}
-	}()
-	PolicyFor(cmCount)
-}
-
 // TestStrictTSPolicyDecisionTable pins CMStrictTS, the Figure 9
 // TLR-strict-ts ablation: pure timestamp order, with no §3.2 relaxation.
 func TestStrictTSPolicyDecisionTable(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 // policyConfig returns the TLR machine with a configuration mutation
 // applied — the shape every ablation point takes.
 func policyConfig(o Options, procs int, pol func(*proc.Config)) proc.Config {
-	cfg := MachineConfig(procs, proc.TLR, o.Seed)
+	cfg := proc.BaselineConfig(procs, proc.TLR, o.Seed)
 	pol(&cfg)
 	return cfg
 }
@@ -185,7 +185,7 @@ func StoreBufferEffect(o Options) (*Result, error) {
 				scheme proc.Scheme
 			}{name, scheme})
 			for vi, v := range variants {
-				cfg := MachineConfig(o.AppProcs, scheme, o.Seed)
+				cfg := proc.BaselineConfig(o.AppProcs, scheme, o.Seed)
 				if vi == 1 {
 					cfg.Coherence.StoreBufferEntries = 64
 				}

@@ -63,9 +63,9 @@ func ContentionMatrix(o Options) (*Result, error) {
 	// A row's columns: BASE (the speedup denominator), then TLR under
 	// each policy.
 	names := []string{"BASE"}
-	configs := []proc.Config{MachineConfig(o.AppProcs, proc.Base, o.Seed)}
+	configs := []proc.Config{proc.BaselineConfig(o.AppProcs, proc.Base, o.Seed)}
 	for _, cm := range cms {
-		cfg := MachineConfig(o.AppProcs, proc.TLR, o.Seed)
+		cfg := proc.BaselineConfig(o.AppProcs, proc.TLR, o.Seed)
 		cfg.Policy.CM = cm
 		configs = append(configs, cfg)
 		names = append(names, cm.String())

@@ -101,14 +101,6 @@ func (o Options) scaled(n int) int {
 	return v
 }
 
-// MachineConfig returns the paper's Table 2 target system for the given
-// processor count and scheme. It is proc.BaselineConfig — the one shared
-// construction path that machine reset semantics mirror — re-exported
-// under the name the experiment code has always used.
-func MachineConfig(procs int, scheme proc.Scheme, seed int64) proc.Config {
-	return proc.BaselineConfig(procs, scheme, seed)
-}
-
 // Result is the outcome of one experiment: per-(scheme, procs) runs plus a
 // rendered report.
 type Result struct {
@@ -185,7 +177,7 @@ func sweep(name string, o Options, schemes []proc.Scheme, build func() workloads
 		for _, p := range o.Procs {
 			points = append(points, point{
 				label: fmt.Sprintf("%v procs=%d", scheme, p),
-				cfg:   MachineConfig(p, scheme, o.Seed),
+				cfg:   proc.BaselineConfig(p, scheme, o.Seed),
 				build: build,
 			})
 		}
@@ -294,7 +286,7 @@ func Fig11(o Options) (*AppResult, error) {
 		for _, scheme := range schemes {
 			points = append(points, point{
 				label: fmt.Sprintf("%s: %v procs=%d", name, scheme, o.AppProcs),
-				cfg:   MachineConfig(o.AppProcs, scheme, o.Seed),
+				cfg:   proc.BaselineConfig(o.AppProcs, scheme, o.Seed),
 				build: build,
 			})
 		}
@@ -353,7 +345,7 @@ func CoarseVsFine(o Options) (*Result, error) {
 		coarse := c.coarse
 		points = append(points, point{
 			label: fmt.Sprintf("%s procs=%d", c.label, o.AppProcs),
-			cfg:   MachineConfig(o.AppProcs, c.scheme, o.Seed),
+			cfg:   proc.BaselineConfig(o.AppProcs, c.scheme, o.Seed),
 			build: func() workloads.Workload {
 				return &workloads.MP3D{Steps: o.scaled(3072), Cells: 2048, Work: 20, Coarse: coarse}
 			},
@@ -388,7 +380,7 @@ func RMWEffect(o Options) (*Result, error) {
 		name := build().Name()
 		names = append(names, name)
 		for vi, v := range variants {
-			cfg := MachineConfig(o.AppProcs, proc.Base, o.Seed)
+			cfg := proc.BaselineConfig(o.AppProcs, proc.Base, o.Seed)
 			cfg.UseRMWPredictor = vi == 1
 			points = append(points, point{
 				label: fmt.Sprintf("%s: %s procs=%d", name, v, o.AppProcs),
@@ -420,7 +412,7 @@ func RMWEffect(o Options) (*Result, error) {
 
 // Table2 renders the simulated machine parameters (paper Table 2).
 func Table2() string {
-	cfg := MachineConfig(16, proc.TLR, 0)
+	cfg := proc.BaselineConfig(16, proc.TLR, 0)
 	var b strings.Builder
 	b.WriteString("Table 2: simulated machine parameters\n")
 	fmt.Fprintf(&b, "  Processors            : %d in-order timing cores, 1 cycle/op issue\n", cfg.Procs)

@@ -49,7 +49,7 @@ func RobustnessSweep(o Options) (*Result, error) {
 			return nil, fmt.Errorf("robustness ladder %q: %w", rung.label, err)
 		}
 		for _, scheme := range schemes {
-			cfg := MachineConfig(o.AppProcs, scheme, o.Seed)
+			cfg := proc.BaselineConfig(o.AppProcs, scheme, o.Seed)
 			cfg.Faults = fs
 			points = append(points, point{
 				label: fmt.Sprintf("faults=%s %v procs=%d", rung.label, scheme, o.AppProcs),

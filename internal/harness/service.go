@@ -88,7 +88,7 @@ func ServiceSweep(o Options, so ServiceOptions) (*Result, error) {
 					tcfg.Sink = j
 				}
 			}
-			jobs = append(jobs, serviceJob(o, label, MachineConfig(o.AppProcs, scheme, o.Seed), rate, tcfg, &recs[i]))
+			jobs = append(jobs, serviceJob(o, label, proc.BaselineConfig(o.AppProcs, scheme, o.Seed), rate, tcfg, &recs[i]))
 		}
 	}
 	runs, err := o.pool().Run(jobs)

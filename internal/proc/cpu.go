@@ -274,7 +274,7 @@ func (cpu *CPU) startOp(o op) {
 		case coherence.StoreAborted:
 			// onAbort already squashed the op.
 		default:
-			cpu.ctrl.Store(o.addr, o.val, cpu.sink, cpu.seq)
+			cpu.ctrl.StoreMiss(o.addr, o.val, cpu.sink, cpu.seq)
 		}
 	case opLL:
 		cpu.ctrl.LL(o.addr, cpu.sink, cpu.seq)

@@ -11,7 +11,7 @@ import (
 // Karma seniority is not stable the way a retained timestamp is: each abort
 // banks the loser's invested cycles, which outbids the winner's static
 // karma, so contenders restarting in lockstep leapfrog each other's
-// priority and mutually abort forever. Before karmaPolicy.RetryDelay
+// priority and mutually abort forever. Before the karma rule's retry delay
 // staggered restarts, this exact configuration — the open-loop service
 // workload at its heavy arrival rate on 8 processors — wedged five CPUs on
 // one hot lock at ~9.6k aborts apiece with zero commits until the watchdog

@@ -145,7 +145,7 @@ type ViolationError = checker.ViolationError
 // data latencies, 12-cycle L2, 70-cycle memory, LL/SC synchronisation, a
 // 128-entry read-modify-write predictor, and elision nesting depth 8.
 func DefaultConfig(procs int, scheme Scheme) Config {
-	return machineConfig(procs, scheme, 2002)
+	return proc.BaselineConfig(procs, scheme, 2002)
 }
 
 // NewMachine builds a machine from cfg.

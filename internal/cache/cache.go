@@ -80,8 +80,7 @@ type Line struct {
 	// the conflict is masked from the coherence protocol (§3).
 	Masked bool
 
-	lru    uint64
-	victim bool
+	lru uint64
 }
 
 // Spec reports whether the line is in the current transaction's data set.
@@ -111,10 +110,24 @@ type Stats struct {
 }
 
 // Cache is the L1 data array plus victim cache.
+//
+// The main array is stored by slot: a set gets the next slot the first time
+// a line is inserted into it, and keeps it for the cache's life. Slot s owns
+// frames[s] (its Ways frames) and the tag row tags[s*Ways:(s+1)*Ways], one
+// word per frame holding the frame's line address with tagValid set, or 0
+// when the frame is Invalid. A hit or miss test reads that one contiguous
+// row instead of walking the frames. Only this package changes a frame's
+// validity: fill, Invalidate and Reset write the tag word in the same step,
+// and a frame evictFrame invalidates is refilled by the fill that follows.
+// Callers may move a frame between valid states, which leaves its tag word
+// unchanged.
 type Cache struct {
 	cfg     Config
-	sets    [][]Line
-	numSets int
+	ways    int
+	setMask uint64   // numSets-1: the set count is a power of two
+	rows    []int32  // per set: its slot + 1, or 0 before its first insert
+	tags    []uint64 // tag rows, slot by slot
+	frames  [][]Line // per slot: the set's frames
 	victim  []Line
 	tick    uint64
 	stats   Stats
@@ -146,83 +159,104 @@ func New(cfg Config) *Cache {
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", numSets))
 	}
-	c := &Cache{cfg: cfg, numSets: numSets}
-	c.sets = make([][]Line, numSets)
+	c := &Cache{cfg: cfg, ways: cfg.Ways, setMask: uint64(numSets - 1)}
+	c.rows = make([]int32, numSets)
 	c.victim = make([]Line, 0, cfg.VictimEntries)
 	return c
 }
 
-// setFor returns the frames of line's set, allocated on first touch. Lazy
-// allocation keeps machine construction proportional to the working set, not
-// the configured capacity: a nil set reads as all-Invalid (Lookup and Probe
-// iterate zero frames and miss), so only Insert needs real storage.
-func (c *Cache) setFor(line memsys.Addr) []Line {
-	i := c.setIndex(line)
-	if c.sets[i] == nil {
-		c.sets[i] = make([]Line, c.cfg.Ways)
+// tagValid marks a valid frame's tag word. Line addresses are
+// LineBytes-aligned, so the low bit is free, and an Invalid frame's word is
+// 0, which no valid line's word equals.
+const tagValid = 1
+
+// tagWord is the tag row entry of a frame holding line in state st.
+func tagWord(line memsys.Addr, st State) uint64 {
+	if !st.Valid() {
+		return 0
 	}
-	return c.sets[i]
+	return uint64(line) | tagValid
 }
+
+// slotFor returns the slot of line's set, giving the set a slot on first
+// touch. Lazy allocation keeps machine construction proportional to the
+// working set, not the configured capacity: a set without a slot reads as
+// all-Invalid (find skips it), so only Insert needs real storage.
+func (c *Cache) slotFor(line memsys.Addr) int {
+	i := c.setIndex(line)
+	if c.rows[i] == 0 {
+		n := len(c.tags)
+		c.tags = slices.Grow(c.tags, c.ways)[:n+c.ways]
+		clear(c.tags[n:])
+		c.frames = append(c.frames, make([]Line, c.ways))
+		c.rows[i] = int32(len(c.frames))
+	}
+	return int(c.rows[i] - 1)
+}
+
+// row returns slot s's tag row.
+func (c *Cache) row(s int) []uint64 { return c.tags[s*c.ways : (s+1)*c.ways] }
 
 // Stats returns the array counters.
 func (c *Cache) Stats() *Stats { return &c.stats }
 
 // Reset invalidates every frame and rewinds LRU state and stats to
-// construction state. Lazily allocated sets are kept and zeroed rather than
-// dropped: a zeroed frame is Invalid, which reads identically to the nil
-// set of a fresh cache, and keeping the arrays is what makes reuse
-// allocation-free.
+// construction state. Slots given to sets are kept and zeroed rather than
+// dropped: a zeroed frame is Invalid and a zeroed tag row misses, which
+// reads identically to the slotless set of a fresh cache, and keeping the
+// arrays is what makes reuse allocation-free.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		if c.sets[i] != nil {
-			clear(c.sets[i])
-		}
+	for _, set := range c.frames {
+		clear(set)
 	}
+	clear(c.tags)
 	c.victim = c.victim[:0]
 	c.tick = 0
 	c.stats = Stats{}
 	c.specTouched = c.specTouched[:0]
 }
 
-func (c *Cache) setIndex(line memsys.Addr) int {
-	return int(uint64(line) / memsys.LineBytes % uint64(c.numSets))
+func (c *Cache) setIndex(line memsys.Addr) uint64 {
+	return uint64(line) / memsys.LineBytes & c.setMask
+}
+
+// find returns the frame holding line (a line base address), searching the
+// set's tag row then the victim cache, or nil. tag points at the frame's
+// tag word, and is nil for a victim frame.
+func (c *Cache) find(line memsys.Addr) (f *Line, tag *uint64) {
+	if r := c.rows[c.setIndex(line)]; r != 0 {
+		s := int(r - 1)
+		want := uint64(line) | tagValid
+		row := c.row(s)
+		for w := range row {
+			if row[w] == want {
+				return &c.frames[s][w], &row[w]
+			}
+		}
+	}
+	for i := range c.victim {
+		if c.victim[i].State.Valid() && c.victim[i].Tag == line {
+			return &c.victim[i], nil
+		}
+	}
+	return nil, nil
 }
 
 // Lookup returns the frame holding line, searching the main array then the
 // victim cache, or nil. It does not touch LRU state; use Touch on access.
 func (c *Cache) Lookup(line memsys.Addr) *Line {
-	line = line.Line()
-	set := c.sets[c.setIndex(line)]
-	for i := range set {
-		if set[i].State.Valid() && set[i].Tag == line {
-			return &set[i]
-		}
+	f, tag := c.find(line.Line())
+	if f != nil && tag == nil {
+		c.stats.VictimHits++
 	}
-	for i := range c.victim {
-		if c.victim[i].State.Valid() && c.victim[i].Tag == line {
-			c.stats.VictimHits++
-			return &c.victim[i]
-		}
-	}
-	return nil
+	return f
 }
 
 // Probe is Lookup without statistics side effects (for snooping and
 // assertions).
 func (c *Cache) Probe(line memsys.Addr) *Line {
-	line = line.Line()
-	set := c.sets[c.setIndex(line)]
-	for i := range set {
-		if set[i].State.Valid() && set[i].Tag == line {
-			return &set[i]
-		}
-	}
-	for i := range c.victim {
-		if c.victim[i].State.Valid() && c.victim[i].Tag == line {
-			return &c.victim[i]
-		}
-	}
-	return nil
+	f, _ := c.find(line.Line())
+	return f
 }
 
 // Touch marks the line most-recently-used and counts a hit.
@@ -242,44 +276,51 @@ func (c *Cache) Miss() { c.stats.Misses++ }
 // fall back to acquiring the lock (§3.3).
 func (c *Cache) Insert(line memsys.Addr, st State, data memsys.LineData) (frame *Line, ev *Evicted, ok bool) {
 	line = line.Line()
-	if got := c.Probe(line); got != nil {
+	if got, tag := c.find(line); got != nil {
 		// Re-fill of a present line (e.g. upgrade completed): update in place.
 		got.State = st
 		got.Data = data
 		c.tick++
 		got.lru = c.tick
+		if tag != nil {
+			*tag = tagWord(line, st)
+		}
 		return got, nil, true
 	}
-	set := c.setFor(line)
+	s := c.slotFor(line)
+	set, row := c.frames[s], c.row(s)
 
 	// 1) Free frame.
-	for i := range set {
-		if !set[i].State.Valid() {
-			return c.fill(&set[i], line, st, data), nil, true
+	for w := range row {
+		if row[w] == 0 {
+			return c.fill(&set[w], &row[w], line, st, data), nil, true
 		}
 	}
 	// 2) LRU among non-speculative frames.
 	if w := pickLRU(set, false); w >= 0 {
 		ev = c.evictFrame(&set[w])
-		return c.fill(&set[w], line, st, data), ev, true
+		return c.fill(&set[w], &row[w], line, st, data), ev, true
 	}
 	// 3) Whole set is speculative: move the LRU speculative frame to the
 	// victim cache, which preserves its access bits and ownership.
 	if len(c.victim) < c.cfg.VictimEntries && !c.faults.RefuseVictim() {
 		w := pickLRU(set, true)
-		moved := set[w]
-		moved.victim = true
-		c.victim = append(c.victim, moved)
-		return c.fill(&set[w], line, st, data), nil, true
+		c.victim = append(c.victim, set[w])
+		return c.fill(&set[w], &row[w], line, st, data), nil, true
 	}
 	// 4) Victim cache full of speculative lines too: resource overflow.
 	c.stats.SpecOverflowEvts++
 	return nil, nil, false
 }
 
-func (c *Cache) fill(f *Line, line memsys.Addr, st State, data memsys.LineData) *Line {
+// fill installs line in frame f, whose tag word is tag, resetting the
+// frame's access and mask bits.
+func (c *Cache) fill(f *Line, tag *uint64, line memsys.Addr, st State, data memsys.LineData) *Line {
 	c.tick++
-	*f = Line{Tag: line, State: st, Data: data, lru: c.tick, victim: f.victim}
+	f.Tag, f.State, f.Data = line, st, data
+	f.SpecRead, f.SpecWritten, f.Masked = false, false, false
+	f.lru = c.tick
+	*tag = tagWord(line, st)
 	return f
 }
 
@@ -303,6 +344,7 @@ func (c *Cache) evictFrame(f *Line) *Evicted {
 	if f.State.Dirty() {
 		c.stats.WritebackEvicts++
 	}
+	// The frame's tag word is left to the fill that always follows.
 	ev := &Evicted{Tag: f.Tag, State: f.State, Data: f.Data}
 	f.State = Invalid
 	return ev
@@ -311,11 +353,16 @@ func (c *Cache) evictFrame(f *Line) *Evicted {
 // Invalidate drops the line (external GetX/Upgrade). The frame (main or
 // victim) becomes free. Victim frames are compacted out.
 func (c *Cache) Invalidate(line memsys.Addr) {
-	line = line.Line()
-	if l := c.Probe(line); l != nil {
-		l.State = Invalid
-		c.compactVictim()
+	l, tag := c.find(line.Line())
+	if l == nil {
+		return
 	}
+	l.State = Invalid
+	if tag != nil {
+		*tag = 0
+		return
+	}
+	c.compactVictim()
 }
 
 func (c *Cache) compactVictim() {
@@ -368,10 +415,10 @@ func (c *Cache) ClearSpecBits() {
 // set, sorted for deterministic iteration.
 func (c *Cache) SpecLines() []memsys.Addr {
 	var out []memsys.Addr
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].State.Valid() && c.sets[s][i].Spec() {
-				out = append(out, c.sets[s][i].Tag)
+	for _, set := range c.frames {
+		for i := range set {
+			if set[i].State.Valid() && set[i].Spec() {
+				out = append(out, set[i].Tag)
 			}
 		}
 	}
@@ -384,12 +431,17 @@ func (c *Cache) SpecLines() []memsys.Addr {
 	return out
 }
 
-// ForEachValid visits every valid frame (checker support).
+// ForEachValid visits every valid frame (checker support), main array in
+// set order, then the victim cache.
 func (c *Cache) ForEachValid(fn func(*Line)) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].State.Valid() {
-				fn(&c.sets[s][i])
+	for _, r := range c.rows {
+		if r == 0 {
+			continue
+		}
+		set := c.frames[r-1]
+		for i := range set {
+			if set[i].State.Valid() {
+				fn(&set[i])
 			}
 		}
 	}

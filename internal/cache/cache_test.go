@@ -14,7 +14,7 @@ func small() *Cache {
 
 // addrInSet returns the base address of the i-th distinct line mapping to set.
 func addrInSet(c *Cache, set, i int) memsys.Addr {
-	return memsys.Addr((i*c.numSets + set) * memsys.LineBytes)
+	return memsys.Addr((i*(int(c.setMask)+1) + set) * memsys.LineBytes)
 }
 
 func TestStateProperties(t *testing.T) {

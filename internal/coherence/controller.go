@@ -906,7 +906,9 @@ func (c *Controller) newMSHR() *mshr {
 	}
 	m := c.freeMSHRs[n-1]
 	c.freeMSHRs = c.freeMSHRs[:n-1]
-	*m = mshr{chain: m.chain[:0], pendingProbes: m.pendingProbes[:0], waiters: m.waiters[:0]}
+	chain, probes, waiters := m.chain[:0], m.pendingProbes[:0], m.waiters[:0]
+	*m = mshr{} // zeroed in place, not built and copied
+	m.chain, m.pendingProbes, m.waiters = chain, probes, waiters
 	return m
 }
 

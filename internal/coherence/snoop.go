@@ -166,7 +166,7 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 
 	// Supplier-of-record duty for dirty data awaiting write-back ordering.
 	if wb := c.wbPendingFor(line); wb != nil {
-		c.supplyFromWBPending(t, wb.data)
+		c.supplyFromWBPending(t, &wb.data, shared)
 		return
 	}
 
@@ -237,10 +237,12 @@ func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 			// Our own just-evicted dirty data races our re-fetch: no one
 			// else can supply, so self-supply from the write-back buffer.
 			// The closure copies what it needs: t is recycled once the
-			// fill completes it.
+			// fill completes it. Other CPUs may still hold Shared copies
+			// (the evicted line was Owned), so the fill honours the bus's
+			// shared verdict like any other GetS reply.
 			req, line, d := t.ID, t.Line, wb.data
 			c.sys.K.After(1, func() {
-				c.Deliver(&bus.DataResp{Req: req, Line: line, Data: d, From: c.id})
+				c.Deliver(&bus.DataResp{Req: req, Line: line, Data: d, From: c.id, Shared: shared})
 			})
 		}
 	}
@@ -457,18 +459,21 @@ func (c *Controller) invalidateLocal(l *cache.Line, line memsys.Addr) {
 	c.notifyLine(line)
 }
 
-// supplyFromWBPending services a request that raced our write-back.
-func (c *Controller) supplyFromWBPending(t *bus.Txn, d memsys.LineData) {
+// supplyFromWBPending services a request that raced our write-back. shared
+// is the bus's verdict that another cache still holds the line: an evicted
+// Owned line can leave Shared copies behind, and a GetS reply must then
+// install Shared, not Exclusive.
+func (c *Controller) supplyFromWBPending(t *bus.Txn, d *memsys.LineData, shared bool) {
 	switch t.Kind {
 	case bus.GetS:
 		// The reader gets a copy; the write-back stays in flight and memory
 		// will absorb it, making the data architecturally home.
-		c.sys.Bus.SendData(t.Src, t.ID, t.Line, &d, c.id, false)
+		c.sys.Bus.SendData(t.Src, t.ID, t.Line, d, c.id, shared)
 	case bus.GetX:
 		// Ownership transfers to the requester: stop supplying and cancel
 		// the in-flight write-back so its stale payload cannot clobber the
 		// new owner's future one at memory.
-		c.sys.Bus.SendData(t.Src, t.ID, t.Line, &d, c.id, false)
+		c.sys.Bus.SendData(t.Src, t.ID, t.Line, d, c.id, false)
 		c.dropWBPending(t.Line)
 		c.release(t.Line)
 		if !slices.Contains(c.wbSuperseded, t.Line) {

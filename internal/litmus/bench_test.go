@@ -57,7 +57,7 @@ func TestSteadyStateRunMachineAllocFree(t *testing.T) {
 	r := NewRunner()
 	run := func() {
 		for _, scheme := range DefaultSchemes {
-			if _, err := r.Run(p, scheme, 1, DefaultPerturb); err != nil {
+			if _, err := r.Run(p, scheme, 1, &DefaultPerturb); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -68,7 +68,7 @@ func TestChaosRunDeterminism(t *testing.T) {
 		for _, scheme := range DefaultSchemes {
 			for _, p := range progs[:40] {
 				for _, seed := range []int64{1, 2} {
-					a, errA := warm.Run(p, scheme, seed, pt)
+					a, errA := warm.Run(p, scheme, seed, &pt)
 					b, errB := Run(p, scheme, seed, pt)
 					if errA != nil || errB != nil {
 						t.Fatalf("%s %v seed %d faults %q: warm err %v, fresh err %v",

@@ -178,7 +178,7 @@ func checkOne(r *Runner, e *explorer, p Program, opts Options) progResult {
 		seen := map[string]struct{}{}
 		for _, seed := range opts.Seeds {
 			res.runs++
-			out, err := r.Run(p, scheme, seed, opts.Perturb)
+			out, err := r.Run(p, scheme, seed, &opts.Perturb)
 			if err != nil {
 				res.divergences = append(res.divergences, Divergence{
 					Prog: p, Scheme: scheme, Seed: seed, Err: err, Locked: keepLocked(),

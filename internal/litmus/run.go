@@ -66,9 +66,9 @@ const maxEvents = 250_000
 
 // machineConfig assembles the small machine litmus programs run on: the
 // shared Table 2 construction path (proc.BaselineConfig) shrunk for
-// micro-programs.
-func machineConfig(cpus int, scheme proc.Scheme, seed int64, pt Perturb) proc.Config {
-	cfg := proc.BaselineConfig(cpus, scheme, seed)
+// micro-programs. The seed is left zero; each run sets its own.
+func machineConfig(cpus int, scheme proc.Scheme, pt *Perturb) proc.Config {
+	cfg := proc.BaselineConfig(cpus, scheme, 0)
 	// A litmus program touches at most a handful of padded lines; the tiny
 	// cache keeps machine construction (the dominant cost of a cold sweep
 	// over tens of thousands of micro-programs) cheap without ever evicting
@@ -113,10 +113,37 @@ func machineConfig(cpus int, scheme proc.Scheme, seed int64, pt Perturb) proc.Co
 type Runner struct {
 	machines *runner.Machines
 
+	// configs holds the machine config of every (CPUs, scheme,
+	// perturbation) the runner has run, built once by machineConfig; a run
+	// sets only its seed and hands the config to the machine cache by
+	// pointer.
+	configs []runConfig
+
 	// Scratch arenas reused across runs (threads/ops/locs slices).
 	threads []proc.LitmusThread
 	ops     []proc.LitmusOp
 	locs    []memsys.Addr
+}
+
+// runConfig is one entry of Runner.configs.
+type runConfig struct {
+	cpus   int
+	scheme proc.Scheme
+	pt     Perturb
+	cfg    proc.Config
+}
+
+// config returns the runner's machine config for (cpus, scheme, pt), with
+// the seed of its last run.
+func (r *Runner) config(cpus int, scheme proc.Scheme, pt *Perturb) *proc.Config {
+	for i := range r.configs {
+		if c := &r.configs[i]; c.cpus == cpus && c.scheme == scheme && c.pt == *pt {
+			return &c.cfg
+		}
+	}
+	r.configs = append(r.configs, runConfig{cpus: cpus, scheme: scheme, pt: *pt,
+		cfg: machineConfig(cpus, scheme, pt)})
+	return &r.configs[len(r.configs)-1].cfg
 }
 
 // NewRunner returns a runner that reuses warm machines.
@@ -125,9 +152,12 @@ func NewRunner() *Runner { return newRunner(false) }
 func newRunner(cold bool) *Runner { return &Runner{machines: runner.NewMachines(cold)} }
 
 // Run executes the program on the simulated machine under one
-// (scheme, seed, perturbation) and returns its outcome string.
-func (r *Runner) Run(p Program, scheme proc.Scheme, seed int64, pt Perturb) (string, error) {
-	m := r.machines.Acquire(machineConfig(len(p.Threads), scheme, seed, pt))
+// (scheme, seed, perturbation) and returns its outcome string. pt is read,
+// not kept.
+func (r *Runner) Run(p Program, scheme proc.Scheme, seed int64, pt *Perturb) (string, error) {
+	cfg := r.config(len(p.Threads), scheme, pt)
+	cfg.Seed = seed
+	m := r.machines.Acquire(cfg)
 	out, err := r.runOn(m, p)
 	if err != nil {
 		// An errored run (deadlock, livelock, checker violation) leaves
@@ -188,5 +218,5 @@ func (r *Runner) runOn(m *proc.Machine, p Program) (string, error) {
 // Runner instead; this one-shot run is the entry point for reproducer tests
 // and the fresh-machine reference that warm reuse is tested against.
 func Run(p Program, scheme proc.Scheme, seed int64, pt Perturb) (string, error) {
-	return newRunner(true).Run(p, scheme, seed, pt)
+	return newRunner(true).Run(p, scheme, seed, &pt)
 }

@@ -47,19 +47,15 @@ type CPU struct {
 	opActive bool
 	opStart  sim.Time
 
-	// curOp is the operation in flight (valid while opActive); completion
-	// paths read it for accounting instead of capturing it in a closure.
+	// curOp is the CPU's one op slot. The thread writes its next operation
+	// here (opSource.next) once the previous one has completed, and it stays
+	// in place through its issue (or stall-resume) event, its folded compute
+	// span (curOp.lead > 0) and its execution (opActive), so no stage copies
+	// it. Completion paths read it for accounting instead of capturing it in
+	// a closure. At most one issue event is outstanding per CPU: the thread
+	// is blocked until the op completes, and no completion can be pending
+	// while an issue is.
 	curOp op
-
-	// pendingOp holds an operation waiting for its issue (or stall-resume)
-	// event. At most one such event is outstanding per CPU: the thread is
-	// blocked until the op completes, and no completion can be pending while
-	// an issue is.
-	pendingOp op
-
-	// leadOp holds the real operation carried behind a folded compute span
-	// (op.lead); consumed by leadDoneEvent, guarded by seq staleness.
-	leadOp op
 
 	inlineDepth int
 
@@ -166,25 +162,23 @@ func firstFetchEvent(recv, _ any, _ uint64) {
 	recv.(*CPU).fetchNext(result{}, true)
 }
 
-// issueEvent starts the op parked in pendingOp (the one-cycle issue stage,
-// or a stall-quantum resume).
+// issueEvent starts the op waiting in curOp (the one-cycle issue stage, or
+// a stall-quantum resume).
 func issueEvent(recv, _ any, _ uint64) {
-	cpu := recv.(*CPU)
-	cpu.startOp(cpu.pendingOp)
+	recv.(*CPU).startOp()
 }
 
 // fetchNext hands the thread r, the reply to its previous operation (zero
-// before the first), and issues the operation it returns, or retires the
-// thread. inlineOK marks calls made at an event tail, where the issue event
-// may be run inline.
+// before the first), and issues the operation it writes into curOp, or
+// retires the thread. inlineOK marks calls made at an event tail, where the
+// issue event may be run inline.
 func (cpu *CPU) fetchNext(r result, inlineOK bool) {
-	o, ok := cpu.src.next(r)
-	if !ok {
+	if !cpu.src.next(r, &cpu.curOp) {
 		cpu.threadDone()
 		return
 	}
 	cpu.stats.Ops++
-	cpu.issueOp(o, inlineOK)
+	cpu.issueOp(inlineOK)
 }
 
 func (cpu *CPU) threadDone() {
@@ -195,38 +189,39 @@ func (cpu *CPU) threadDone() {
 	cpu.noteProgress(progressDone)
 }
 
-// issueOp runs o through the one-cycle issue stage. When the issue event
-// would be the very next event to fire anyway, the queue round-trip is
+// issueOp runs curOp through the one-cycle issue stage. When the issue
+// event would be the very next event to fire anyway, the queue round-trip is
 // skipped entirely (sim.Kernel.TryAdvance) and the op starts inline —
 // identical simulated time, identical ordering, no event queue traffic.
-func (cpu *CPU) issueOp(o op, inlineOK bool) {
+func (cpu *CPU) issueOp(inlineOK bool) {
 	k := cpu.m.K
 	if inlineOK && cpu.inlineDepth < maxInline && k.TryAdvance(k.Now()+1) {
 		cpu.inlineDepth++
-		cpu.startOp(o)
+		cpu.startOp()
 		cpu.inlineDepth--
 		return
 	}
-	cpu.pendingOp = o
 	k.AfterCall(1, issueEvent, cpu, nil, 0)
 }
 
-func (cpu *CPU) startOp(o op) {
+// startOp executes curOp. A completion may run the thread on inline and
+// overwrite curOp with the next op, so no case reads o after the call that
+// completes it.
+func (cpu *CPU) startOp() {
 	if now := cpu.m.K.Now(); now < cpu.stalledUntil {
 		// Descheduled: resume the operation when the quantum ends.
-		cpu.pendingOp = o
 		cpu.m.K.AtCall(cpu.stalledUntil, issueEvent, cpu, nil, 0)
 		return
 	}
+	o := &cpu.curOp
 	if o.lead > 0 {
-		cpu.startLead(o)
+		cpu.startLead()
 		return
 	}
 	cpu.lastOp = o.kind
 	cpu.seq++
 	cpu.opActive = true
 	cpu.opStart = cpu.m.K.Now()
-	cpu.curOp = o
 
 	// A squashed transaction's thread may issue a few more operations while
 	// it unwinds to the restart point (the abort flag is only observable at
@@ -256,8 +251,8 @@ func (cpu *CPU) startOp(o op) {
 	case opLoad:
 		wantExcl := false
 		if cpu.useRMW() && o.site != 0 && cpu.eng.Depth() > 0 {
-			wantExcl = cpu.rmw.PredictExclusive(o.site)
-			cpu.rmw.NoteLoad(o.site, o.addr)
+			wantExcl = cpu.rmw.PredictExclusive(int(o.site))
+			cpu.rmw.NoteLoad(int(o.site), o.addr)
 		}
 		if v, hit := cpu.ctrl.LoadHit(o.addr, wantExcl); hit {
 			cpu.finishOp(result{val: v})
@@ -283,13 +278,13 @@ func (cpu *CPU) startOp(o op) {
 	case opSwap:
 		cpu.ctrl.Swap(o.addr, o.val, cpu.sink, cpu.seq)
 	case opCAS:
-		cpu.ctrl.CAS(o.addr, o.old, o.val, cpu.sink, cpu.seq)
+		cpu.ctrl.CAS(o.addr, o.arg, o.val, cpu.sink, cpu.seq)
 	case opFetchAdd:
 		cpu.ctrl.FetchAdd(o.addr, o.val, cpu.sink, cpu.seq)
 	case opSpin:
 		cpu.spin(cpu.seq)
 	case opCompute:
-		cpu.m.K.AfterCall(o.n, computeDoneEvent, cpu, nil, cpu.seq)
+		cpu.m.K.AfterCall(o.arg, computeDoneEvent, cpu, nil, cpu.seq)
 	case opTxBegin:
 		if cpu.m.mx != nil && !cpu.critArmed && o.frames == 0 {
 			cpu.critArmed = true
@@ -321,25 +316,24 @@ func (cpu *CPU) startOp(o op) {
 	}
 }
 
-// startLead runs the pure-compute span folded into o (op batching: the span
-// was never an op of its own). It behaves exactly like the opCompute
+// startLead runs the pure-compute span folded into curOp (op batching: the
+// span was never an op of its own). It behaves exactly like the opCompute
 // the thread would have issued — same events, same accounting, same abort
 // semantics — then re-issues the carried operation through the normal issue
-// stage.
-func (cpu *CPU) startLead(o op) {
+// stage. While the span runs, curOp.lead > 0 tells account that the CPU's
+// active op is the span.
+func (cpu *CPU) startLead() {
 	cpu.lastOp = opCompute
 	cpu.seq++
 	cpu.opActive = true
 	cpu.opStart = cpu.m.K.Now()
-	cpu.curOp = op{kind: opCompute, n: o.lead}
 	if cpu.eng.Aborted() {
 		// The span is part of the squashed region: discard it and fail the
 		// carried op, exactly as the unbatched compute op would have.
 		cpu.finishOp(result{aborted: true})
 		return
 	}
-	cpu.leadOp = o
-	cpu.m.K.AfterCall(o.lead, leadDoneEvent, cpu, nil, cpu.seq)
+	cpu.m.K.AfterCall(cpu.curOp.lead, leadDoneEvent, cpu, nil, cpu.seq)
 }
 
 // leadDoneEvent retires a folded compute span as the compute op it stands
@@ -350,11 +344,10 @@ func leadDoneEvent(recv, _ any, seq uint64) {
 		return // the span was squashed by an abort
 	}
 	cpu.opActive = false
-	cpu.account(cpu.curOp, uint64(cpu.m.K.Now()-cpu.opStart))
+	cpu.account(uint64(cpu.m.K.Now() - cpu.opStart))
 	cpu.stats.Ops++
-	o := cpu.leadOp
-	o.lead = 0
-	cpu.issueOp(o, true)
+	cpu.curOp.lead = 0
+	cpu.issueOp(true)
 }
 
 // computeDoneEvent completes an explicit opCompute.
@@ -371,7 +364,7 @@ func computeDoneEvent(recv, _ any, seq uint64) {
 // must be at an event tail (nothing else left to run in the current event).
 func (cpu *CPU) finishOp(r result) {
 	cpu.opActive = false
-	cpu.account(cpu.curOp, uint64(cpu.m.K.Now()-cpu.opStart))
+	cpu.account(uint64(cpu.m.K.Now() - cpu.opStart))
 	cpu.fetchNext(r, true)
 }
 
@@ -384,7 +377,7 @@ func (cpu *CPU) completeOp(seq uint64, r result) {
 		return // stale completion (op already finished, e.g. by abort)
 	}
 	cpu.opActive = false
-	cpu.account(cpu.curOp, uint64(cpu.m.K.Now()-cpu.opStart))
+	cpu.account(uint64(cpu.m.K.Now() - cpu.opStart))
 	cpu.fetchNext(r, false)
 }
 
@@ -696,12 +689,13 @@ func (cpu *CPU) committed(seq uint64, ok bool) {
 	cpu.completeOp(seq, result{ok: true})
 }
 
-// account attributes an operation's cycles: one busy (issue) cycle, the
+// account attributes the cycles of the op just completed (curOp, or its
+// folded compute span while curOp.lead > 0): one busy (issue) cycle, the
 // rest stall, classified by whether the operation targets a lock variable.
 // Compute is pure busy time. Figure 11's accounting: "the instruction that
 // stalls commit is charged the stall".
-func (cpu *CPU) account(o op, elapsed uint64) {
-	if o.kind == opCompute {
+func (cpu *CPU) account(elapsed uint64) {
+	if cpu.curOp.kind == opCompute || cpu.curOp.lead > 0 {
 		cpu.stats.Busy += elapsed
 		return
 	}
@@ -713,14 +707,16 @@ func (cpu *CPU) account(o op, elapsed uint64) {
 	if stall == 0 {
 		return
 	}
-	if cpu.isLockOp(o) {
+	if cpu.isLockOp() {
 		cpu.stats.LockStall += stall
 	} else {
 		cpu.stats.DataStall += stall
 	}
 }
 
-func (cpu *CPU) isLockOp(o op) bool {
+// isLockOp reports whether curOp's stall is charged to the lock.
+func (cpu *CPU) isLockOp() bool {
+	o := &cpu.curOp
 	switch o.kind {
 	case opTxBegin:
 		return true

@@ -122,7 +122,7 @@ func TestFaultReplayViaReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	cycles, stats := m.Cycles(), m.FaultStats()
-	if err := m.Reset(c); err != nil {
+	if err := m.Reset(&c); err != nil {
 		t.Fatal(err)
 	}
 	if err := counterRun(t, m, 4, 20); err != nil {
@@ -135,7 +135,7 @@ func TestFaultReplayViaReset(t *testing.T) {
 	// Flipping the injector seed must change the run (the stream is live).
 	c2 := c
 	c2.Faults.Seed = 78
-	if err := m.Reset(c2); err != nil {
+	if err := m.Reset(&c2); err != nil {
 		t.Fatal(err)
 	}
 	if err := counterRun(t, m, 4, 20); err != nil {

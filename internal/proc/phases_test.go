@@ -21,7 +21,7 @@ func TestConsecutiveRunsAndReset(t *testing.T) {
 	lock, ctr := m.NewLock(), m.Alloc.PaddedWord()
 	for run, w := range want {
 		if run == 2 {
-			if err := m.Reset(cfg); err != nil {
+			if err := m.Reset(&cfg); err != nil {
 				t.Fatal(err)
 			}
 			lock, ctr = m.NewLock(), m.Alloc.PaddedWord()

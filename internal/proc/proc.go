@@ -163,7 +163,7 @@ type Config struct {
 	EnableMetrics bool
 }
 
-func (c Config) policy() core.Policy {
+func (c *Config) policy() core.Policy {
 	p := c.Policy
 	p.EnableTLR = c.Scheme != SLE
 	// TLR-strict-ts is TLR under the strict-ts contention policy; an
@@ -193,6 +193,7 @@ type Machine struct {
 	Alloc *memsys.Allocator
 
 	cfg        Config
+	shape      ResetShape // cfg.ResetShape(), fixed at construction
 	nextLockID int
 	mx         *telemetry.Set
 
@@ -223,7 +224,7 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.Procs <= 0 {
 		panic("proc: need at least one processor")
 	}
-	cfg = cfg.withDefaults()
+	cfg.setDefaults()
 	k := sim.New(cfg.Seed)
 	engines := make([]*core.Engine, cfg.Procs)
 	for i := range engines {
@@ -235,6 +236,7 @@ func NewMachine(cfg Config) *Machine {
 		Sys:    sys,
 		Alloc:  memsys.NewAllocator(allocBase),
 		cfg:    cfg,
+		shape:  cfg.ResetShape(),
 		faults: fault.New(cfg.Faults),
 	}
 	sys.SetFaults(m.faults)
@@ -268,6 +270,10 @@ func NewMachine(cfg Config) *Machine {
 
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
+
+// Shape returns the machine's construction shape, its config's ResetShape,
+// which no Reset changes. The caller must not modify it.
+func (m *Machine) Shape() *ResetShape { return &m.shape }
 
 // Mem returns the backing memory image (for workload setup and validation).
 func (m *Machine) Mem() *memsys.Memory { return m.Sys.Mem }

@@ -13,9 +13,10 @@ package proc
 // opSource feeds a CPU its operation stream: a coroutine thread (*TC) or a
 // scripted state machine (*litmusSM). next receives the result of the
 // previously issued operation (the zero result on the first call) and
-// returns the next operation, or ok=false when the thread is done.
+// writes the next operation into o, the CPU's op slot, or returns false
+// when the thread is done.
 type opSource interface {
-	next(prev result) (op, bool)
+	next(prev result, o *op) bool
 }
 
 // litmusSM states. Each names the operation whose result the next call to
@@ -56,7 +57,8 @@ type litmusSM struct {
 
 // init readies s to drive th, recording load values into rec.
 func (s *litmusSM) init(th LitmusThread, lock *Lock, rec []uint64) {
-	*s = litmusSM{th: th, lock: lock, rec: rec, recSlot: -1}
+	*s = litmusSM{}
+	s.th, s.lock, s.rec, s.recSlot = th, lock, rec, -1
 	for _, o := range th.Ops[:th.CritLo] {
 		if o.IsLoad {
 			s.preLoads++
@@ -73,9 +75,9 @@ func (s *litmusSM) init(th LitmusThread, lock *Lock, rec []uint64) {
 // per-op allocation).
 func spinFree(v uint64) bool { return v == 0 }
 
-func (s *litmusSM) next(prev result) (op, bool) {
+func (s *litmusSM) next(prev result, o *op) bool {
 	s.consume(prev)
-	return s.emit()
+	return s.emit(o)
 }
 
 // consume applies the previous operation's result: record load values,
@@ -155,65 +157,72 @@ func (s *litmusSM) consume(prev result) {
 	}
 }
 
-// emit issues the next operation for the current state (advancing through
-// segment boundaries), or reports completion.
-func (s *litmusSM) emit() (op, bool) {
+// emit writes the next operation for the current state into o (advancing
+// through segment boundaries), or reports completion.
+func (s *litmusSM) emit(o *op) bool {
 	switch s.st {
 	case smPre:
 		if s.idx < s.th.CritLo {
-			return s.dataOp(), true
+			s.dataOp(o)
+			return true
 		}
 		if s.th.CritLo == s.th.CritHi {
 			s.enterPost()
-			return s.emit()
+			return s.emit(o)
 		}
 		s.st = smTxBegin
-		return op{kind: opTxBegin, lock: s.lock}, true
+		*o = op{kind: opTxBegin, lock: s.lock}
 	case smTxBegin:
-		return op{kind: opTxBegin, lock: s.lock}, true
+		*o = op{kind: opTxBegin, lock: s.lock}
 	case smBody:
 		if s.idx < s.th.CritHi {
-			return s.dataOp(), true
+			s.dataOp(o)
+			return true
 		}
 		s.st = smTxEnd
-		return op{kind: opTxEnd, lock: s.lock}, true
+		*o = op{kind: opTxEnd, lock: s.lock}
 	case smTTSLoad:
-		return op{kind: opLoad, addr: s.lock.Addr}, true
+		*o = op{kind: opLoad, addr: s.lock.Addr}
 	case smTTSSpin:
-		return op{kind: opSpin, addr: s.lock.Addr, pred: spinFree}, true
+		*o = op{kind: opSpin, addr: s.lock.Addr, pred: spinFree}
 	case smTTSLL:
-		return op{kind: opLL, addr: s.lock.Addr}, true
+		*o = op{kind: opLL, addr: s.lock.Addr}
 	case smTTSSC:
-		return op{kind: opSC, addr: s.lock.Addr, val: 1}, true
+		*o = op{kind: opSC, addr: s.lock.Addr, val: 1}
 	case smCSEnter:
-		return op{kind: opCSEnter, lock: s.lock}, true
+		*o = op{kind: opCSEnter, lock: s.lock}
 	case smTTSBody:
 		if s.idx < s.th.CritHi {
-			return s.dataOp(), true
+			s.dataOp(o)
+			return true
 		}
 		s.st = smCSExit
-		return op{kind: opCSExit, lock: s.lock}, true
+		*o = op{kind: opCSExit, lock: s.lock}
 	case smRelease:
-		return op{kind: opStore, addr: s.lock.Addr}, true
+		*o = op{kind: opStore, addr: s.lock.Addr}
 	case smPost:
 		if s.idx < len(s.th.Ops) {
-			return s.dataOp(), true
+			s.dataOp(o)
+			return true
 		}
-		return op{}, false
+		return false
+	default:
+		panic("proc: litmus state machine in impossible state")
 	}
-	panic("proc: litmus state machine in impossible state")
+	return true
 }
 
-// dataOp builds the data operation at idx, reserving its rec slot when it is
-// a load.
-func (s *litmusSM) dataOp() op {
-	o := s.th.Ops[s.idx]
-	if o.IsLoad {
+// dataOp writes the data operation at idx into o, reserving its rec slot
+// when it is a load.
+func (s *litmusSM) dataOp(o *op) {
+	d := &s.th.Ops[s.idx]
+	if d.IsLoad {
 		s.recSlot = s.loadIdx
 		s.loadIdx++
-		return op{kind: opLoad, addr: o.Addr}
+		*o = op{kind: opLoad, addr: d.Addr}
+		return
 	}
-	return op{kind: opStore, addr: o.Addr, val: o.Val}
+	*o = op{kind: opStore, addr: d.Addr, val: d.Val}
 }
 
 func (s *litmusSM) record(prev result) {

@@ -61,9 +61,9 @@ func BaselineConfig(procs int, scheme Scheme, seed int64) Config {
 	}
 }
 
-// withDefaults applies NewMachine's config defaulting, so shape comparison
-// and reset see the same values a constructed machine carries.
-func (c Config) withDefaults() Config {
+// setDefaults applies NewMachine's config defaulting in place, so a reset
+// machine carries the values a constructed one does.
+func (c *Config) setDefaults() {
 	if c.RestartPenalty == 0 {
 		c.RestartPenalty = 10
 	}
@@ -73,7 +73,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxEvents == 0 {
 		c.MaxEvents = 500_000_000
 	}
-	return c
 }
 
 // ResetShape is the comparable construction-time shape of a machine: the
@@ -97,7 +96,7 @@ type ResetShape struct {
 
 // ResetShape returns the machine shape this config constructs (pool/cache
 // key for warm-machine reuse).
-func (c Config) ResetShape() ResetShape {
+func (c *Config) ResetShape() ResetShape {
 	return ResetShape{
 		Procs:           c.Procs,
 		Coherence:       c.Coherence,
@@ -140,23 +139,23 @@ func (m *Machine) requireQuiescent() error {
 //
 // Machines with a trace sink attached are not resettable: the sink is an
 // external consumer whose stream would silently splice runs together.
-func (m *Machine) Reset(cfg Config) error {
-	cfg = cfg.withDefaults()
+//
+// cfg is read, not kept: the machine copies it, so the caller may reuse it
+// for the next run (a sweep changes only the seed).
+func (m *Machine) Reset(cfg *Config) error {
 	if cfg.Procs <= 0 {
 		return errors.New("proc: need at least one processor")
 	}
 	if cfg.TraceSink != nil || m.cfg.TraceSink != nil {
 		return errors.New("proc: Reset with a trace sink attached")
 	}
-	if cfg.ResetShape() != m.cfg.ResetShape() {
-		return fmt.Errorf("proc: Reset shape mismatch: have %+v, want %+v",
-			m.cfg.ResetShape(), cfg.ResetShape())
+	if shape := cfg.ResetShape(); shape != m.shape {
+		return fmt.Errorf("proc: Reset shape mismatch: have %+v, want %+v", m.shape, shape)
 	}
 	if err := m.requireQuiescent(); err != nil {
 		return err
 	}
 	m.K.Reset(cfg.Seed)
-	pol := cfg.policy()
 	// Rewind (same spec) or rebuild (spec changed) the fault injector. The
 	// spec is a reset knob, not shape: a pooled machine alternates freely
 	// between clean and faulted runs, and a rewound injector replays the
@@ -167,7 +166,9 @@ func (m *Machine) Reset(cfg Config) error {
 		m.faults = fault.New(cfg.Faults)
 		m.Sys.SetFaults(m.faults)
 	}
-	m.cfg = cfg // before cpu/engine reset: policy derivation must see cfg
+	m.cfg = *cfg // before cpu/engine reset: policy derivation must see cfg
+	m.cfg.setDefaults()
+	pol := m.cfg.policy()
 	m.lastProgressAt = 0
 	m.deadlockRecoveries = 0
 	for _, c := range m.CPUs {
@@ -195,8 +196,6 @@ func (cpu *CPU) reset() {
 	cpu.opActive = false
 	cpu.opStart = 0
 	cpu.curOp = op{}
-	cpu.pendingOp = op{}
-	cpu.leadOp = op{}
 	cpu.inlineDepth = 0
 	cpu.pendingFallback = false
 	cpu.waitFree = false

@@ -18,7 +18,7 @@ func BenchmarkMachineConstructVsReset(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := m.Reset(cfg); err != nil {
+			if err := m.Reset(&cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -30,11 +30,11 @@ func BenchmarkMachineConstructVsReset(b *testing.B) {
 func TestResetAllocFree(t *testing.T) {
 	cfg := BaselineConfig(2, TLR, 1)
 	m := NewMachine(cfg)
-	if err := m.Reset(cfg); err != nil {
+	if err := m.Reset(&cfg); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := m.Reset(cfg); err != nil {
+		if err := m.Reset(&cfg); err != nil {
 			t.Fatal(err)
 		}
 	})

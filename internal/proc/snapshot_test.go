@@ -112,7 +112,7 @@ func TestResetMatchesFresh(t *testing.T) {
 			for _, dirty := range dirtySchemes {
 				warm := NewMachine(snapCfg(dirty, seed+100))
 				runPhase(t, warm, warm.NewLock(), warm.Alloc.PaddedWord(), dirtyIters, nil)
-				if err := warm.Reset(cfg); err != nil {
+				if err := warm.Reset(&cfg); err != nil {
 					t.Fatalf("%v seed %d after %v: %v", scheme, seed, dirty, err)
 				}
 				lockW := warm.NewLock()
@@ -141,16 +141,16 @@ func TestResetRefusals(t *testing.T) {
 	m := NewMachine(cfg)
 	bad := cfg
 	bad.Procs = 8
-	if err := m.Reset(bad); err == nil {
+	if err := m.Reset(&bad); err == nil {
 		t.Error("Reset accepted a shape-changing config")
 	}
 
 	sinkCfg := cfg
 	sinkCfg.TraceSink = trace.NewJSONLWriter(io.Discard)
-	if err := NewMachine(sinkCfg).Reset(cfg); err == nil {
+	if err := NewMachine(sinkCfg).Reset(&cfg); err == nil {
 		t.Error("Reset accepted a machine with a trace sink attached")
 	}
-	if err := m.Reset(sinkCfg); err == nil {
+	if err := m.Reset(&sinkCfg); err == nil {
 		t.Error("Reset accepted a config with a trace sink attached")
 	}
 
@@ -168,7 +168,7 @@ func TestResetRefusals(t *testing.T) {
 	if err := stuck.Run(progs); err == nil {
 		t.Fatal("run within a 2000-event budget completed; the refusal case needs it to fail")
 	}
-	if err := stuck.Reset(short); err == nil {
+	if err := stuck.Reset(&short); err == nil {
 		t.Error("Reset accepted a machine left mid-run by an event-budget failure")
 	}
 }

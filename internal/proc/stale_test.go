@@ -16,18 +16,19 @@ type opScript struct {
 	before func(i int)
 }
 
-func (s *opScript) next(r result) (op, bool) {
+func (s *opScript) next(r result, o *op) bool {
 	if s.i > 0 {
 		s.res = append(s.res, r)
 	}
 	if s.i == len(s.ops) {
-		return op{}, false
+		return false
 	}
 	if s.before != nil {
 		s.before(s.i)
 	}
 	s.i++
-	return s.ops[s.i-1], true
+	*o = s.ops[s.i-1]
+	return true
 }
 
 // A load miss whose transaction is squashed before the fill lands must not

@@ -3,7 +3,9 @@
 package proc
 
 import (
+	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 
 	"tlrsim/internal/locks"
@@ -11,7 +13,7 @@ import (
 )
 
 // opKind enumerates the operations a thread can issue to its CPU.
-type opKind int
+type opKind uint8
 
 const (
 	opLoad opKind = iota
@@ -30,17 +32,16 @@ const (
 	opUnelidable
 )
 
-// op is one thread->CPU request.
+// op is one thread->CPU request. The thread writes each op once, into its
+// CPU's curOp slot (opSource.next), and every stage from issue to
+// completion reads it there. It is 56 bytes (TestOpLayout pins <= 64): the
+// word-sized fields first, the narrow ones packed into the last word.
 type op struct {
-	kind opKind
 	addr memsys.Addr
 	val  uint64
-	old  uint64
-	n    uint64
-	site int
-	// frames is the thread's elided-frame depth when a TxBegin is issued:
-	// zero identifies the restart point that may acknowledge an abort.
-	frames int
+	// arg is the CAS expected value (opCAS) or the span in cycles
+	// (opCompute); no operation needs both.
+	arg uint64
 	// lead is a folded pure-compute span (cycles) the thread ran before this
 	// operation: Compute spans are not issued as ops of their own, they ride
 	// on the next real operation and the CPU replays them as the compute op
@@ -48,6 +49,12 @@ type op struct {
 	lead uint64
 	pred func(uint64) bool
 	lock *Lock
+	site int32 // static load site for the RMW predictor (0: none)
+	// frames is the thread's elided-frame depth when a TxBegin is issued,
+	// saturated at math.MaxUint8: only zero is read, and it identifies the
+	// restart point that may acknowledge an abort.
+	frames uint8
+	kind   opKind
 }
 
 // CritMode tells the thread runtime how the CPU decided to execute a
@@ -92,9 +99,12 @@ type TC struct {
 	specFrames int
 	rng        *rand.Rand
 
-	pull  func() (op, bool)
+	// The coroutine carries no value: do writes each op into out, the
+	// CPU's slot that next was handed, before it yields.
+	pull  func() (struct{}, bool)
 	stop  func()
-	yield func(op) bool
+	yield func(struct{}) bool
+	out   *op
 	res   result // reply to the last yielded op, stored by next
 
 	// pendingCompute accumulates the latest Compute span until the next
@@ -112,7 +122,7 @@ var _ locks.Ops = (*TC)(nil)
 // fetch.
 func newTC(cpu *CPU, prog func(*TC)) *TC {
 	tc := &TC{cpu: cpu}
-	tc.pull, tc.stop = iter.Pull(func(yield func(op) bool) {
+	tc.pull, tc.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, exit := r.(threadExit); !exit {
@@ -128,10 +138,13 @@ func newTC(cpu *CPU, prog func(*TC)) *TC {
 }
 
 // next implements opSource: it resumes the thread with the reply to its
-// previous op and runs it until it yields its next op or returns.
-func (tc *TC) next(prev result) (op, bool) {
+// previous op and runs it until it writes its next op into o and yields, or
+// returns.
+func (tc *TC) next(prev result, o *op) bool {
 	tc.res = prev
-	return tc.pull()
+	tc.out = o
+	_, ok := tc.pull()
+	return ok
 }
 
 // do issues one operation and suspends the thread until the CPU completes it.
@@ -139,7 +152,8 @@ func (tc *TC) next(prev result) (op, bool) {
 func (tc *TC) do(o op) result {
 	o.lead = tc.pendingCompute
 	tc.pendingCompute = 0
-	if !tc.yield(o) {
+	*tc.out = o
+	if !tc.yield(struct{}{}) {
 		panic(threadExit{})
 	}
 	// The CPU resumes the thread at the op's completion cycle.
@@ -176,9 +190,13 @@ func (tc *TC) Rand() *rand.Rand {
 func (tc *TC) Load(a memsys.Addr) uint64 { return tc.mem(op{kind: opLoad, addr: a}) }
 
 // LoadSite reads the word at a, identifying the static load site for the
-// read-modify-write predictor (the role the load PC plays in §3.1.2).
+// read-modify-write predictor (the role the load PC plays in §3.1.2). A
+// site must fit in an int32.
 func (tc *TC) LoadSite(a memsys.Addr, site int) uint64 {
-	return tc.mem(op{kind: opLoad, addr: a, site: site})
+	if site != int(int32(site)) {
+		panic(fmt.Sprintf("proc: load site %d outside int32", site))
+	}
+	return tc.mem(op{kind: opLoad, addr: a, site: int32(site)})
 }
 
 // Store writes v to the word at a.
@@ -200,7 +218,7 @@ func (tc *TC) Swap(a memsys.Addr, v uint64) uint64 {
 // CAS atomically replaces old with new at a if it matches; it returns the
 // observed value.
 func (tc *TC) CAS(a memsys.Addr, old, new uint64) uint64 {
-	return tc.mem(op{kind: opCAS, addr: a, old: old, val: new})
+	return tc.mem(op{kind: opCAS, addr: a, arg: old, val: new})
 }
 
 // FetchAdd atomically adds delta to the word at a and returns the old value.
@@ -255,7 +273,7 @@ func (tc *TC) flushCompute() {
 	if n == 0 {
 		return
 	}
-	r := tc.do(op{kind: opCompute, n: n})
+	r := tc.do(op{kind: opCompute, arg: n})
 	if r.aborted {
 		panic(abortSignal{})
 	}
@@ -274,7 +292,7 @@ func (tc *TC) Unelidable() {
 // restarts), so any external side effects would be replayed.
 func (tc *TC) Critical(l *Lock, body func()) {
 	for {
-		r := tc.do(op{kind: opTxBegin, lock: l, frames: tc.specFrames})
+		r := tc.do(op{kind: opTxBegin, lock: l, frames: uint8(min(tc.specFrames, math.MaxUint8))})
 		if r.aborted {
 			if tc.specFrames > 0 {
 				// The enclosing transaction itself was squashed.

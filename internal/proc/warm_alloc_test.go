@@ -25,7 +25,7 @@ func warmRunAllocs(t *testing.T, scheme proc.Scheme, storeBuffer, ops int) uint6
 	for i := 0; i < 8; i++ {
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
-		if err := m.Reset(cfg); err != nil {
+		if err := m.Reset(&cfg); err != nil {
 			t.Fatal(err)
 		}
 		if err := workloads.RunOn(m, &workloads.LinkedList{TotalOps: ops}); err != nil {

@@ -85,25 +85,26 @@ func NewMachines(cold bool) *Machines {
 // Acquire returns a machine constructed (or exactly rewound) for cfg. The
 // caller owns it until Release; a machine whose run errored must NOT be
 // released — dropping it is how poisoned (non-quiescent) machines leave the
-// cache.
-func (c *Machines) Acquire(cfg proc.Config) *proc.Machine {
+// cache. cfg is read, not kept.
+func (c *Machines) Acquire(cfg *proc.Config) *proc.Machine {
 	if c.cold {
-		return proc.NewMachine(cfg)
+		return proc.NewMachine(*cfg)
 	}
-	if w := c.slot(cfg.ResetShape()); w != nil && w.m != nil {
+	shape := cfg.ResetShape()
+	if w := c.slot(&shape); w != nil && w.m != nil {
 		m := w.m
 		w.m = nil
 		if m.Reset(cfg) == nil {
 			return m
 		}
 	}
-	return proc.NewMachine(cfg)
+	return proc.NewMachine(*cfg)
 }
 
 // slot returns the cache slot for shape, or nil if the shape has none.
-func (c *Machines) slot(shape proc.ResetShape) *warmMachine {
+func (c *Machines) slot(shape *proc.ResetShape) *warmMachine {
 	for i := range c.machines {
-		if c.machines[i].shape == shape {
+		if c.machines[i].shape == *shape {
 			return &c.machines[i]
 		}
 	}
@@ -115,12 +116,12 @@ func (c *Machines) Release(m *proc.Machine) {
 	if c.cold {
 		return
 	}
-	shape := m.Config().ResetShape()
+	shape := m.Shape()
 	if w := c.slot(shape); w != nil {
 		w.m = m
 		return
 	}
-	c.machines = append(c.machines, warmMachine{shape, m})
+	c.machines = append(c.machines, warmMachine{*shape, m})
 }
 
 // Run executes the jobs and returns their results in job order. On failure
@@ -236,7 +237,7 @@ func Each[S any](workers, n int, newState func() S, work func(S, int) error, don
 // execute runs one job to completion on a cached machine and aggregates its
 // counters.
 func execute(mc *Machines, j Job) (*stats.Run, error) {
-	m := mc.Acquire(j.Config)
+	m := mc.Acquire(&j.Config)
 	var err error
 	if j.Run != nil {
 		err = j.Run(m)

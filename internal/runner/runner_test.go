@@ -174,13 +174,13 @@ func TestMachinesReuseAllocFree(t *testing.T) {
 	c := NewMachines(false)
 	var first []*proc.Machine
 	for _, cfg := range cfgs {
-		m := c.Acquire(cfg)
+		m := c.Acquire(&cfg)
 		first = append(first, m)
 		c.Release(m)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i, cfg := range cfgs {
-			m := c.Acquire(cfg)
+			m := c.Acquire(&cfg)
 			if m != first[i] {
 				t.Fatal("warm Acquire constructed a new machine instead of reusing the cached one")
 			}
@@ -200,14 +200,14 @@ func TestMachinesReuseAllocFree(t *testing.T) {
 func TestMachinesDropAndCold(t *testing.T) {
 	cfg := testConfig(2, 7)
 	c := NewMachines(false)
-	dropped := c.Acquire(cfg)
-	if m := c.Acquire(cfg); m == dropped {
+	dropped := c.Acquire(&cfg)
+	if m := c.Acquire(&cfg); m == dropped {
 		t.Error("an unreleased machine was handed out again")
 	}
 	cold := NewMachines(true)
-	m := cold.Acquire(cfg)
+	m := cold.Acquire(&cfg)
 	cold.Release(m)
-	if cold.Acquire(cfg) == m {
+	if cold.Acquire(&cfg) == m {
 		t.Error("a cold cache reused a machine")
 	}
 }

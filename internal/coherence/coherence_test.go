@@ -605,3 +605,59 @@ func TestFencesRunInIssueOrder(t *testing.T) {
 		t.Fatalf("fence order %s, want [fence fetchadd sc fence]", got)
 	}
 }
+
+// TestWBPendingSupplyHonoursSharers is the directed form of the mp3d
+// violation: an Owned line with two Shared copies is evicted, and a GetS
+// ordered before the write-back is served from the write-back buffer. The
+// other Shared copies are still live, so the fill must install Shared:
+// Exclusive would leave a writable copy beside them. One outstanding bus
+// transaction keeps the reader's GetS queued ahead of the write-back until
+// the owner's eviction has happened.
+func TestWBPendingSupplyHonoursSharers(t *testing.T) {
+	k := sim.New(1)
+	cfg := testConfig()
+	cfg.Cache = cache.Config{SizeBytes: 256, Ways: 2} // 2 sets, no victim cache
+	cfg.Bus.MaxOutstanding = 1
+	engines := make([]*core.Engine, 4)
+	for i := range engines {
+		engines[i] = core.NewEngine(i, core.Policy{EnableTLR: true})
+	}
+	s := NewSystem(k, 4, cfg, engines)
+	p0, p3 := s.Ctrls[0], s.Ctrls[3]
+	const line = memsys.Addr(0x000)
+
+	store(t, k, p0, line, 7)
+	load(t, k, s.Ctrls[1], line)
+	load(t, k, s.Ctrls[2], line)
+	store(t, k, p0, 0x100, 1) // same set (2 sets, stride 128): fills the other way
+	k.RunUntil(s.Quiescent)
+	if st := stateOf(p0, line); st != cache.Owned {
+		t.Fatalf("P0 state = %v, want O", st)
+	}
+
+	// P0's next miss in the set evicts the Owned line; P3's GetS queues
+	// behind that miss and ahead of the write-back.
+	evicting, reading := rec.next(), rec.next()
+	p0.Store(0x200, 2, rec.sink, evicting)
+	p3.Load(line, false, rec.sink, reading)
+	overlapped := false
+	if !k.RunUntil(func() bool {
+		overlapped = overlapped || p0.wbPendingFor(line) != nil && p3.mshrFor(line) != nil
+		return rec.got[evicting].done && rec.got[reading].done
+	}) {
+		t.Fatal("eviction or read never completed")
+	}
+	k.RunUntil(s.Quiescent)
+	if !overlapped {
+		t.Fatal("the read never overlapped the pending write-back")
+	}
+	if v := rec.got[reading].val; v != 7 {
+		t.Fatalf("P3 read %d, want 7", v)
+	}
+	if st := stateOf(p3, line); st != cache.Shared {
+		t.Fatalf("P3 state = %v, want S (two other Shared copies are live)", st)
+	}
+	if err := s.CheckCoherence(); err != nil {
+		t.Fatal(err)
+	}
+}

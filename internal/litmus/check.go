@@ -2,7 +2,9 @@ package litmus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"tlrsim/internal/proc"
 	"tlrsim/internal/runner"
@@ -35,6 +37,9 @@ type Options struct {
 	// cold runs every machine cold (runner.NewMachines): the reference
 	// warm reuse is benchmarked against. Only tests set it.
 	cold bool
+	// onMachine, when set, rewrites the program the machine runs while the
+	// reference set stays the original's: tests plant divergences with it.
+	onMachine func(Program) Program
 }
 
 // DefaultSeeds is the standard sweep: eight seeds, as the correctness gate
@@ -97,23 +102,12 @@ func (r *Report) Ok() bool { return r.TotalDivergences == 0 }
 
 // Check enumerates the shape and verifies outcome-set containment for every
 // program: machine outcomes under every scheme must lie inside the analytic
-// lock-based reference set. Results are deterministic: programs are checked
-// in enumeration order and divergences reported in that order regardless of
-// host scheduling.
+// lock-based reference set. Results are deterministic: divergences are
+// reported in enumeration order regardless of host scheduling.
+//
+// The sweep keeps no state per program: workers fill a scratch program from
+// the compact program list, and sum their counts as they go.
 func Check(opts Options) *Report {
-	progs, st := Enumerate(opts.Shape)
-	return checkPrograms(progs, st, opts)
-}
-
-// progResult is one program's sweep outcome.
-type progResult struct {
-	runs        int
-	refSize     int
-	observed    int
-	divergences []Divergence
-}
-
-func checkPrograms(progs []Program, st EnumStats, opts Options) *Report {
 	if len(opts.Seeds) == 0 {
 		opts.Seeds = DefaultSeeds
 	}
@@ -124,79 +118,155 @@ func checkPrograms(progs []Program, st EnumStats, opts Options) *Report {
 	if opts.MaxDivergences == 0 {
 		opts.MaxDivergences = DefaultMaxDivergences
 	}
-	results := make([]progResult, len(progs))
-	// One runner (machine cache and scratch arenas) and one reference-model
-	// explorer per worker: both are single-goroutine state. checkOne never
-	// fails (a failed run is a divergence), so Each returns nil.
-	type worker struct {
-		r *Runner
-		e *explorer
-	}
+	ps := enumerate(opts.Shape)
+	n := ps.len()
+	// checkOne never fails (a failed run is a divergence), so Each returns
+	// nil. Workers are created on their own goroutines.
+	var (
+		mu      sync.Mutex
+		tallies []*tally
+	)
 	completed := 0
-	runner.Each(opts.Jobs, len(progs),
-		func() worker { return worker{newRunner(opts.cold), newExplorer()} },
-		func(w worker, i int) error {
-			results[i] = checkOne(w.r, w.e, progs[i], opts)
+	runner.Each(opts.Jobs, n,
+		func() *worker {
+			w := newWorker(ps, &opts)
+			mu.Lock()
+			tallies = append(tallies, &w.tally)
+			mu.Unlock()
+			return w
+		},
+		func(w *worker, i int) error {
+			w.checkOne(i)
 			return nil
 		},
 		func(int) {
 			completed++
 			if opts.Progress != nil {
-				opts.Progress(completed, len(progs))
+				opts.Progress(completed, n)
 			}
 		})
 
-	rep := &Report{Shape: opts.Shape, EnumStats: st, Programs: len(progs)}
-	for _, r := range results {
-		rep.Runs += r.runs
-		rep.RefOutcomes += r.refSize
-		rep.ObservedOutcomes += r.observed
-		rep.TotalDivergences += len(r.divergences)
-		for _, d := range r.divergences {
-			if len(rep.Divergences) < opts.MaxDivergences {
-				rep.Divergences = append(rep.Divergences, d)
-			}
-		}
-	}
+	rep := &Report{Shape: opts.Shape, EnumStats: ps.stats, Programs: n}
+	mergeTallies(rep, tallies, opts.MaxDivergences)
 	return rep
 }
 
-// checkOne sweeps one program: reference set once, then every
-// (scheme, seed) machine run checked against it, all on r's pooled machines
-// and e's reused model state.
-func checkOne(r *Runner, e *explorer, p Program, opts Options) progResult {
-	// locked aliases e's reused storage: a divergence that retains it must
-	// copy (divergences are rare; the copy is off the hot path).
-	locked := e.outcomesOf(p)
-	keepLocked := func() []string { return append([]string(nil), locked...) }
-	lockedSet := make(map[string]struct{}, len(locked))
-	for _, o := range locked {
-		lockedSet[o] = struct{}{}
+// tally is what one worker has found over the programs it checked.
+type tally struct {
+	runs, refOutcomes, observed, divergences int
+	// divs retains the worker's first MaxDivergences divergences, in the
+	// order it found them: by program index, since a worker claims
+	// programs in increasing order.
+	divs []indexedDivergence
+}
+
+// indexedDivergence is a divergence and the index of its program.
+type indexedDivergence struct {
+	prog int
+	Divergence
+}
+
+// mergeTallies sums the workers' tallies into rep and keeps the first keep
+// divergences in program order. Every program is checked by one worker, so
+// a stable sort by program index keeps each program's divergences in the
+// order they were found; and each worker retained its own first keep, which
+// include every one of them among the first keep overall.
+func mergeTallies(rep *Report, ts []*tally, keep int) {
+	var all []indexedDivergence
+	for _, t := range ts {
+		rep.Runs += t.runs
+		rep.RefOutcomes += t.refOutcomes
+		rep.ObservedOutcomes += t.observed
+		rep.TotalDivergences += t.divergences
+		all = append(all, t.divs...)
 	}
-	res := progResult{refSize: len(locked)}
-	for _, scheme := range opts.Schemes {
-		seen := map[string]struct{}{}
-		for _, seed := range opts.Seeds {
-			res.runs++
-			out, err := r.Run(p, scheme, seed, &opts.Perturb)
+	slices.SortStableFunc(all, func(a, b indexedDivergence) int { return a.prog - b.prog })
+	for _, d := range all {
+		if len(rep.Divergences) >= keep {
+			break
+		}
+		rep.Divergences = append(rep.Divergences, d.Divergence)
+	}
+}
+
+// worker is one sweep goroutine's state: a runner (machine cache and
+// scratch arenas), a reference-model explorer, a scratch program, the
+// observed-outcome scratch, and its tally.
+type worker struct {
+	ps   *programSet
+	opts *Options
+	r    *Runner
+	e    *explorer
+	p    Program
+	// seen has bit i set when the current scheme's runs produced reference
+	// outcome i; escaped lists the distinct outcomes they produced outside
+	// the reference set.
+	seen    []uint64
+	escaped []string
+	tally
+}
+
+func newWorker(ps *programSet, opts *Options) *worker {
+	return &worker{
+		ps: ps, opts: opts,
+		r: newRunner(opts.cold), e: newExplorer(),
+		p: Program{Threads: make([]Thread, ps.cpus)},
+	}
+}
+
+// checkOne sweeps program i: reference set once, then every (scheme, seed)
+// machine run checked against it, all on the worker's pooled machines and
+// reused model state. Only a divergence allocates.
+func (w *worker) checkOne(i int) {
+	w.ps.fill(&w.p, i)
+	ref := w.e.outcomesOf(w.p)
+	w.refOutcomes += ref.len()
+	words := (ref.len() + 63) / 64
+	w.seen = slices.Grow(w.seen[:0], words)[:words]
+	run := w.p
+	if w.opts.onMachine != nil {
+		run = w.opts.onMachine(w.p)
+	}
+	for _, scheme := range w.opts.Schemes {
+		clear(w.seen)
+		w.escaped = w.escaped[:0]
+		for _, seed := range w.opts.Seeds {
+			w.runs++
+			out, err := w.r.run(run, scheme, seed, &w.opts.Perturb)
 			if err != nil {
-				res.divergences = append(res.divergences, Divergence{
-					Prog: p, Scheme: scheme, Seed: seed, Err: err, Locked: keepLocked(),
-					Perturb: opts.Perturb,
-				})
+				w.diverge(i, ref, Divergence{Scheme: scheme, Seed: seed, Err: err})
 				continue
 			}
-			seen[out] = struct{}{}
-			if _, ok := lockedSet[out]; !ok {
-				res.divergences = append(res.divergences, Divergence{
-					Prog: p, Scheme: scheme, Seed: seed, Outcome: out, Locked: keepLocked(),
-					Perturb: opts.Perturb,
-				})
+			if j := ref.index(out); j >= 0 {
+				if w.seen[j/64]&(1<<(j%64)) == 0 {
+					w.seen[j/64] |= 1 << (j % 64)
+					w.observed++
+				}
+				continue
 			}
+			o := string(out)
+			if !slices.Contains(w.escaped, o) {
+				w.escaped = append(w.escaped, o)
+				w.observed++
+			}
+			w.diverge(i, ref, Divergence{Scheme: scheme, Seed: seed, Outcome: o})
 		}
-		res.observed += len(seen)
 	}
-	return res
+}
+
+// diverge counts a divergence of program i, whose reference set is ref,
+// and retains it while the worker holds fewer than MaxDivergences: d is
+// completed with copies of the program and the set, which outlive the
+// worker's scratch.
+func (w *worker) diverge(i int, ref outcomeSet, d Divergence) {
+	w.divergences++
+	if len(w.divs) >= w.opts.MaxDivergences {
+		return
+	}
+	d.Prog = Program{NumLocs: w.p.NumLocs, Threads: slices.Clone(w.p.Threads)}
+	d.Locked = ref.strings()
+	d.Perturb = w.opts.Perturb
+	w.divs = append(w.divs, indexedDivergence{i, d})
 }
 
 // CheckOutcomes validates an explicit outcome set against the program's

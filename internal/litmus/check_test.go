@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -100,17 +101,76 @@ func TestCheckSmokeShape(t *testing.T) {
 	}
 }
 
-// TestCheckReportsDeterministically runs the same sweep twice with different
-// worker counts: the report must be identical — divergence order is defined
-// by enumeration order, not host scheduling.
+// TestCheckReportsDeterministically runs the same sweep with one and with
+// four workers: every report field must be identical — totals are sums,
+// and divergence order is defined by enumeration order, not host
+// scheduling.
 func TestCheckReportsDeterministically(t *testing.T) {
-	opts := Options{Shape: Shape{CPUs: 2, Locs: 2, MaxOps: 1}, Seeds: []int64{1, 2, 3}}
+	opts := Options{Shape: Shape{CPUs: 2, Locs: 2, MaxOps: 2}, Seeds: []int64{1, 2, 3}, Jobs: 1}
 	a := Check(opts)
 	opts.Jobs = 4
 	b := Check(opts)
-	if a.Runs != b.Runs || a.RefOutcomes != b.RefOutcomes ||
-		a.ObservedOutcomes != b.ObservedOutcomes || a.TotalDivergences != b.TotalDivergences {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("reports differ across worker counts:\n%+v\n%+v", a, b)
+	}
+	if a.Programs != 850 || a.Runs != 850*len(DefaultSchemes)*3 || a.EnumStats.Canonical != 850 {
+		t.Fatalf("report does not cover the shape: %+v", a)
+	}
+}
+
+// A warm worker checks a clean program without allocating: the reference
+// set, the machine runs, their outcomes and the containment lookups all
+// reuse the worker's storage.
+func TestCheckOneAllocFree(t *testing.T) {
+	opts := Options{Seeds: []int64{1, 2}, Schemes: DefaultSchemes, Perturb: DefaultPerturb,
+		MaxDivergences: DefaultMaxDivergences}
+	ps := enumerate(Shape{CPUs: 2, Locs: 2, MaxOps: 2})
+	w := newWorker(ps, &opts)
+	for i := 0; i < ps.len(); i++ {
+		w.checkOne(i)
+	}
+	if w.divergences != 0 {
+		t.Fatalf("%d divergences on the 2x2x2 shape", w.divergences)
+	}
+	for _, i := range []int{0, ps.len() / 2, ps.len() - 1} {
+		if n := testing.AllocsPerRun(20, func() { w.checkOne(i) }); n != 0 {
+			w.ps.fill(&w.p, i)
+			t.Errorf("%s: warm checkOne allocates %.1f objects, want 0", w.p, n)
+		}
+	}
+}
+
+// mergeTallies sums the tallies exactly and keeps the first MaxDivergences
+// divergences in program order, whatever order the workers' lists arrive
+// in; a program's divergences keep the order they were found in.
+func TestMergeTallies(t *testing.T) {
+	div := func(prog int, seed int64) indexedDivergence {
+		return indexedDivergence{prog, Divergence{Seed: seed}}
+	}
+	ts := []*tally{
+		{runs: 10, refOutcomes: 4, observed: 3, divergences: 9,
+			divs: []indexedDivergence{div(5, 1), div(5, 2), div(8, 1)}},
+		{runs: 7, refOutcomes: 2, observed: 2, divergences: 0},
+		{runs: 5, refOutcomes: 6, observed: 1, divergences: 4,
+			divs: []indexedDivergence{div(2, 3), div(2, 1), div(6, 1), div(9, 1)}},
+	}
+	rep := &Report{}
+	mergeTallies(rep, ts, 4)
+	if rep.Runs != 22 || rep.RefOutcomes != 12 || rep.ObservedOutcomes != 6 || rep.TotalDivergences != 13 {
+		t.Fatalf("merged totals %+v", rep)
+	}
+	var got []int64
+	for _, d := range rep.Divergences {
+		got = append(got, d.Seed)
+	}
+	// Programs 2, 2, 5, 5: seeds 3, 1 of program 2, then 1, 2 of program 5.
+	if want := []int64{3, 1, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("retained divergence seeds %v, want %v", got, want)
+	}
+	rep = &Report{}
+	mergeTallies(rep, []*tally{ts[2], ts[1], ts[0]}, 16)
+	if len(rep.Divergences) != 7 || rep.Divergences[6].Seed != 1 || rep.TotalDivergences != 13 {
+		t.Fatalf("untruncated merge: %+v", rep.Divergences)
 	}
 }
 
@@ -161,6 +221,75 @@ func TestRunAgreesWithReferenceOnLockedProgram(t *testing.T) {
 		if escaped := CheckOutcomes(p, []string{out}); len(escaped) != 0 {
 			t.Fatalf("seed %d: BASE outcome %q outside the locked reference set %v",
 				seed, out, ReferenceOutcomes(p))
+		}
+	}
+}
+
+// checkByMaps is Check as first written, the oracle for its tallies: every
+// program of Enumerate in order, a reference-set map per program and a
+// seen map per scheme, every divergence kept. onMachine rewrites the
+// program the machine runs, as Options.onMachine does.
+func checkByMaps(opts Options, onMachine func(Program) Program) *Report {
+	progs, st := Enumerate(opts.Shape)
+	rep := &Report{Shape: opts.Shape, EnumStats: st, Programs: len(progs)}
+	r := NewRunner()
+	pt := opts.Perturb.withDefaultJitter()
+	for _, p := range progs {
+		locked := ReferenceOutcomes(p)
+		lockedSet := map[string]bool{}
+		for _, o := range locked {
+			lockedSet[o] = true
+		}
+		rep.RefOutcomes += len(locked)
+		for _, scheme := range opts.Schemes {
+			seen := map[string]bool{}
+			for _, seed := range opts.Seeds {
+				rep.Runs++
+				out, err := r.Run(onMachine(p), scheme, seed, &pt)
+				if err != nil {
+					rep.TotalDivergences++
+					rep.Divergences = append(rep.Divergences, Divergence{Prog: p, Scheme: scheme, Seed: seed,
+						Err: err, Locked: locked, Perturb: pt})
+					continue
+				}
+				seen[out] = true
+				if !lockedSet[out] {
+					rep.TotalDivergences++
+					rep.Divergences = append(rep.Divergences, Divergence{Prog: p, Scheme: scheme, Seed: seed,
+						Outcome: out, Locked: locked, Perturb: pt})
+				}
+			}
+			rep.ObservedOutcomes += len(seen)
+		}
+	}
+	return rep
+}
+
+// With divergences planted — the machine runs every program with its
+// critical windows stripped — Check's report equals the map-based
+// oracle's, divergences truncated to MaxDivergences, at one and at four
+// workers. Escaped outcomes count among the observed ones.
+func TestCheckDivergencesMatchMapOracle(t *testing.T) {
+	opts := Options{
+		Shape:   Shape{CPUs: 2, Locs: 2, MaxOps: 2},
+		Seeds:   []int64{1, 2, 3},
+		Schemes: DefaultSchemes,
+		// Tight start jitter keeps the threads' windows overlapping, so
+		// the dropped locks show.
+		Perturb:        Perturb{StartJitter: 8},
+		MaxDivergences: 5,
+		onMachine:      stripCrits,
+	}
+	want := checkByMaps(opts, stripCrits)
+	if want.TotalDivergences <= opts.MaxDivergences {
+		t.Fatalf("only %d divergences planted; the test needs more than %d",
+			want.TotalDivergences, opts.MaxDivergences)
+	}
+	want.Divergences = want.Divergences[:opts.MaxDivergences]
+	for _, jobs := range []int{1, 4} {
+		opts.Jobs = jobs
+		if got := Check(opts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("jobs %d: report\n%+v\nwant\n%+v", jobs, got, want)
 		}
 	}
 }

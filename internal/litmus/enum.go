@@ -1,8 +1,9 @@
 package litmus
 
 import (
+	"math"
 	"slices"
-	"sort"
+	"strings"
 )
 
 // Shape bounds the program grammar: CPUs threads, up to Locs shared
@@ -49,26 +50,64 @@ type EnumStats struct {
 //     thread and accessed by another, every load value and final memory
 //     word is fixed regardless of interleaving — the outcome set is a
 //     singleton under any scheme.
+//
+// The programs share one Threads slab: each program's Threads is a
+// capacity-capped window of it, and every Thread's Ops is shared with the
+// other programs that use the same thread.
 func Enumerate(s Shape) ([]Program, EnumStats) {
-	threads := enumerateThreads(s)
-	// Tuples are generated non-decreasing in thread KEY order so that the
-	// symmetry-class representative (minimal concatenated key over thread
-	// permutations and location renamings) is always among the generated
-	// tuples. Key order and concatenation order agree because no thread key
-	// is a prefix of another: the ';' separator byte cannot occur among op
-	// or crit bytes, so any two distinct keys differ at a position both
-	// contain.
-	sort.Slice(threads, func(i, j int) bool {
-		return threadKey(threads[i]) < threadKey(threads[j])
-	})
-	var (
-		progs []Program
-		st    EnumStats
-	)
-	// Every tuple is filtered in one scratch program; only emitted programs
-	// get a Threads slice of their own.
-	p := Program{NumLocs: s.Locs, Threads: make([]Thread, s.CPUs)}
-	canon := newCanonChecker(s.CPUs, s.Locs)
+	ps := enumerate(s)
+	n := ps.len()
+	progs := make([]Program, n)
+	slab := make([]Thread, n*s.CPUs)
+	for i := range progs {
+		progs[i].Threads = slab[i*s.CPUs : (i+1)*s.CPUs : (i+1)*s.CPUs]
+		ps.fill(&progs[i], i)
+	}
+	return progs, ps.stats
+}
+
+// programSet is an enumerated program list in compact form: the shape's
+// thread table and, per program, the table indices of its threads. It holds
+// no pointer per program, so a sweep's state does not grow with the list.
+type programSet struct {
+	tab   *threadTable
+	cpus  int
+	idx   []uint16 // cpus entries per program, non-decreasing
+	stats EnumStats
+}
+
+func (ps *programSet) len() int {
+	if ps.cpus == 0 {
+		return 0
+	}
+	return len(ps.idx) / ps.cpus
+}
+
+// fill makes p program i. p.Threads must have the shape's CPU count.
+func (ps *programSet) fill(p *Program, i int) {
+	p.NumLocs = ps.tab.locs
+	for k, ti := range ps.idx[i*ps.cpus : (i+1)*ps.cpus] {
+		p.Threads[k] = ps.tab.threads[ti]
+	}
+}
+
+// enumerate lists the shape's canonical, scheme-sensitive programs as
+// thread-index tuples, in Enumerate's order.
+//
+// Tuples are generated non-decreasing, in lexicographic order of their
+// indices into the key-sorted thread table, so that the symmetry-class
+// representative (minimal concatenated key over thread permutations and
+// location renamings) is always among the generated tuples. Comparing two
+// programs' keys is comparing their index tuples: no thread key is a prefix
+// of another (the ';' separator byte cannot occur among op or crit bytes,
+// so any two distinct keys differ at a position both contain), hence the
+// first differing thread decides.
+func enumerate(s Shape) *programSet {
+	tab := newThreadTable(s)
+	ps := &programSet{tab: tab, cpus: s.CPUs}
+	tuple := make([]uint16, s.CPUs)
+	scratch := make([]uint16, s.CPUs)
+	masks := make([]locMasks, s.CPUs)
 	// Unordered tuples: thread indices are non-decreasing. Thread
 	// permutation symmetry makes ordered tuples redundant; the canonical
 	// check below still handles the residual symmetry interactions with
@@ -76,25 +115,101 @@ func Enumerate(s Shape) ([]Program, EnumStats) {
 	var rec func(pos, min int)
 	rec = func(pos, min int) {
 		if pos == s.CPUs {
-			st.Raw++
-			if !schemeSensitive(p) {
+			ps.stats.Raw++
+			for k, ti := range tuple {
+				masks[k] = tab.masks[ti]
+			}
+			if !sensitive(masks) {
 				return
 			}
-			st.AfterFilters++
-			if !canon.isCanonical(p) {
+			ps.stats.AfterFilters++
+			if !tab.canonical(tuple, scratch) {
 				return
 			}
-			st.Canonical++
-			progs = append(progs, Program{NumLocs: p.NumLocs, Threads: slices.Clone(p.Threads)})
+			ps.stats.Canonical++
+			ps.idx = append(ps.idx, tuple...)
 			return
 		}
-		for i := min; i < len(threads); i++ {
-			p.Threads[pos] = threads[i]
+		for i := min; i < len(tab.threads); i++ {
+			tuple[pos] = uint16(i)
 			rec(pos+1, i)
 		}
 	}
 	rec(0, 0)
-	return progs, st
+	return ps
+}
+
+// threadTable is every thread the grammar admits, sorted by key, with what
+// the filters and the symmetry check need of each: its location masks and
+// its index under every location renaming.
+type threadTable struct {
+	locs    int
+	threads []Thread
+	masks   []locMasks
+	// relabel[lp][i] is the index of thread i with its locations renamed
+	// through the lp-th permutation of permutations(locs).
+	relabel [][]uint16
+}
+
+// locMasks are one thread's location sets, bit l for location l: the
+// locations it accesses, the ones it stores to, and the ones its critical
+// window accesses.
+type locMasks struct {
+	access, write, crit uint64
+}
+
+func masksOf(t Thread) locMasks {
+	var m locMasks
+	for i, o := range t.Ops {
+		bit := uint64(1) << o.Loc
+		m.access |= bit
+		if o.Kind == Store {
+			m.write |= bit
+		}
+		if i >= int(t.CritLo) && i < int(t.CritHi) {
+			m.crit |= bit
+		}
+	}
+	return m
+}
+
+func newThreadTable(s Shape) *threadTable {
+	if s.Locs > 64 {
+		panic("litmus: more than 64 locations")
+	}
+	type keyed struct {
+		key string
+		t   Thread
+	}
+	var ks []keyed
+	for _, t := range enumerateThreads(s) {
+		ks = append(ks, keyed{threadKey(t), t})
+	}
+	if len(ks) > math.MaxUint16+1 {
+		panic("litmus: shape admits more than 65536 threads")
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	tab := &threadTable{locs: s.Locs, threads: make([]Thread, len(ks)), masks: make([]locMasks, len(ks))}
+	at := make(map[string]uint16, len(ks))
+	for i, k := range ks {
+		tab.threads[i], tab.masks[i] = k.t, masksOf(k.t)
+		at[k.key] = uint16(i)
+	}
+	ops := make([]Op, s.MaxOps)
+	var key []byte
+	for _, lp := range permutations(s.Locs) {
+		rl := make([]uint16, len(ks))
+		for i, t := range tab.threads {
+			r := Thread{Ops: ops[:len(t.Ops)], CritLo: t.CritLo, CritHi: t.CritHi}
+			for j, o := range t.Ops {
+				r.Ops[j] = Op{Kind: o.Kind, Loc: uint8(lp[o.Loc])}
+			}
+			key = appendThreadKey(key[:0], r)
+			rl[i] = at[string(key)]
+		}
+		tab.relabel = append(tab.relabel, rl)
+	}
+	return tab
 }
 
 // enumerateThreads lists every thread the grammar admits, in a fixed
@@ -126,40 +241,45 @@ func enumerateThreads(s Shape) []Thread {
 	return out
 }
 
-// schemeSensitive applies the two filters documented on Enumerate. It
-// builds one thread bitmask per location at a time (bit i: thread i), so it
-// allocates nothing; programs have at most 64 threads and 64 locations.
-func schemeSensitive(p Program) bool {
-	// shared has bit l set when some thread writes l and a different thread
-	// accesses it: the writer set is non-empty and the accessor set, which
-	// contains it, has at least two members.
+// sensitive reports whether a program with threads of masks ms passes both
+// filters: some location is stored to by one thread and accessed by
+// another (shared), and some critical window accesses a shared location.
+func sensitive(ms []locMasks) bool {
 	var shared uint64
-	for l := 0; l < p.NumLocs; l++ {
-		var writers, accessors uint64
-		for ti, t := range p.Threads {
-			for _, o := range t.Ops {
-				if int(o.Loc) == l {
-					accessors |= 1 << ti
-					if o.Kind == Store {
-						writers |= 1 << ti
-					}
-				}
+	for k := range ms {
+		var others uint64
+		for j := range ms {
+			if j != k {
+				others |= ms[j].access
 			}
 		}
-		if writers != 0 && accessors&(accessors-1) != 0 {
-			shared |= 1 << l
-		}
+		shared |= ms[k].write & others
 	}
 	if shared == 0 {
 		return false // no cross-thread communication
 	}
-	// Effective critical section: a crit window touching a shared location.
-	for _, t := range p.Threads {
-		for i := t.CritLo; i < t.CritHi; i++ {
-			if shared&(1<<t.Ops[i].Loc) != 0 {
-				return true
-			}
+	for _, m := range ms {
+		if m.crit&shared != 0 {
+			return true
 		}
 	}
 	return false
+}
+
+// canonical reports whether the non-decreasing tuple is its symmetry
+// class's representative: no relabelling sorts below it. Under a location
+// renaming, the thread permutation giving the smallest tuple is the one
+// that sorts the renamed indices, so one sort per renaming covers every
+// thread permutation. scratch must have len(tuple).
+func (tab *threadTable) canonical(tuple, scratch []uint16) bool {
+	for _, rl := range tab.relabel {
+		for k, ti := range tuple {
+			scratch[k] = rl[ti]
+		}
+		slices.Sort(scratch)
+		if slices.Compare(scratch, tuple) < 0 {
+			return false
+		}
+	}
+	return true
 }

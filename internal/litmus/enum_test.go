@@ -142,21 +142,22 @@ func TestEnumerateProgramsDoNotAlias(t *testing.T) {
 	}
 }
 
-// Deciding canonicity allocates nothing once the checker's buffers are
-// warm.
+// Filtering a tuple and deciding its canonicity allocate nothing.
 func TestCanonCheckAllocFree(t *testing.T) {
-	progs, _ := Enumerate(Shape{CPUs: 3, Locs: 2, MaxOps: 2})
-	c := newCanonChecker(3, 2)
-	for _, p := range progs {
-		c.isCanonical(p)
-	}
+	ps := enumerate(Shape{CPUs: 3, Locs: 2, MaxOps: 2})
+	tab := ps.tab
+	masks, scratch := make([]locMasks, 3), make([]uint16, 3)
 	i := 0
 	if n := testing.AllocsPerRun(1000, func() {
-		c.isCanonical(progs[i%len(progs)])
-		schemeSensitive(progs[i%len(progs)])
+		tuple := ps.idx[3*(i%ps.len()) : 3*(i%ps.len())+3]
+		for k, ti := range tuple {
+			masks[k] = tab.masks[ti]
+		}
+		sensitive(masks)
+		tab.canonical(tuple, scratch)
 		i++
 	}); n != 0 {
-		t.Fatalf("warm canonicity check allocates %.1f objects, want 0", n)
+		t.Fatalf("tuple filter and canonicity check allocate %.1f objects, want 0", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"bytes"
 	"encoding/binary"
 	"slices"
 
@@ -28,8 +29,8 @@ import (
 // comparable stateKey in place; since the thread programs are static, the
 // key is the whole mutable state, so a step is undone by restoring a copy.
 // The visited set is an open-addressed table of stateKeys (stateTable)
-// reused across programs, so neither a state's size nor its membership test
-// costs an allocation. Only outcome strings allocate.
+// reused across programs, and outcomes are formatted into a reused byte
+// arena, so once warm the search allocates nothing.
 //
 // Not every interleaving is walked. A step that commutes with every step
 // the threads can still take is taken alone, without branching: a
@@ -277,8 +278,47 @@ type explorer struct {
 	loadVals  []uint64
 	loadViews [][]uint64
 	memVals   []uint64
-	fmtBuf    []byte
-	out       []string
+
+	// out is the outcome arena outcomesOf returns a view of.
+	out outcomeSet
+}
+
+// outcomeSet is an outcome set in one byte arena: outcome i is
+// buf[ends[i-1]:ends[i]] (from 0 for i == 0), each a FormatOutcome
+// encoding, in the order the search reached them. Outcomes are distinct.
+type outcomeSet struct {
+	buf  []byte
+	ends []int32
+}
+
+func (s outcomeSet) len() int { return len(s.ends) }
+
+func (s outcomeSet) at(i int) []byte {
+	lo := int32(0)
+	if i > 0 {
+		lo = s.ends[i-1]
+	}
+	return s.buf[lo:s.ends[i]]
+}
+
+// index returns the position of outcome o in the set, or -1.
+func (s outcomeSet) index(o []byte) int {
+	for i := range s.ends {
+		if bytes.Equal(s.at(i), o) {
+			return i
+		}
+	}
+	return -1
+}
+
+// strings returns the set as sorted strings, allocated afresh.
+func (s outcomeSet) strings() []string {
+	out := make([]string, s.len())
+	for i := range out {
+		out[i] = string(s.at(i))
+	}
+	slices.Sort(out)
+	return out
 }
 
 func newExplorer() *explorer {
@@ -289,12 +329,12 @@ func newExplorer() *explorer {
 // program: every FormatOutcome string a TSO execution respecting the lock
 // can produce.
 func ReferenceOutcomes(p Program) []string {
-	return newExplorer().outcomesOf(p)
+	return newExplorer().outcomesOf(p).strings()
 }
 
-// outcomesOf computes ReferenceOutcomes on the explorer's reused storage.
-// The returned slice is valid until the next call.
-func (e *explorer) outcomesOf(p Program) []string {
+// outcomesOf computes the reference outcome set in the explorer's reused
+// arena, unsorted. The returned set is valid until the next call.
+func (e *explorer) outcomesOf(p Program) outcomeSet {
 	n := len(p.Threads)
 	if n > maxThreads {
 		panic("litmus: program exceeds the model's thread bound")
@@ -308,11 +348,10 @@ func (e *explorer) outcomesOf(p Program) []string {
 		e.fired[ruleStore] += int(e.k.pc[ti])
 	}
 	e.seen.reset((slots + 7) / 8)
-	e.out = e.out[:0]
+	e.out = outcomeSet{buf: e.out.buf[:0], ends: e.out.ends[:0]}
 
 	e.explore()
 
-	slices.Sort(e.out)
 	return e.out
 }
 
@@ -541,10 +580,11 @@ func (e *explorer) apply(ti int, drain bool) {
 
 // noteOutcome records the terminal state's outcome. A terminal state's key
 // is its load values and memory words (every pc at the end, every buffer
-// drained, the lock free), which the outcome string renders one-to-one; the
-// visited table admits each state once, so every terminal reached is a new
-// outcome and needs no set. Formatting goes through a reused buffer; only
-// the string allocates.
+// drained, the lock free), which the outcome encoding renders one-to-one;
+// the visited table admits each state once, so every terminal reached is a
+// new outcome and needs no set. The outcome is formatted straight into the
+// arena, so once the arena has grown to a program's needs nothing
+// allocates.
 func (e *explorer) noteOutcome() {
 	for i := range e.loadVals {
 		e.loadVals[i] = uint64(e.k.vals[i])
@@ -555,8 +595,8 @@ func (e *explorer) noteOutcome() {
 			e.memVals[l] = uint64(e.k.vals[s])
 		}
 	}
-	e.fmtBuf = proc.AppendOutcome(e.fmtBuf[:0], e.loadViews, e.memVals)
-	e.out = append(e.out, string(e.fmtBuf))
+	e.out.buf = proc.AppendOutcome(e.out.buf, e.loadViews, e.memVals)
+	e.out.ends = append(e.out.ends, int32(len(e.out.buf)))
 }
 
 // forward returns the newest value the buffer ents[head:tail[pc]] holds

@@ -143,7 +143,7 @@ func TestExplorerMatchesStringKeyedOracle(t *testing.T) {
 	for _, s := range shapes {
 		progs, _ := Enumerate(s)
 		for _, p := range progs {
-			got, want := e.outcomesOf(p), o.outcomesOf(p)
+			got, want := e.outcomesOf(p).strings(), o.outcomesOf(p)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%+v %s: explorer outcomes %v, oracle %v", s, p, got, want)
 			}
@@ -161,7 +161,7 @@ func TestExplorerForcedSteps(t *testing.T) {
 		{Ops: []Op{{Store, 2}, {Load, 1}}, CritLo: 0, CritHi: 2},
 	}}
 	e := newExplorer()
-	got, want := e.outcomesOf(p), newOracleExplorer().outcomesOf(p)
+	got, want := e.outcomesOf(p).strings(), newOracleExplorer().outcomesOf(p)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: explorer outcomes %v, oracle %v", p, got, want)
 	}
@@ -192,7 +192,7 @@ func TestReferenceOutcomeTotals(t *testing.T) {
 		progs, _ := Enumerate(c.shape)
 		outcomes, states := 0, 0
 		for _, p := range progs {
-			outcomes += len(e.outcomesOf(p))
+			outcomes += e.outcomesOf(p).len()
 			states += e.seen.n
 		}
 		if outcomes != c.outcomes || states != c.states {
@@ -246,9 +246,8 @@ func TestExplorerUnstoredLocations(t *testing.T) {
 	}
 }
 
-// Only outcome strings allocate: a warm outcomesOf (map buckets and scratch
-// already sized by an earlier run) allocates at most one object per distinct
-// outcome.
+// A warm outcomesOf allocates nothing: the visited table, the scratch
+// slices and the outcome arena were sized by earlier programs.
 func TestOutcomesOfAllocatesOnlyOutcomes(t *testing.T) {
 	progs, _ := Enumerate(Shape{CPUs: 3, Locs: 2, MaxOps: 2})
 	e := newExplorer()
@@ -257,9 +256,8 @@ func TestOutcomesOfAllocatesOnlyOutcomes(t *testing.T) {
 	}
 	for _, i := range []int{0, len(progs) / 3, len(progs) / 2, len(progs) - 1} {
 		p := progs[i]
-		n := len(e.outcomesOf(p))
-		if allocs := testing.AllocsPerRun(20, func() { e.outcomesOf(p) }); allocs > float64(n) {
-			t.Errorf("%s: warm outcomesOf allocates %.1f objects for %d outcomes", p, allocs, n)
+		if allocs := testing.AllocsPerRun(20, func() { e.outcomesOf(p) }); allocs != 0 {
+			t.Errorf("%s: warm outcomesOf allocates %.1f objects, want 0", p, allocs)
 		}
 	}
 }

@@ -15,7 +15,6 @@
 package litmus
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 )
@@ -95,17 +94,10 @@ func (p Program) String() string {
 
 func locName(l uint8) byte { return byte('x' + l) }
 
-// appendKey appends the program's key to b: its canonical comparison
-// encoding, a byte string that orders programs deterministically. Threads
-// are separated by ';', ops are (kind, loc) byte pairs, and the critical
-// window is two trailing bytes.
-func (p Program) appendKey(b []byte) []byte {
-	for _, t := range p.Threads {
-		b = appendThreadKey(b, t)
-	}
-	return b
-}
-
+// appendThreadKey appends the thread's key to b: its comparison encoding, a
+// byte string that orders threads deterministically, and programs by the
+// concatenation of their threads' keys. Ops are (kind, loc) byte pairs,
+// then a ';' separator and the critical window's two bytes.
 func appendThreadKey(b []byte, t Thread) []byte {
 	for _, o := range t.Ops {
 		b = append(b, byte(o.Kind), o.Loc)
@@ -113,50 +105,8 @@ func appendThreadKey(b []byte, t Thread) []byte {
 	return append(b, ';', t.CritLo, t.CritHi)
 }
 
-// threadKey encodes one thread for ordering (see appendKey).
+// threadKey encodes one thread for ordering (see appendThreadKey).
 func threadKey(t Thread) string { return string(appendThreadKey(nil, t)) }
-
-// appendRelabelledKey appends the key of the program relabelled by a
-// symmetry — thread order threadPerm, locations renamed through locPerm —
-// without building the relabelled program.
-func (p Program) appendRelabelledKey(b []byte, threadPerm, locPerm []int) []byte {
-	for _, src := range threadPerm {
-		t := p.Threads[src]
-		for _, o := range t.Ops {
-			b = append(b, byte(o.Kind), byte(locPerm[o.Loc]))
-		}
-		b = append(b, ';', t.CritLo, t.CritHi)
-	}
-	return b
-}
-
-// canonChecker decides whether a program is its symmetry class's
-// representative: the one whose key is minimal over every thread
-// permutation and location renaming. It holds the permutations of one
-// shape and two reused key buffers, so a check allocates nothing.
-type canonChecker struct {
-	threadPerms, locPerms [][]int
-	own, relabelled       []byte
-}
-
-func newCanonChecker(threads, locs int) *canonChecker {
-	return &canonChecker{threadPerms: permutations(threads), locPerms: permutations(locs)}
-}
-
-// isCanonical reports whether no relabelling of p sorts below p's own key.
-// p must have the thread and location counts the checker was built for.
-func (c *canonChecker) isCanonical(p Program) bool {
-	c.own = p.appendKey(c.own[:0])
-	for _, tp := range c.threadPerms {
-		for _, lp := range c.locPerms {
-			c.relabelled = p.appendRelabelledKey(c.relabelled[:0], tp, lp)
-			if bytes.Compare(c.relabelled, c.own) < 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // permutations returns all permutations of 0..n-1 in a deterministic order.
 // n is at most 3 here, so the simple recursive construction is fine.

@@ -119,10 +119,12 @@ type Runner struct {
 	// pointer.
 	configs []runConfig
 
-	// Scratch arenas reused across runs (threads/ops/locs slices).
+	// Scratch arenas reused across runs (threads/ops/locs slices, and the
+	// last run's outcome encoding).
 	threads []proc.LitmusThread
 	ops     []proc.LitmusOp
 	locs    []memsys.Addr
+	out     []byte
 }
 
 // runConfig is one entry of Runner.configs.
@@ -155,23 +157,29 @@ func newRunner(cold bool) *Runner { return &Runner{machines: runner.NewMachines(
 // (scheme, seed, perturbation) and returns its outcome string. pt is read,
 // not kept.
 func (r *Runner) Run(p Program, scheme proc.Scheme, seed int64, pt *Perturb) (string, error) {
+	out, err := r.run(p, scheme, seed, pt)
+	return string(out), err
+}
+
+// run is Run with the outcome left in the runner's buffer, valid until the
+// next run: a sweep compares it in place and allocates nothing.
+func (r *Runner) run(p Program, scheme proc.Scheme, seed int64, pt *Perturb) ([]byte, error) {
 	cfg := r.config(len(p.Threads), scheme, pt)
 	cfg.Seed = seed
 	m := r.machines.Acquire(cfg)
-	out, err := r.runOn(m, p)
-	if err != nil {
+	if err := r.runOn(m, p); err != nil {
 		// An errored run (deadlock, livelock, checker violation) leaves
 		// unfinished threads and pending events behind: the machine is not
 		// quiescent and is never released for reuse.
-		return "", err
+		return nil, err
 	}
 	r.machines.Release(m)
-	return out, nil
+	return r.out, nil
 }
 
-// runOn builds the program's thread list into the runner's scratch arenas
-// and executes it on m.
-func (r *Runner) runOn(m *proc.Machine, p Program) (string, error) {
+// runOn builds the program's thread list into the runner's scratch arenas,
+// executes it on m and formats its outcome into r.out.
+func (r *Runner) runOn(m *proc.Machine, p Program) error {
 	lock := m.LitmusLock()
 	locs := r.locs[:0]
 	for i := 0; i < p.NumLocs; i++ {
@@ -205,12 +213,13 @@ func (r *Runner) runOn(m *proc.Machine, p Program) (string, error) {
 	r.threads = threads
 	loads, err := m.RunLitmus(lock, threads)
 	if err != nil {
-		return "", err
+		return err
 	}
 	if v := m.Sys.ArchWord(lock.Addr); v != 0 {
-		return "", fmt.Errorf("lock word left %d after completion", v)
+		return fmt.Errorf("lock word left %d after completion", v)
 	}
-	return m.LitmusOutcome(loads, locs), nil
+	r.out = m.AppendLitmusOutcome(r.out[:0], loads, locs)
+	return nil
 }
 
 // Run executes the program on a freshly built machine under one

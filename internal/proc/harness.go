@@ -93,17 +93,17 @@ func (m *Machine) RunLitmus(lock *Lock, threads []LitmusThread) ([][]uint64, err
 	return ls.loads, m.CheckerErr()
 }
 
-// litmusScratch is the storage RunLitmus and LitmusOutcome reuse across
-// runs on one machine. Each slice is resized with slices.Grow(s[:0], n)[:n],
-// which keeps its backing array when the capacity suffices.
+// litmusScratch is the storage RunLitmus and AppendLitmusOutcome reuse
+// across runs on one machine. Each slice is resized with
+// slices.Grow(s[:0], n)[:n], which keeps its backing array when the
+// capacity suffices.
 type litmusScratch struct {
-	vals   []uint64   // load values of every thread, back to back
-	loads  [][]uint64 // per-thread views into vals
-	srcs   []opSource
-	sms    []litmusSM
-	words  []uint64 // final memory words (LitmusOutcome)
-	outBuf []byte   // outcome encoding (LitmusOutcome)
-	lock   Lock     // the run's lock (LitmusLock)
+	vals  []uint64   // load values of every thread, back to back
+	loads [][]uint64 // per-thread views into vals
+	srcs  []opSource
+	sms   []litmusSM
+	words []uint64 // final memory words (AppendLitmusOutcome)
+	lock  Lock     // the run's lock (LitmusLock)
 }
 
 // LitmusLock returns the lock NewLock would return at this point, held as
@@ -154,15 +154,21 @@ func litmusProg(th LitmusThread, lock *Lock, rec []uint64) func(*TC) {
 // LitmusOutcome renders a collected litmus result canonically: the loads
 // each thread observed plus the final architectural value of each listed
 // location. Two runs are behaviourally identical iff their outcome strings
-// are equal. Only the returned string allocates.
+// are equal.
 func (m *Machine) LitmusOutcome(loads [][]uint64, locs []memsys.Addr) string {
+	return string(m.AppendLitmusOutcome(nil, loads, locs))
+}
+
+// AppendLitmusOutcome appends LitmusOutcome's encoding to b, allocating
+// nothing when b has room: a sweep formats every run into one reused
+// buffer.
+func (m *Machine) AppendLitmusOutcome(b []byte, loads [][]uint64, locs []memsys.Addr) []byte {
 	ls := &m.litmus
 	ls.words = slices.Grow(ls.words[:0], len(locs))[:len(locs)]
 	for i, a := range locs {
 		ls.words[i] = m.Sys.ArchWord(a)
 	}
-	ls.outBuf = AppendOutcome(ls.outBuf[:0], loads, ls.words)
-	return string(ls.outBuf)
+	return AppendOutcome(b, loads, ls.words)
 }
 
 // FormatOutcome is the canonical outcome encoding shared by the machine

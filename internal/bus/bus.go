@@ -121,7 +121,7 @@ type Snooper interface {
 	SnoopOwner(line memsys.Addr) bool
 	// SnoopShared is a side-effect-free query: does this controller hold any
 	// valid copy of line, or a pending ordered request for it? The result
-	// decides whether a memory-supplied GetS fill may install Exclusive.
+	// decides whether a GetS fill may install Exclusive, whoever supplies it.
 	SnoopShared(line memsys.Addr) bool
 	// SnoopNack asks the supplier of record whether it refuses t (NACK-based
 	// ownership retention). Consulted once per transaction, at snoop time,
@@ -150,13 +150,14 @@ type Holders interface {
 type Msg interface{ msgFrom() int }
 
 // DataResp carries line data from a supplier to a requester, completing the
-// split transaction begun by Txn ID Req.
+// split transaction begun by Txn ID Req. It says nothing about the state the
+// fill installs: the requester decides that from the shared verdict it saw at
+// its own order point.
 type DataResp struct {
-	Req    uint64
-	Line   memsys.Addr
-	Data   memsys.LineData
-	From   int
-	Shared bool // supplier retained a shared copy (GetS service by an owner)
+	Req  uint64
+	Line memsys.Addr
+	Data memsys.LineData
+	From int
 }
 
 // Marker is TLR's "I am your upstream neighbour" message (§3.1.1): sent in
@@ -178,7 +179,7 @@ type Probe struct {
 }
 
 // Messages implement Msg with pointer receivers so they cross the interface
-// without boxing; the hot creation sites go through the pooled SendData /
+// without boxing. They are sent only through the pooled SendData /
 // SendMarker / SendProbe helpers, which recycle each message once delivered.
 func (m *DataResp) msgFrom() int { return m.From }
 func (m *Marker) msgFrom() int   { return m.From }
@@ -496,34 +497,18 @@ func (b *Bus) dispatchSnoop(t *Txn) {
 	b.snoopers[MemID+1].Snoop(t, owner, shared)
 }
 
-// Send delivers msg to controller `to` over the data network after the data
-// latency plus any injection-port backpressure at the sender. The message is
-// retained until delivery and never recycled; hot paths use the pooled
-// SendData/SendMarker/SendProbe helpers instead.
-func (b *Bus) Send(to int, msg Msg) {
-	switch msg.(type) {
-	case *DataResp:
-		b.stats.DataMsgs++
-	case *Marker:
-		b.stats.Markers++
-	case *Probe:
-		b.stats.Probes++
-	}
-	b.sendMsg(to, msg, deliverEvent, 0)
-}
-
 // SendData sends a pooled DataResp completing split transaction req. data is
 // copied into the message at call time.
-func (b *Bus) SendData(to int, req uint64, line memsys.Addr, data *memsys.LineData, from int, shared bool) {
+func (b *Bus) SendData(to int, req uint64, line memsys.Addr, data *memsys.LineData, from int) {
 	var m *DataResp
 	if n := len(b.freeData); n > 0 {
 		m, b.freeData = b.freeData[n-1], b.freeData[:n-1]
 	} else {
 		m = new(DataResp)
 	}
-	m.Req, m.Line, m.Data, m.From, m.Shared = req, line, *data, from, shared
+	m.Req, m.Line, m.Data, m.From = req, line, *data, from
 	b.stats.DataMsgs++
-	b.sendMsg(to, m, deliverRecycleEvent, 0)
+	b.sendMsg(to, m, 0)
 }
 
 // SendMarker sends a pooled Marker for transaction req.
@@ -536,7 +521,7 @@ func (b *Bus) SendMarker(to int, req uint64, line memsys.Addr, from int) {
 	}
 	m.Req, m.Line, m.From = req, line, from
 	b.stats.Markers++
-	b.sendMsg(to, m, deliverRecycleEvent, sim.Time(b.faults.MsgDelay()))
+	b.sendMsg(to, m, sim.Time(b.faults.MsgDelay()))
 }
 
 // SendProbe sends a pooled Probe carrying the conflicting timestamp ts.
@@ -549,15 +534,14 @@ func (b *Bus) SendProbe(to int, line memsys.Addr, ts stamp.Stamp, from int) {
 	}
 	m.Line, m.Stamp, m.From = line, ts, from
 	b.stats.Probes++
-	b.sendMsg(to, m, deliverRecycleEvent, sim.Time(b.faults.MsgDelay()))
+	b.sendMsg(to, m, sim.Time(b.faults.MsgDelay()))
 }
 
-// sendMsg schedules the delivery event; deliver decides whether the message
-// returns to its free list afterwards. extra is injected marker/probe delay
+// sendMsg schedules the delivery event. extra is injected marker/probe delay
 // (message latency is unspecified beyond occupancy spacing, so delivery may
 // legally land arbitrarily later; data responses stay on time — the split
 // transaction is already accounted against the requester).
-func (b *Bus) sendMsg(to int, msg Msg, deliver sim.Callback, extra sim.Time) {
+func (b *Bus) sendMsg(to int, msg Msg, extra sim.Time) {
 	from := msg.msgFrom()
 	depart := b.sendFree[from+1]
 	if now := b.k.Now(); depart < now {
@@ -567,17 +551,12 @@ func (b *Bus) sendMsg(to int, msg Msg, deliver sim.Callback, extra sim.Time) {
 	if to+1 >= len(b.recvs) || b.recvs[to+1] == nil {
 		panic(fmt.Sprintf("bus: Send to unknown controller %d", to))
 	}
-	b.k.AtCall(depart+sim.Time(b.cfg.DataLat)+extra, deliver, b, msg, uint64(int64(to)))
+	b.k.AtCall(depart+sim.Time(b.cfg.DataLat)+extra, deliverRecycleEvent, b, msg, uint64(int64(to)))
 }
 
-// deliverEvent and deliverRecycleEvent are the pre-bound delivery callbacks:
-// recv is the Bus, arg the message, n the destination id. Receivers must not
-// retain a recycled message past Deliver.
-func deliverEvent(recv, arg any, n uint64) {
-	b := recv.(*Bus)
-	b.recvs[int(int64(n))+1].Deliver(arg.(Msg))
-}
-
+// deliverRecycleEvent is the pre-bound delivery callback: recv is the Bus,
+// arg the message, n the destination id. The message returns to its free
+// list once Deliver returns, so receivers must not retain it.
 func deliverRecycleEvent(recv, arg any, n uint64) {
 	b := recv.(*Bus)
 	msg := arg.(Msg)

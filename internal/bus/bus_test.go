@@ -9,13 +9,12 @@ import (
 	"tlrsim/internal/stamp"
 )
 
-// fakeCtrl records snoops and messages; owns configurable lines.
+// fakeCtrl records snoops; owns configurable lines.
 type fakeCtrl struct {
 	id     int
 	owns   map[memsys.Addr]bool
 	nacks  bool
 	snoops []snoopRec
-	msgs   []Msg
 }
 
 type snoopRec struct {
@@ -32,7 +31,7 @@ func (f *fakeCtrl) SnoopNack(t *Txn) bool             { return f.nacks }
 func (f *fakeCtrl) Snoop(t *Txn, owner int, shared bool) {
 	f.snoops = append(f.snoops, snoopRec{t, owner, shared})
 }
-func (f *fakeCtrl) Deliver(m Msg) { f.msgs = append(f.msgs, m) }
+func (f *fakeCtrl) Deliver(Msg) {}
 
 // everyone is a holder set naming controllers 0..n-1 for every line, so
 // the bus polls every fake controller as a full broadcast would.
@@ -201,19 +200,40 @@ func TestCompleteUnderflowPanics(t *testing.T) {
 	b.Complete(&Txn{})
 }
 
+// TestDataDelivery sends two pooled data responses in turn and checks each
+// payload inside Deliver, since a message is recycled once Deliver returns.
+// The second send must reuse the first message and carry its own payload.
 func TestDataDelivery(t *testing.T) {
 	k := sim.New(1)
-	b, ctrls, _ := testbus(k, 2)
+	b := New(k, Config{DataLat: 20, Occupancy: 2}, holdersOf(2))
+	var got []DataResp
+	var ptrs []*DataResp
+	r := recvFunc(func(m Msg) {
+		d := m.(*DataResp)
+		got, ptrs = append(got, *d), append(ptrs, d)
+	})
+	b.Attach(0, newFake(0), recvFunc(func(Msg) {}))
+	b.Attach(1, newFake(1), r)
 	var d memsys.LineData
 	d[3] = 77
-	b.Send(1, &DataResp{Req: 9, Line: 0x40, Data: d, From: 0})
+	b.SendData(1, 9, 0x40, &d, 0)
+	d[3] = 78 // the payload is copied at send time: this write must not reach it
 	k.Run()
-	if len(ctrls[1].msgs) != 1 {
-		t.Fatalf("got %d msgs, want 1", len(ctrls[1].msgs))
+	d[3] = 88
+	b.SendData(1, 10, 0x80, &d, 0)
+	k.Run()
+	if len(got) != 2 {
+		t.Fatalf("got %d msgs, want 2", len(got))
 	}
-	resp := ctrls[1].msgs[0].(*DataResp)
-	if resp.Data[3] != 77 || resp.Req != 9 {
-		t.Fatal("data payload corrupted")
+	want := []DataResp{{Req: 9, Line: 0x40, From: 0}, {Req: 10, Line: 0x80, From: 0}}
+	want[0].Data[3], want[1].Data[3] = 77, 88
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("msg %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if ptrs[0] != ptrs[1] {
+		t.Fatal("the delivered message was not recycled for the next send")
 	}
 }
 
@@ -226,7 +246,7 @@ func TestSendOccupancySerialisesPerSource(t *testing.T) {
 	b.Attach(1, newFake(1), recvFunc(func(Msg) {}))
 	// Three back-to-back sends from source 1: spaced by occupancy.
 	for i := 0; i < 3; i++ {
-		b.Send(0, &Marker{Line: 0x40, From: 1})
+		b.SendMarker(0, uint64(i), 0x40, 1)
 	}
 	k.Run()
 	if len(arrivals) != 3 {
@@ -246,9 +266,10 @@ func TestStatsCounters(t *testing.T) {
 	b, _, _ := testbus(k, 2)
 	b.Issue(&Txn{Kind: GetX, Line: 0x40, Src: 0})
 	b.Issue(&Txn{Kind: GetS, Line: 0x80, Src: 1})
-	b.Send(1, &DataResp{From: 0})
-	b.Send(1, &Marker{From: 0})
-	b.Send(0, &Probe{From: 1})
+	var d memsys.LineData
+	b.SendData(1, 1, 0x40, &d, 0)
+	b.SendMarker(1, 1, 0x40, 0)
+	b.SendProbe(0, 0x80, stamp.None(), 1)
 	k.Run()
 	s := b.Stats()
 	if s.Txns[GetX] != 1 || s.Txns[GetS] != 1 || s.DataMsgs != 1 || s.Markers != 1 || s.Probes != 1 {

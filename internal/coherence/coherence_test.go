@@ -7,6 +7,7 @@ import (
 	"tlrsim/internal/bus"
 	"tlrsim/internal/cache"
 	"tlrsim/internal/core"
+	"tlrsim/internal/fault"
 	"tlrsim/internal/memsys"
 	"tlrsim/internal/sim"
 )
@@ -656,6 +657,126 @@ func TestWBPendingSupplyHonoursSharers(t *testing.T) {
 	}
 	if st := stateOf(p3, line); st != cache.Shared {
 		t.Fatalf("P3 state = %v, want S (two other Shared copies are live)", st)
+	}
+	if err := s.CheckCoherence(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSelfSupplyHonoursSharers pins the self-supply path: P0 re-reads its
+// own evicted Owned line, and the re-read orders before the write-back, so
+// P0 is the supplier of record for its own request and serves it from its
+// write-back buffer. P1 still holds a Shared copy, so P0's fill must
+// install Shared: Exclusive would leave a writable copy beside it. The
+// cache is 2-way with 2 sets and no victim cache, and one outstanding bus
+// transaction queues the re-read beside the write-back. The arbiter then
+// picks uniformly among queued requests; fault seed 5 is a schedule that
+// grants the re-read first.
+func TestSelfSupplyHonoursSharers(t *testing.T) {
+	k := sim.New(1)
+	cfg := testConfig()
+	cfg.Cache = cache.Config{SizeBytes: 256, Ways: 2}
+	cfg.Bus.MaxOutstanding = 1
+	engines := []*core.Engine{core.NewEngine(0, core.Policy{EnableTLR: true}), core.NewEngine(1, core.Policy{EnableTLR: true})}
+	s := NewSystem(k, 2, cfg, engines)
+	p0 := s.Ctrls[0]
+	const line = memsys.Addr(0x000)
+
+	store(t, k, p0, line, 7)
+	load(t, k, s.Ctrls[1], line)
+	store(t, k, p0, 0x100, 1) // same set (2 sets, stride 128): fills the other way
+	k.RunUntil(s.Quiescent)
+	if st := stateOf(p0, line); st != cache.Owned {
+		t.Fatalf("P0 state = %v, want O", st)
+	}
+	s.SetFaults(fault.New(fault.Spec{Seed: 5, ReorderPct: 100}))
+
+	// The store to a third line of the set evicts the Owned line; the
+	// re-read is issued the moment its write-back is pending.
+	evicting, reading := rec.next(), rec.next()
+	p0.Store(0x200, 2, rec.sink, evicting)
+	if !k.RunUntil(func() bool { return p0.wbPendingFor(line) != nil }) {
+		t.Fatal("the store never evicted the Owned line")
+	}
+	p0.Load(line, false, rec.sink, reading)
+	selfSupplied := false
+	if !k.RunUntil(func() bool {
+		if m := p0.mshrFor(line); m != nil && m.ordered && p0.wbPendingFor(line) != nil {
+			selfSupplied = true
+		}
+		return rec.got[evicting].done && rec.got[reading].done
+	}) {
+		t.Fatal("eviction or re-read never completed")
+	}
+	k.RunUntil(s.Quiescent)
+	if !selfSupplied {
+		t.Fatal("the re-read did not order before the write-back")
+	}
+	if v := rec.got[reading].val; v != 7 {
+		t.Fatalf("P0 re-read %d, want 7", v)
+	}
+	if err := s.CheckCoherence(); err != nil {
+		t.Fatal(err)
+	}
+	if st := stateOf(p0, line); st != cache.Shared {
+		t.Fatalf("P0 state = %v, want S (P1's Shared copy is live)", st)
+	}
+}
+
+// TestConcurrentReadersInstallShared: P0's GetS finds no other copy at its
+// order point and goes to memory, and P1's GetS is ordered before P0's
+// fill arrives. Both fills come from memory and both must install Shared:
+// P0 learns of P1 only through P1's GetS being ordered while its own is
+// pending.
+func TestConcurrentReadersInstallShared(t *testing.T) {
+	k, s := rig(2, core.Policy{EnableTLR: true})
+	p0, p1 := s.Ctrls[0], s.Ctrls[1]
+	s.Mem.WriteWord(0x1000, 5)
+	r0, r1 := rec.next(), rec.next()
+	p0.Load(0x1000, false, rec.sink, r0)
+	p1.Load(0x1000, false, rec.sink, r1)
+	if !k.RunUntil(func() bool { return rec.got[r0].done && rec.got[r1].done }) {
+		t.Fatal("reads never completed")
+	}
+	k.RunUntil(s.Quiescent)
+	for i, n := range []uint64{r0, r1} {
+		if v := rec.got[n].val; v != 5 {
+			t.Fatalf("P%d read %d, want 5", i, v)
+		}
+		if st := stateOf(s.Ctrls[i], 0x1000); st != cache.Shared {
+			t.Fatalf("P%d state = %v, want S", i, st)
+		}
+	}
+	if err := s.CheckCoherence(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChainedReaderInstallsShared: P1's GetS is ordered while P0's GetX is
+// ordered but has no data yet, so it chains at P0, the pending owner. When
+// P0's fill lands, its store runs and the chain is served: P0 keeps an
+// Owned copy, so P1 must install Shared.
+func TestChainedReaderInstallsShared(t *testing.T) {
+	k, s := rig(2, core.Policy{EnableTLR: true})
+	p0, p1 := s.Ctrls[0], s.Ctrls[1]
+	w, r := rec.next(), rec.next()
+	p0.Store(0x1000, 9, rec.sink, w)
+	p1.Load(0x1000, false, rec.sink, r)
+	if !k.RunUntil(func() bool { return rec.got[w].done && rec.got[r].done }) {
+		t.Fatal("store or read never completed")
+	}
+	k.RunUntil(s.Quiescent)
+	if n := p0.Stats().ChainedRequests; n != 1 {
+		t.Fatalf("P0 chained %d requests, want 1", n)
+	}
+	if v := rec.got[r].val; v != 9 {
+		t.Fatalf("P1 read %d, want 9", v)
+	}
+	if st := stateOf(p0, 0x1000); st != cache.Owned {
+		t.Fatalf("P0 state = %v, want O", st)
+	}
+	if st := stateOf(p1, 0x1000); st != cache.Shared {
+		t.Fatalf("P1 state = %v, want S", st)
 	}
 	if err := s.CheckCoherence(); err != nil {
 		t.Fatal(err)

@@ -91,10 +91,12 @@ type mshr struct {
 	// (GetS only) — forward the fill value to waiters but do not cache it.
 	invalidated bool
 
-	// mustShare: another reader's GetS was ordered while ours was pending,
-	// so the fill may not install Exclusive even if the supplier saw no
-	// sharers at our own order point.
-	mustShare bool
+	// shared (GetS only): the fill installs Shared, not Exclusive. This is
+	// the one place that decision lives. It is set at our own order point
+	// from the bus's verdict that another cache holds (or is about to hold)
+	// the line, and by any other reader's GetS ordered while ours is
+	// pending. Suppliers have no say.
+	shared bool
 
 	// nackRetries counts NACK-and-retry rounds (NACK retention mode); the
 	// backoff grows with it and a cap forces the lock fallback.

@@ -29,7 +29,7 @@ func (m *MemController) SnoopShared(memsys.Addr) bool { return false }
 func (m *MemController) SnoopNack(*bus.Txn) bool { return false }
 
 // Snoop supplies data when no cache owns the line, and absorbs write-backs.
-func (m *MemController) Snoop(t *bus.Txn, owner int, shared bool) {
+func (m *MemController) Snoop(t *bus.Txn, owner int, _ bool) {
 	switch t.Kind {
 	case bus.WriteBack:
 		if !t.Cancel {
@@ -48,25 +48,20 @@ func (m *MemController) Snoop(t *bus.Txn, owner int, shared bool) {
 			lat = m.sys.cfg.L2Lat
 		}
 		m.inL2[t.Line] = true
-		var sharedResp uint64
-		if shared && t.Kind == bus.GetS {
-			sharedResp = 1
-		}
 		// t's identifying fields are immutable once ordered, so the response
 		// event can carry the transaction itself instead of a closure.
-		m.sys.K.AfterCall(lat, memRespEvent, m, t, sharedResp)
+		m.sys.K.AfterCall(lat, memRespEvent, m, t, 0)
 	case bus.Upgrade:
 		// The requester already has data; nothing for memory to do.
 	}
 }
 
-// memRespEvent supplies the memory/L2 fill for transaction arg (*bus.Txn);
-// n is 1 when the response must install Shared.
-func memRespEvent(recv, arg any, n uint64) {
+// memRespEvent supplies the memory/L2 fill for transaction arg (*bus.Txn).
+func memRespEvent(recv, arg any, _ uint64) {
 	mc := recv.(*MemController)
 	t := arg.(*bus.Txn)
 	data := mc.sys.Mem.ReadLine(t.Line)
-	mc.sys.Bus.SendData(t.Src, t.ID, t.Line, &data, bus.MemID, n == 1)
+	mc.sys.Bus.SendData(t.Src, t.ID, t.Line, &data, bus.MemID)
 }
 
 // Deliver: memory receives no data-network messages in this protocol.

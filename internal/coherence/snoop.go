@@ -141,7 +141,7 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 	// A pending GetS loses exclusivity eligibility when another reader's
 	// GetS is ordered behind it.
 	if m != nil && m.kind == bus.GetS && t.Kind == bus.GetS {
-		m.mustShare = true
+		m.shared = true
 	}
 
 	// A pending ORDERED GetS is invalidated by a later-ordered ownership
@@ -166,7 +166,7 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 
 	// Supplier-of-record duty for dirty data awaiting write-back ordering.
 	if wb := c.wbPendingFor(line); wb != nil {
-		c.supplyFromWBPending(t, &wb.data, shared)
+		c.supplyFromWBPending(t, &wb.data)
 		return
 	}
 
@@ -233,16 +233,15 @@ func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 			return
 		}
 		m.ordered = true
+		m.shared = m.shared || shared
 		if wb := c.wbPendingFor(t.Line); wb != nil && owner == c.id {
 			// Our own just-evicted dirty data races our re-fetch: no one
 			// else can supply, so self-supply from the write-back buffer.
 			// The closure copies what it needs: t is recycled once the
-			// fill completes it. Other CPUs may still hold Shared copies
-			// (the evicted line was Owned), so the fill honours the bus's
-			// shared verdict like any other GetS reply.
+			// fill completes it.
 			req, line, d := t.ID, t.Line, wb.data
 			c.sys.K.After(1, func() {
-				c.Deliver(&bus.DataResp{Req: req, Line: line, Data: d, From: c.id, Shared: shared})
+				c.Deliver(&bus.DataResp{Req: req, Line: line, Data: d, From: c.id})
 			})
 		}
 	}
@@ -428,12 +427,12 @@ func (c *Controller) snoopAsOwner(t *bus.Txn, l *cache.Line) {
 func (c *Controller) serviceAsOwner(t *bus.Txn, l *cache.Line) {
 	switch t.Kind {
 	case bus.GetS:
-		c.sys.Bus.SendData(t.Src, t.ID, t.Line, &l.Data, c.id, true)
+		c.sys.Bus.SendData(t.Src, t.ID, t.Line, &l.Data, c.id)
 		if l.State == cache.Modified || l.State == cache.Exclusive {
 			l.State = cache.Owned
 		}
 	case bus.GetX:
-		c.sys.Bus.SendData(t.Src, t.ID, t.Line, &l.Data, c.id, false)
+		c.sys.Bus.SendData(t.Src, t.ID, t.Line, &l.Data, c.id)
 		c.invalidateLocal(l, t.Line)
 	case bus.Upgrade:
 		// Requester holds a valid shared copy; our owned copy dies.
@@ -459,21 +458,18 @@ func (c *Controller) invalidateLocal(l *cache.Line, line memsys.Addr) {
 	c.notifyLine(line)
 }
 
-// supplyFromWBPending services a request that raced our write-back. shared
-// is the bus's verdict that another cache still holds the line: an evicted
-// Owned line can leave Shared copies behind, and a GetS reply must then
-// install Shared, not Exclusive.
-func (c *Controller) supplyFromWBPending(t *bus.Txn, d *memsys.LineData, shared bool) {
+// supplyFromWBPending services a request that raced our write-back.
+func (c *Controller) supplyFromWBPending(t *bus.Txn, d *memsys.LineData) {
 	switch t.Kind {
 	case bus.GetS:
 		// The reader gets a copy; the write-back stays in flight and memory
 		// will absorb it, making the data architecturally home.
-		c.sys.Bus.SendData(t.Src, t.ID, t.Line, d, c.id, shared)
+		c.sys.Bus.SendData(t.Src, t.ID, t.Line, d, c.id)
 	case bus.GetX:
 		// Ownership transfers to the requester: stop supplying and cancel
 		// the in-flight write-back so its stale payload cannot clobber the
 		// new owner's future one at memory.
-		c.sys.Bus.SendData(t.Src, t.ID, t.Line, d, c.id, false)
+		c.sys.Bus.SendData(t.Src, t.ID, t.Line, d, c.id)
 		c.dropWBPending(t.Line)
 		c.release(t.Line)
 		if !slices.Contains(c.wbSuperseded, t.Line) {
@@ -554,10 +550,11 @@ func (c *Controller) deliverData(r *bus.DataResp) {
 	}
 	line := r.Line
 
-	// Decide install state.
+	// Decide install state. A GetS installs from its own order-point
+	// verdict, whoever supplied the data.
 	var st cache.State
 	if m.kind == bus.GetS {
-		if r.Shared || m.mustShare {
+		if m.shared {
 			st = cache.Shared
 		} else {
 			st = cache.Exclusive
@@ -860,27 +857,13 @@ func (c *Controller) Deschedule() {
 	c.AbortTxn(core.ReasonExplicit)
 }
 
-// serveDeferred answers one deferred request with the (now architecturally
-// committed) data.
+// serveDeferred answers one deferred request (a GetS or GetX: an Upgrade
+// cannot be deferred) with the now architecturally committed data. Both
+// callers run it after ClearSpecBits, so the line is in no data set and the
+// ordinary owner service applies.
 func (c *Controller) serveDeferred(d core.Deferred) {
-	t := d.Payload.(*bus.Txn)
 	c.sys.TraceStamp(c.id, trace.DeferService, d.Line, d.Stamp)
 	now := uint64(c.sys.K.Now())
 	c.sys.Metrics.NoteDeferServed(now, now-d.EnqueuedAt)
-	l := c.mustProbe(d.Line)
-	switch t.Kind {
-	case bus.GetS:
-		c.sys.Bus.SendData(t.Src, t.ID, d.Line, &l.Data, c.id, true)
-		if l.State == cache.Modified || l.State == cache.Exclusive {
-			l.State = cache.Owned
-		}
-	default: // GetX (Upgrade cannot be deferred)
-		c.sys.Bus.SendData(t.Src, t.ID, d.Line, &l.Data, c.id, false)
-		c.cache.Invalidate(d.Line)
-		c.release(d.Line)
-		if c.linkValid && c.linkLine == d.Line {
-			c.linkValid = false
-		}
-		c.notifyLine(d.Line)
-	}
+	c.serviceAsOwner(d.Payload.(*bus.Txn), c.mustProbe(d.Line))
 }

@@ -409,7 +409,9 @@ func TestResourceOverflowAborts(t *testing.T) {
 }
 
 // TestDeferredGetSKeepsOwnership: a read of a speculatively written block is
-// deferred without giving up the block, and the reader sees post-commit data.
+// deferred without giving up the block, and the reader sees post-commit data
+// in a Shared copy (the owner kept one, so Exclusive would be a second
+// writable copy).
 func TestDeferredGetSKeepsOwnership(t *testing.T) {
 	k, s := rig(2, core.Policy{EnableTLR: true})
 	p0, p1 := s.Ctrls[0], s.Ctrls[1]
@@ -433,6 +435,12 @@ func TestDeferredGetSKeepsOwnership(t *testing.T) {
 	}
 	if stateOf(p0, lineA) != cache.Owned {
 		t.Fatalf("P0 should remain owner (O) after shared service, got %v", stateOf(p0, lineA))
+	}
+	if st := stateOf(p1, lineA); st != cache.Shared {
+		t.Fatalf("deferred reader state = %v, want S", st)
+	}
+	if err := s.CheckCoherence(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,12 +3,14 @@ package coherence
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"tlrsim/internal/cache"
 	"tlrsim/internal/checker"
 	"tlrsim/internal/core"
+	"tlrsim/internal/locks"
 	"tlrsim/internal/memsys"
 	"tlrsim/internal/sim"
 )
@@ -167,5 +169,39 @@ func TestLineIndexMatchesMap(t *testing.T) {
 				t.Fatalf("run %d: %s survived reset", run, line)
 			}
 		}
+	}
+}
+
+// The lock-line set is one bit per line: registering the words of 2,048 MCS
+// locks on a 16-CPU machine (a padded test&test&set word, a tail and 16
+// two-word queue nodes per lock: 69,632 lines, mp3d's cells under MCS)
+// allocates under 64 KB inside RegisterLock.
+func TestRegisterLockDense(t *testing.T) {
+	_, s := rig(16, core.Policy{})
+	al := memsys.NewAllocator(0x10000)
+	var words []memsys.Addr
+	for i := 0; i < 2048; i++ {
+		words = append(words, al.PaddedWord())
+		words = append(words, locks.NewMCS(al, 16).Words()...)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for _, w := range words {
+		s.RegisterLock(w)
+	}
+	runtime.ReadMemStats(&ms)
+	got := ms.TotalAlloc - before
+	t.Logf("%d lock lines: %d bytes allocated", len(words), got)
+	if got >= 64<<10 {
+		t.Fatalf("registering %d lock lines allocates %d bytes, want < %d", len(words), got, 64<<10)
+	}
+	for _, w := range words {
+		if !s.IsLockLine(w + memsys.WordBytes) {
+			t.Fatalf("%s is not a lock line after RegisterLock", w)
+		}
+	}
+	if s.IsLockLine(al.Next() + memsys.LineBytes) {
+		t.Fatal("a line past every lock is a lock line")
 	}
 }

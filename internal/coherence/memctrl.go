@@ -12,12 +12,10 @@ import (
 // misses in a 4 MB L2 are irrelevant at our workload footprints.
 type MemController struct {
 	sys  *System
-	inL2 map[memsys.Addr]bool
+	inL2 memsys.LineSet
 }
 
-func newMemController(s *System) *MemController {
-	return &MemController{sys: s, inL2: make(map[memsys.Addr]bool)}
-}
+func newMemController(s *System) *MemController { return &MemController{sys: s} }
 
 // SnoopOwner: memory is the implicit default owner; it never claims.
 func (m *MemController) SnoopOwner(memsys.Addr) bool { return false }
@@ -35,7 +33,7 @@ func (m *MemController) Snoop(t *bus.Txn, owner int, _ bool) {
 		if !t.Cancel {
 			m.sys.Mem.WriteLine(t.Line, t.WBData)
 		}
-		m.inL2[t.Line] = true
+		m.inL2.Add(t.Line)
 		// The write-back's requester never hears of it again: memory
 		// completes it for the requester, last in the snoop dispatch.
 		m.sys.Bus.Complete(t)
@@ -44,10 +42,10 @@ func (m *MemController) Snoop(t *bus.Txn, owner int, _ bool) {
 			return
 		}
 		lat := m.sys.cfg.MemLat
-		if m.inL2[t.Line] {
+		if m.inL2.Has(t.Line) {
 			lat = m.sys.cfg.L2Lat
 		}
-		m.inL2[t.Line] = true
+		m.inL2.Add(t.Line)
 		// t's identifying fields are immutable once ordered, so the response
 		// event can carry the transaction itself instead of a closure.
 		m.sys.K.AfterCall(lat, memRespEvent, m, t, 0)

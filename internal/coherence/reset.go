@@ -48,7 +48,7 @@ func (sb *storeBuffer) reset() {
 // reset forgets which lines have migrated into the L2 (first-touch latency
 // behaviour returns to construction state — this is observable timing state,
 // so skipping it would break reuse determinism).
-func (m *MemController) reset() { clear(m.inL2) }
+func (m *MemController) reset() { m.inL2.Reset() }
 
 // Reset rewinds the whole memory system to construction state. The caller
 // (proc.Machine.Reset) has already verified quiescence and reset the
@@ -66,6 +66,6 @@ func (s *System) Reset() {
 	if s.Tracer != nil {
 		s.Tracer.Reset()
 	}
-	clear(s.lockLines)
+	s.lockLines.Reset()
 	s.holders.reset()
 }

@@ -68,7 +68,7 @@ type System struct {
 	Faults *fault.Injector
 
 	cfg       Config
-	lockLines map[memsys.Addr]bool
+	lockLines memsys.LineSet
 
 	// holders is the per-line snoop filter the bus polls through.
 	holders *holderSet
@@ -116,11 +116,10 @@ func NewSystem(k *sim.Kernel, n int, cfg Config, engines []*core.Engine) *System
 		panic("coherence: need one engine per CPU")
 	}
 	s := &System{
-		K:         k,
-		Mem:       memsys.NewMemory(),
-		cfg:       cfg,
-		lockLines: make(map[memsys.Addr]bool),
-		holders:   newHolderSet(n),
+		K:       k,
+		Mem:     memsys.NewMemory(),
+		cfg:     cfg,
+		holders: newHolderSet(n),
 	}
 	s.Bus = bus.New(k, cfg.Bus, s.holders)
 	s.Ctrls = make([]*Controller, n)
@@ -135,10 +134,10 @@ func NewSystem(k *sim.Kernel, n int, cfg Config, engines []*core.Engine) *System
 
 // RegisterLock marks a line as holding a lock variable, for stall
 // attribution (Figure 11's lock/non-lock breakdown).
-func (s *System) RegisterLock(a memsys.Addr) { s.lockLines[a.Line()] = true }
+func (s *System) RegisterLock(a memsys.Addr) { s.lockLines.Add(a) }
 
 // IsLockLine reports whether the line holds a registered lock.
-func (s *System) IsLockLine(a memsys.Addr) bool { return s.lockLines[a.Line()] }
+func (s *System) IsLockLine(a memsys.Addr) bool { return s.lockLines.Has(a) }
 
 // CheckCoherence validates the global single-writer/multi-reader invariant
 // and owner uniqueness, and that the snoop filter names every controller

@@ -70,23 +70,41 @@ func Enumerate(s Shape) ([]Program, EnumStats) {
 // thread table and, per program, the table indices of its threads. It holds
 // no pointer per program, so a sweep's state does not grow with the list.
 type programSet struct {
-	tab   *threadTable
-	cpus  int
-	idx   []uint16 // cpus entries per program, non-decreasing
-	stats EnumStats
+	tab  *threadTable
+	cpus int
+	n    int // programs
+	// chunks holds cpus entries per program, non-decreasing, chunkPrograms
+	// programs to a chunk. The list grows a chunk at a time, so building it
+	// leaves none of the garbage a doubling slice would.
+	chunks [][]uint16
+	stats  EnumStats
 }
 
-func (ps *programSet) len() int {
-	if ps.cpus == 0 {
-		return 0
+// chunkPrograms is the programs per programSet chunk.
+const chunkPrograms = 1 << 12
+
+func (ps *programSet) len() int { return ps.n }
+
+// tuple returns program i's thread indices.
+func (ps *programSet) tuple(i int) []uint16 {
+	j := i % chunkPrograms * ps.cpus
+	return ps.chunks[i/chunkPrograms][j : j+ps.cpus]
+}
+
+// add appends a program's thread indices.
+func (ps *programSet) add(tuple []uint16) {
+	if ps.n%chunkPrograms == 0 {
+		ps.chunks = append(ps.chunks, make([]uint16, 0, chunkPrograms*ps.cpus))
 	}
-	return len(ps.idx) / ps.cpus
+	c := &ps.chunks[len(ps.chunks)-1]
+	*c = append(*c, tuple...)
+	ps.n++
 }
 
 // fill makes p program i. p.Threads must have the shape's CPU count.
 func (ps *programSet) fill(p *Program, i int) {
 	p.NumLocs = ps.tab.locs
-	for k, ti := range ps.idx[i*ps.cpus : (i+1)*ps.cpus] {
+	for k, ti := range ps.tuple(i) {
 		p.Threads[k] = ps.tab.threads[ti]
 	}
 }
@@ -127,7 +145,7 @@ func enumerate(s Shape) *programSet {
 				return
 			}
 			ps.stats.Canonical++
-			ps.idx = append(ps.idx, tuple...)
+			ps.add(tuple)
 			return
 		}
 		for i := min; i < len(tab.threads); i++ {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -149,7 +150,7 @@ func TestCanonCheckAllocFree(t *testing.T) {
 	masks, scratch := make([]locMasks, 3), make([]uint16, 3)
 	i := 0
 	if n := testing.AllocsPerRun(1000, func() {
-		tuple := ps.idx[3*(i%ps.len()) : 3*(i%ps.len())+3]
+		tuple := ps.tuple(i % ps.len())
 		for k, ti := range tuple {
 			masks[k] = tab.masks[ti]
 		}
@@ -261,5 +262,29 @@ func TestProgramString(t *testing.T) {
 	}}
 	if got, want := p.String(), "P0: Lx [Sy] | P1: Sx Lx"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+// enumerate's tuple list grows a chunk at a time: on 2x3x3 (180k programs,
+// 0.72 MB of tuples) it allocates, beyond what the thread table takes, at
+// most a quarter more than the tuples it keeps.
+func TestEnumerateTupleGarbageBounded(t *testing.T) {
+	s := Shape{CPUs: 2, Locs: 3, MaxOps: 3}
+	var ms runtime.MemStats
+	allocated := func(f func()) uint64 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	table := allocated(func() { newThreadTable(s) })
+	var ps *programSet
+	total := allocated(func() { ps = enumerate(s) })
+	kept := uint64(ps.len() * s.CPUs * 2)
+	t.Logf("%d programs: %d bytes of tuples kept, %d allocated beyond the table's %d", ps.len(), kept, total-table, table)
+	if beyond := total - table; beyond > kept+kept/4 {
+		t.Fatalf("enumerate allocates %d bytes beyond its thread table's %d to keep %d bytes of tuples, want <= %d",
+			beyond, table, kept, kept+kept/4)
 	}
 }

@@ -69,8 +69,8 @@ func NewMCS(al *memsys.Allocator, ncpus int) *MCS {
 	return m
 }
 
-// Words returns every simulated address the lock uses (for lock-class
-// registration in stall accounting).
+// Words returns every simulated address the lock uses: the tail, then each
+// processor's Next and Locked words.
 func (m *MCS) Words() []memsys.Addr {
 	out := []memsys.Addr{m.Tail}
 	for _, n := range m.nodes {
@@ -78,6 +78,9 @@ func (m *MCS) Words() []memsys.Addr {
 	}
 	return out
 }
+
+// Node returns processor cpu's queue node.
+func (m *MCS) Node(cpu int) QNode { return m.nodes[cpu] }
 
 // Acquire enqueues the caller and spins locally until its predecessor hands
 // over the lock.

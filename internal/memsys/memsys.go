@@ -35,8 +35,12 @@ type LineData [WordsPerLine]uint64
 
 // Memory is the flat backing store. It is the architectural home of every
 // line that no cache owns. Lines not yet touched read as zero.
+//
+// The image is paged: pages of 64 lines (4 KiB) are allocated on the first
+// write to one of their lines, and the directory costs one pointer per page
+// up to the highest line written.
 type Memory struct {
-	lines map[Addr]*LineData
+	pages pages[[memPageLines]LineData]
 
 	// OnSetupWrite, when set, observes WriteWord calls (workload Setup runs
 	// outside simulated time; the functional checker preloads its shadow
@@ -46,32 +50,40 @@ type Memory struct {
 }
 
 // NewMemory returns an empty (all-zero) memory image.
-func NewMemory() *Memory { return &Memory{lines: make(map[Addr]*LineData)} }
+func NewMemory() *Memory { return new(Memory) }
+
+// line returns the stored line containing a, or nil if its page was never
+// written.
+func (m *Memory) line(a Addr) *LineData {
+	n := uint64(a) / LineBytes
+	if p := m.pages.get(n / memPageLines); p != nil {
+		return &p[n%memPageLines]
+	}
+	return nil
+}
+
+// lineForWrite returns the line containing a, allocating its page.
+func (m *Memory) lineForWrite(a Addr) *LineData {
+	n := uint64(a) / LineBytes
+	return &m.pages.put(n / memPageLines)[n%memPageLines]
+}
 
 // ReadLine returns a copy of the line containing a.
 func (m *Memory) ReadLine(a Addr) LineData {
-	if l, ok := m.lines[a.Line()]; ok {
+	if l := m.line(a); l != nil {
 		return *l
 	}
 	return LineData{}
 }
 
 // WriteLine replaces the line containing a (a write-back from a cache).
-func (m *Memory) WriteLine(a Addr, d LineData) {
-	base := a.Line()
-	l, ok := m.lines[base]
-	if !ok {
-		l = new(LineData)
-		m.lines[base] = l
-	}
-	*l = d
-}
+func (m *Memory) WriteLine(a Addr, d LineData) { *m.lineForWrite(a) = d }
 
 // ReadWord returns the word at a. It panics on unaligned addresses: those
 // are always workload bugs, not simulated faults.
 func (m *Memory) ReadWord(a Addr) uint64 {
 	mustAligned(a)
-	if l, ok := m.lines[a.Line()]; ok {
+	if l := m.line(a); l != nil {
 		return l[a.WordIndex()]
 	}
 	return 0
@@ -82,31 +94,17 @@ func (m *Memory) ReadWord(a Addr) uint64 {
 // functional checker.
 func (m *Memory) WriteWord(a Addr, v uint64) {
 	mustAligned(a)
-	base := a.Line()
-	l, ok := m.lines[base]
-	if !ok {
-		l = new(LineData)
-		m.lines[base] = l
-	}
-	l[a.WordIndex()] = v
+	m.lineForWrite(a)[a.WordIndex()] = v
 	if m.OnSetupWrite != nil {
 		m.OnSetupWrite(a, v)
 	}
 }
 
-// Lines returns the number of distinct lines ever written (including lines
-// zeroed again by Reset — the line entries themselves are kept).
-func (m *Memory) Lines() int { return len(m.lines) }
-
-// Reset zeroes the memory image in place. Line entries are kept and zeroed
-// rather than dropped: a zero line is indistinguishable from an untouched
-// one to every reader, and keeping the *LineData allocations is what makes
-// machine reuse allocation-free.
-func (m *Memory) Reset() {
-	for _, l := range m.lines {
-		*l = LineData{}
-	}
-}
+// Reset zeroes the memory image in place. Pages are kept and zeroed rather
+// than dropped: a zero line is indistinguishable from an untouched one to
+// every reader, and keeping the pages is what makes machine reuse
+// allocation-free.
+func (m *Memory) Reset() { m.pages.reset() }
 
 func mustAligned(a Addr) {
 	if !a.Aligned() {

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"fmt"
+	"math/rand"
 
 	"tlrsim/internal/coherence"
 	"tlrsim/internal/core"
@@ -42,6 +43,11 @@ type CPU struct {
 	src    opSource
 	done   bool
 	finish sim.Time
+
+	// rng is the CPU's random source, kept across runs and Reset: each
+	// run's thread re-seeds it on first use (TC.Rand) instead of
+	// allocating a new one.
+	rng *rand.Rand
 
 	seq      uint64
 	opActive bool

@@ -507,7 +507,11 @@ func (l *Lock) WaitFree() bool { return l.stats.Acquired == 0 && l.stats.Elided 
 
 func (l *Lock) attachMCS(m *Machine) {
 	l.mcs = locks.NewMCS(m.Alloc, len(m.CPUs))
-	for _, w := range l.mcs.Words() {
-		m.Sys.RegisterLock(w)
+	// Registered word by word: a Words slice per lock would be garbage.
+	m.Sys.RegisterLock(l.mcs.Tail)
+	for i := range m.CPUs {
+		n := l.mcs.Node(i)
+		m.Sys.RegisterLock(n.Next)
+		m.Sys.RegisterLock(n.Locked)
 	}
 }

@@ -176,12 +176,20 @@ func (tc *TC) CPUID() int { return tc.cpu.id }
 
 // Rand returns this thread's deterministic random stream (for workload
 // randomisation such as the paper's post-release delays, §5.1). The stream
-// is created on first use: seeding a math/rand source costs microseconds,
+// is seeded on first use: seeding a math/rand source costs microseconds,
 // which dominates machine construction for workloads — litmus programs in
-// particular — that never draw from it.
+// particular — that never draw from it. The source is the CPU's own, so
+// the stream is valid only for this run.
 func (tc *TC) Rand() *rand.Rand {
 	if tc.rng == nil {
-		tc.rng = rand.New(rand.NewSource(tc.cpu.m.cfg.Seed*1000003 + int64(tc.cpu.id)))
+		c := tc.cpu
+		seed := c.m.cfg.Seed*1000003 + int64(c.id)
+		if c.rng == nil {
+			c.rng = rand.New(rand.NewSource(seed))
+		} else {
+			c.rng.Seed(seed) // the stream rand.New(rand.NewSource(seed)) yields
+		}
+		tc.rng = c.rng
 	}
 	return tc.rng
 }

@@ -12,17 +12,22 @@ import (
 // allocates: only per-run set-up (thread coroutines, the workload's node
 // table and validation) unless the op path itself allocates. The machine
 // first runs the workload a few times, so every map and array has reached
-// its steady size, and the count is the fewest of several runs: the
-// runtime now and then adds an object of its own (a coroutine's
-// goroutine, say) to one run.
+// its steady size, and the count is the fewest of a dozen runs, each
+// started right after a collection: the runtime now and then adds an
+// object of its own (a coroutine's goroutine, say) to a run, more often
+// when a collection or other test packages run alongside.
 func warmRunAllocs(t *testing.T, scheme proc.Scheme, storeBuffer, ops int) uint64 {
 	t.Helper()
+	const warm, measured = 3, 12
 	cfg := proc.BaselineConfig(16, scheme, 1)
 	cfg.Coherence.StoreBufferEntries = storeBuffer
 	m := proc.NewMachine(cfg)
 	var ms runtime.MemStats
 	fewest := ^uint64(0)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < warm+measured; i++ {
+		if i >= warm {
+			runtime.GC()
+		}
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
 		if err := m.Reset(&cfg); err != nil {
@@ -32,7 +37,7 @@ func warmRunAllocs(t *testing.T, scheme proc.Scheme, storeBuffer, ops int) uint6
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&ms)
-		if n := ms.Mallocs - before; i >= 3 && n < fewest {
+		if n := ms.Mallocs - before; i >= warm && n < fewest {
 			fewest = n
 		}
 	}

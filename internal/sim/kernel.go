@@ -109,7 +109,10 @@ type Kernel struct {
 	farSeq uint64
 
 	seed int64
-	rng  *rand.Rand
+	// rng is kept across Reset and re-seeded on the first Rand after it;
+	// seeded reports whether that has happened since the last Reset.
+	rng    *rand.Rand
+	seeded bool
 }
 
 // New returns a kernel whose pseudo-random stream is derived from seed.
@@ -136,8 +139,13 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 // machine construction for configurations that never draw (litmus sweeps
 // build tens of thousands of machines with all jitter disabled).
 func (k *Kernel) Rand() *rand.Rand {
-	if k.rng == nil {
-		k.rng = rand.New(rand.NewSource(k.seed))
+	if !k.seeded {
+		if k.rng == nil {
+			k.rng = rand.New(rand.NewSource(k.seed))
+		} else {
+			k.rng.Seed(k.seed) // the stream rand.New(rand.NewSource(seed)) yields
+		}
+		k.seeded = true
 	}
 	return k.rng
 }
@@ -152,7 +160,7 @@ func (k *Kernel) Reset(seed int64) {
 	}
 	k.now, k.fired, k.farSeq = 0, 0, 0
 	k.seed = seed
-	k.rng = nil
+	k.seeded = false
 }
 
 // schedule queues cb(recv, arg, n) to fire at t.

@@ -106,22 +106,25 @@ func (t *Txn) String() string {
 
 // Snooper is a controller attached to the address network.
 //
-// The bus models a broadcast, but it only polls the controllers the
-// Holders set names for the transaction's line, plus the requester and
-// memory. A controller with no copy, outstanding request or pending
-// write-back for the line must therefore answer false to SnoopOwner and
-// SnoopShared and leave Snoop without effect: skipping it is then exactly
-// equivalent to the broadcast.
+// The bus models a broadcast, but it reaches only the controllers the
+// Holders filter names for the transaction's line, plus the requester and
+// memory. The filter is exact by contract: the polls it leaves to the named
+// controllers give the broadcast's owner and sharer answers, and a skipped
+// controller's Snoop would have changed nothing, so skipping it is exactly
+// the broadcast.
 type Snooper interface {
 	// SnoopOwner is a side-effect-free query asked at snoop time: does this
 	// controller currently hold supplier-of-record responsibility for line?
 	// (Either it holds the line in an owned state it has not yet passed on,
 	// or it has a bus-ordered outstanding request that made it the pending
-	// owner.) At most one controller may answer true.
+	// owner.) At most one controller may answer true. Asked of GetS and GetX
+	// transactions only.
 	SnoopOwner(line memsys.Addr) bool
 	// SnoopShared is a side-effect-free query: does this controller hold any
-	// valid copy of line, or a pending ordered request for it? The result
-	// decides whether a GetS fill may install Exclusive, whoever supplies it.
+	// valid copy of line, or a pending ordered request for it? Asked of the
+	// requester of an Upgrade (its answer is Txn.SrcHolds) and of the other
+	// controllers for a GetS, whose fill installs Exclusive only if none
+	// answers true.
 	SnoopShared(line memsys.Addr) bool
 	// SnoopNack asks the supplier of record whether it refuses t (NACK-based
 	// ownership retention). Consulted once per transaction, at snoop time,
@@ -129,21 +132,44 @@ type Snooper interface {
 	// and the requester retries after a backoff.
 	SnoopNack(t *Txn) bool
 	// Snoop processes transaction t. owner is the controller that answered
-	// SnoopOwner (MemID if none); shared reports whether any controller
-	// other than t.Src answered SnoopShared. Snoop runs on the holders of
-	// t.Line, on t.Src (requesters learn their order point that way) and
-	// on memory, in ascending id order with memory last.
+	// SnoopOwner (MemID if none, and always for an Upgrade or a WriteBack);
+	// shared reports whether any controller other than t.Src answered
+	// SnoopShared (false unless t is a GetS). Snoop runs on t.Src
+	// (requesters learn their order point that way), on the controllers
+	// whose Snoop can act on t, and on memory, in ascending id order with
+	// memory last. A NACKed transaction, a WriteBack and a void Upgrade
+	// (SrcHolds false) reach only t.Src and memory.
 	Snoop(t *Txn, owner int, shared bool)
 }
 
-// Holders names, per line, the controllers the bus must poll.
+// Holders is the bus's snoop filter: per line, which controllers a
+// transaction must reach.
 type Holders interface {
-	// Holders returns a bitmask of controller ids, bit i%64 of word i/64
-	// for controller i, that includes every controller holding a copy,
-	// an outstanding request or a pending write-back for line. Extra bits
-	// cost only a wasted poll; a missing bit skips a snoop that mattered.
-	// Words past the end of the slice read as zero.
-	Holders(line memsys.Addr) []uint64
+	// Holders returns two bitmasks of controller ids for line, bit i%64 of
+	// word i/64 for controller i; words past the end of a slice read as
+	// zero.
+	//
+	// holders includes every controller that can act on a GetX or an
+	// Upgrade of line and, whenever some controller other than a GetS's
+	// requester answers SnoopShared for line, at least one such controller.
+	// The bus dispatches GetX and Upgrade to holders and asks them the
+	// SnoopShared question of a GetS.
+	//
+	// owners includes every controller that answers SnoopOwner for line,
+	// and every controller that can act on a GetS of it. The bus asks
+	// owners the SnoopOwner question and dispatches GetS to them.
+	//
+	// Extra bits cost only wasted calls; a missing bit skips a call that
+	// mattered.
+	Holders(line memsys.Addr) (holders, owners []uint64)
+}
+
+// Reactor is implemented by a Snooper that can tell, without side effects,
+// whether its Snoop would change its state. Under the tlrpoison build tag
+// the bus asks it of every controller a transaction does not reach, and
+// panics on a true answer: the filter skipped a snoop that mattered.
+type Reactor interface {
+	SnoopReacts(t *Txn) bool
 }
 
 // Msg is a point-to-point message on the data network.
@@ -209,6 +235,12 @@ type Stats struct {
 	Probes    uint64
 	Nacks     uint64
 	ArbStalls uint64 // cycles transactions spent queued for the address bus
+
+	// Host work of snoop resolution, not simulated traffic: Snoop calls on
+	// controllers (memory excluded) and SnoopOwner calls. They measure the
+	// snoop filter, and nothing simulated depends on them.
+	SnoopCalls uint64
+	OwnerPolls uint64
 }
 
 // Bus is the interconnect: ordered address network + data network.
@@ -433,13 +465,10 @@ func (b *Bus) grant() {
 	b.pump()
 }
 
-// resolveSnoop polls the line's holders for the owner and sharer answers,
-// then dispatches Snoop to the holders and the requester in ascending id
-// order, and to memory last. The holder mask is read once per word: a
-// Snoop call changes only its own controller's state (anything it does to
-// others travels through Issue or the data network, both later events), so
-// the bits of controllers not yet visited cannot change during the loop.
-// A Complete of t during the dispatch is honoured when it returns.
+// resolveSnoop resolves t's snoop: it asks the questions t needs (the owner
+// and sharer polls, the NACK), then dispatches Snoop to the requester and
+// the controllers t reaches, in ascending id order, and to memory last. A
+// Complete of t during the dispatch is honoured when it returns.
 func (b *Bus) resolveSnoop(t *Txn) {
 	b.snooping = t
 	b.dispatchSnoop(t)
@@ -450,51 +479,131 @@ func (b *Bus) resolveSnoop(t *Txn) {
 	}
 }
 
+// dispatchSnoop resolves t against the line's filter with at most one
+// lookup. A WriteBack, a void Upgrade and a NACKed request are void for
+// every controller but the requester, so they reach no one else; an
+// Upgrade's owner and sharer answers mean nothing to anyone, so it is not
+// polled; a GetS reaches the owner candidates and a GetX or a live Upgrade
+// the holders.
 func (b *Bus) dispatchSnoop(t *Txn) {
-	if t.Kind == Upgrade {
+	owner, shared := MemID, false
+	var reach []uint64
+	switch t.Kind {
+	case Upgrade:
 		t.SrcHolds = b.snoopers[t.Src+1].SnoopShared(t.Line)
-	}
-	holders := b.holders.Holders(t.Line)
-	owner := MemID
-	shared := false
-	for w, word := range holders {
-		for ; word != 0; word &= word - 1 {
-			id := w*64 + bits.TrailingZeros64(word)
-			s := b.snoopers[id+1]
-			if owner == MemID && s.SnoopOwner(t.Line) {
-				owner = id
-			}
-			if id != t.Src && !shared && s.SnoopShared(t.Line) {
-				shared = true
+		if t.SrcHolds {
+			reach, _ = b.holders.Holders(t.Line)
+		}
+	case GetS, GetX:
+		holders, owners := b.holders.Holders(t.Line)
+		owner = b.pollOwner(t.Line, owners)
+		reach = holders
+		if t.Kind == GetS {
+			shared = b.pollShared(t, holders)
+			reach = owners
+		}
+		if owner != MemID && owner != t.Src && !t.Priority {
+			// A forced NACK is injected under exactly the eligibility
+			// condition where the owner itself may refuse, so every snooper
+			// handles it through the ordinary NACK-retry path. Priority
+			// escalations are exempt from both — that exemption IS the
+			// forward-progress guarantee for requests the owner (or
+			// injector) would otherwise refuse forever.
+			if b.snoopers[owner+1].SnoopNack(t) || b.faults.ForceNack() {
+				t.Nacked = true
+				b.stats.Nacks++
+				reach = nil
 			}
 		}
 	}
-	if owner != MemID && owner != t.Src && !t.Priority && (t.Kind == GetS || t.Kind == GetX) {
-		// A forced NACK is injected under exactly the eligibility condition
-		// where the owner itself may refuse, so every snooper handles it
-		// through the ordinary NACK-retry path. Priority escalations are
-		// exempt from both — that exemption IS the forward-progress
-		// guarantee for requests the owner (or injector) would otherwise
-		// refuse forever.
-		if b.snoopers[owner+1].SnoopNack(t) || b.faults.ForceNack() {
-			t.Nacked = true
-			b.stats.Nacks++
-		}
+	if Poison {
+		b.checkBroadcast(t, owner, shared, reach)
 	}
+	// The reach masks are read once per word: a Snoop call changes only its
+	// own controller's state and bits (anything it does to others travels
+	// through Issue or the data network, both later events), so the bits of
+	// controllers not yet visited cannot change during the loop.
 	srcWord, srcBit := t.Src/64, uint64(1)<<(t.Src%64)
-	for w := 0; w < len(holders) || w <= srcWord; w++ {
+	for w := 0; w < len(reach) || w <= srcWord; w++ {
 		var word uint64
-		if w < len(holders) {
-			word = holders[w]
+		if w < len(reach) {
+			word = reach[w]
 		}
 		if w == srcWord {
 			word |= srcBit
 		}
 		for ; word != 0; word &= word - 1 {
+			b.stats.SnoopCalls++
 			b.snoopers[w*64+bits.TrailingZeros64(word)+1].Snoop(t, owner, shared)
 		}
 	}
 	b.snoopers[MemID+1].Snoop(t, owner, shared)
+}
+
+// pollOwner returns the lowest-numbered candidate answering SnoopOwner for
+// line, or MemID.
+func (b *Bus) pollOwner(line memsys.Addr, owners []uint64) int {
+	for w, word := range owners {
+		for ; word != 0; word &= word - 1 {
+			id := w*64 + bits.TrailingZeros64(word)
+			b.stats.OwnerPolls++
+			if b.snoopers[id+1].SnoopOwner(line) {
+				return id
+			}
+		}
+	}
+	return MemID
+}
+
+// pollShared reports whether a holder other than t's requester answers
+// SnoopShared for t's line.
+func (b *Bus) pollShared(t *Txn, holders []uint64) bool {
+	for w, word := range holders {
+		for ; word != 0; word &= word - 1 {
+			id := w*64 + bits.TrailingZeros64(word)
+			if id != t.Src && b.snoopers[id+1].SnoopShared(t.Line) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkBroadcast is the tlrpoison oracle for the snoop filter. It asks every
+// attached controller what a broadcast would have: the owner of a GetS or
+// a GetX must be the one the candidate poll found, a GetS's sharer verdict
+// the one the holder poll found, and no controller outside t's reach (the
+// requester aside) may react to t. It runs before the dispatch, when every
+// controller is in the state its Snoop would see, and it has no side
+// effects.
+func (b *Bus) checkBroadcast(t *Txn, owner int, shared bool, reach []uint64) {
+	full, fullShared := MemID, false
+	for id := 0; id+1 < len(b.snoopers); id++ {
+		s := b.snoopers[id+1]
+		if s == nil {
+			continue
+		}
+		if t.Kind == GetS || t.Kind == GetX {
+			if full == MemID && s.SnoopOwner(t.Line) {
+				full = id
+			}
+			if t.Kind == GetS && id != t.Src && s.SnoopShared(t.Line) {
+				fullShared = true
+			}
+		}
+		if id == t.Src || id/64 < len(reach) && reach[id/64]&(1<<(id%64)) != 0 {
+			continue
+		}
+		if r, ok := s.(Reactor); ok && r.SnoopReacts(t) {
+			panic(fmt.Sprintf("bus: snoop filter skipped P%d, which reacts to %v", id, t))
+		}
+	}
+	if full != owner {
+		panic(fmt.Sprintf("bus: %v: candidate poll found owner %d, a broadcast %d", t, owner, full))
+	}
+	if fullShared != shared {
+		panic(fmt.Sprintf("bus: %v: holder poll found shared=%v, a broadcast %v", t, shared, fullShared))
+	}
 }
 
 // SendData sends a pooled DataResp completing split transaction req. data is

@@ -33,8 +33,9 @@ func (f *fakeCtrl) Snoop(t *Txn, owner int, shared bool) {
 }
 func (f *fakeCtrl) Deliver(Msg) {}
 
-// everyone is a holder set naming controllers 0..n-1 for every line, so
-// the bus polls every fake controller as a full broadcast would.
+// everyone is a filter naming controllers 0..n-1 as holders and owner
+// candidates of every line, so the bus polls every fake controller as a
+// full broadcast would.
 type everyone []uint64
 
 func holdersOf(n int) everyone {
@@ -45,7 +46,7 @@ func holdersOf(n int) everyone {
 	return h
 }
 
-func (h everyone) Holders(memsys.Addr) []uint64 { return h }
+func (h everyone) Holders(memsys.Addr) (holders, owners []uint64) { return h, h }
 
 func testbus(k *sim.Kernel, n int) (*Bus, []*fakeCtrl, *fakeCtrl) {
 	b := New(k, Config{SnoopLat: 20, DataLat: 20, ArbCycles: 2, Occupancy: 2, MaxOutstanding: 8}, holdersOf(n))
@@ -79,28 +80,114 @@ func TestBroadcastReachesAllSnoopers(t *testing.T) {
 	}
 }
 
-// TestSnoopReachesHoldersAndRequester: only the line's holders, the
-// requester and memory are polled and snooped, in ascending id order with
-// memory last, across mask words.
-func TestSnoopReachesHoldersAndRequester(t *testing.T) {
-	k := sim.New(1)
-	const n = 70
-	h := make(everyone, 2)
-	h[0] |= 1 << 3
-	h[1] |= 1 << (66 % 64)
-	b := New(k, Config{SnoopLat: 20, DataLat: 20, ArbCycles: 2, MaxOutstanding: 8}, h)
-	var order []int
-	ctrls := make([]*fakeCtrl, n)
+// split is a filter with distinct holder and owner-candidate masks, the
+// same for every line.
+type split struct{ holders, owners []uint64 }
+
+func (f split) Holders(memsys.Addr) (holders, owners []uint64) { return f.holders, f.owners }
+
+// orderCtrl appends its id to a shared log on every Snoop; it holds a copy
+// of (answers SnoopShared for) every line when holds is set, and owns
+// (answers SnoopOwner for) every line when owns is set.
+type orderCtrl struct {
+	id          int
+	log         *[]int
+	holds, owns bool
+}
+
+func (c *orderCtrl) SnoopOwner(memsys.Addr) bool  { return c.owns }
+func (c *orderCtrl) SnoopShared(memsys.Addr) bool { return c.holds }
+func (c *orderCtrl) SnoopNack(*Txn) bool          { return false }
+func (c *orderCtrl) Snoop(*Txn, int, bool)        { *c.log = append(*c.log, c.id) }
+
+// orderBus attaches n orderCtrls and memory to a bus on filter f.
+func orderBus(k *sim.Kernel, n int, f Holders) (*Bus, []*orderCtrl, *[]int) {
+	b := New(k, Config{SnoopLat: 20, DataLat: 20, ArbCycles: 2, MaxOutstanding: 8}, f)
+	log := new([]int)
+	ctrls := make([]*orderCtrl, n)
 	for i := range ctrls {
-		ctrls[i] = newFake(i)
-		id := i
-		b.Attach(i, snoopFunc(func(tx *Txn, owner int, shared bool) { order = append(order, id) }), ctrls[i])
+		ctrls[i] = &orderCtrl{id: i, log: log}
+		b.Attach(i, ctrls[i], newFake(i))
 	}
-	b.Attach(MemID, snoopFunc(func(*Txn, int, bool) { order = append(order, MemID) }), newFake(MemID))
-	b.Issue(&Txn{Kind: GetS, Line: 0x40, Src: 40})
-	k.Run()
-	if want := []int{3, 40, 66, MemID}; !slices.Equal(order, want) {
-		t.Fatalf("snoop order %v, want %v", order, want)
+	b.Attach(MemID, &orderCtrl{id: MemID, log: log}, newFake(MemID))
+	return b, ctrls, log
+}
+
+// TestSnoopReachesHoldersAndRequester: a GetX and a live Upgrade reach the
+// line's holders, a GetS its owner candidates, each with the requester and
+// memory, in ascending id order with memory last, across mask words. The
+// owner poll asks the candidates only.
+func TestSnoopReachesHoldersAndRequester(t *testing.T) {
+	holders, owners := make([]uint64, 2), make([]uint64, 2)
+	holders[0] |= 1 << 3
+	holders[1] |= 1 << (66 % 64)
+	owners[0] |= 1 << 5
+	owners[1] |= 1 << (68 % 64)
+	for _, tc := range []struct {
+		kind  Kind
+		want  []int
+		polls uint64
+	}{
+		{GetX, []int{3, 40, 66, MemID}, 2},
+		{Upgrade, []int{3, 40, 66, MemID}, 0},
+		{GetS, []int{5, 40, 68, MemID}, 2},
+	} {
+		k := sim.New(1)
+		b, ctrls, log := orderBus(k, 70, split{holders, owners})
+		ctrls[40].holds = true // the upgrader's copy is live
+		b.Issue(&Txn{Kind: tc.kind, Line: 0x40, Src: 40})
+		k.Run()
+		if !slices.Equal(*log, tc.want) {
+			t.Errorf("%v: snoop order %v, want %v", tc.kind, *log, tc.want)
+		}
+		if s := b.Stats(); s.SnoopCalls != uint64(len(tc.want)-1) || s.OwnerPolls != tc.polls {
+			t.Errorf("%v: SnoopCalls %d, OwnerPolls %d, want %d and %d", tc.kind, s.SnoopCalls, s.OwnerPolls, len(tc.want)-1, tc.polls)
+		}
+	}
+}
+
+// TestVoidTransactionsReachOnlyRequester: a NACKed GetX, a void Upgrade
+// (the requester's copy is gone) and a WriteBack are void for everyone but
+// their requester, so they call Snoop only on it and on memory, although
+// every controller is a holder and an owner candidate. The Upgrade and the
+// WriteBack ask no owner question either.
+func TestVoidTransactionsReachOnlyRequester(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		txn   Txn
+		polls uint64
+	}{
+		{"nacked GetX", Txn{Kind: GetX, Line: 0x40, Src: 0}, 3},
+		{"void Upgrade", Txn{Kind: Upgrade, Line: 0x40, Src: 1}, 0},
+		{"WriteBack", Txn{Kind: WriteBack, Line: 0x40, Src: 1}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.New(1)
+			b, ctrls, mem := testbus(k, 4)
+			ctrls[2].owns[0x40] = true
+			ctrls[2].nacks = true
+			tx := tc.txn
+			b.Issue(&tx)
+			k.Run()
+			if tc.txn.Kind == GetX && !tx.Nacked {
+				t.Fatal("the owner's refusal did not NACK the GetX")
+			}
+			for _, c := range ctrls {
+				want := 0
+				if c.id == tx.Src {
+					want = 1
+				}
+				if len(c.snoops) != want {
+					t.Errorf("P%d saw %d snoops, want %d", c.id, len(c.snoops), want)
+				}
+			}
+			if len(mem.snoops) != 1 {
+				t.Errorf("memory saw %d snoops, want 1", len(mem.snoops))
+			}
+			if s := b.Stats(); s.SnoopCalls != 1 || s.OwnerPolls != tc.polls {
+				t.Errorf("SnoopCalls %d, OwnerPolls %d, want 1 and %d", s.SnoopCalls, s.OwnerPolls, tc.polls)
+			}
+		})
 	}
 }
 

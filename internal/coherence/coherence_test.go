@@ -782,3 +782,119 @@ func TestChainedReaderInstallsShared(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// queuedReadRig is a system whose address bus holds one transaction at a
+// time, so a request issued behind another stays queued (issued, not
+// ordered) until the one ahead completes, and whose 2-way, 2-set cache with
+// no victim cache lets a third line of a set evict the first.
+func queuedReadRig(n int) (*sim.Kernel, *System) {
+	k := sim.New(1)
+	cfg := testConfig()
+	cfg.Cache = cache.Config{SizeBytes: 256, Ways: 2}
+	cfg.Bus.MaxOutstanding = 1
+	engines := make([]*core.Engine, n)
+	for i := range engines {
+		engines[i] = core.NewEngine(i, core.Policy{EnableTLR: true})
+	}
+	return k, NewSystem(k, n, cfg, engines)
+}
+
+// TestQueuedReaderInstallsShared: P0's GetS is still queued for the address
+// bus when P1's GetS for the same line is ordered ahead of it, so P1's
+// snoop finds P0 with no ordered request. P0's fill must install Shared.
+func TestQueuedReaderInstallsShared(t *testing.T) {
+	k, s := queuedReadRig(2)
+	p0, p1 := s.Ctrls[0], s.Ctrls[1]
+	const line = memsys.Addr(0x000)
+	s.Mem.WriteWord(line, 5)
+	r1, r0 := rec.next(), rec.next()
+	p1.Load(line, false, rec.sink, r1)
+	p0.Load(line, false, rec.sink, r0)
+	queued := false
+	if !k.RunUntil(func() bool {
+		if m1, m0 := p1.mshrFor(line), p0.mshrFor(line); m1 != nil && m1.ordered && m0 != nil && !m0.ordered {
+			queued = true
+		}
+		return rec.got[r0].done && rec.got[r1].done
+	}) {
+		t.Fatal("reads never completed")
+	}
+	k.RunUntil(s.Quiescent)
+	if !queued {
+		t.Fatal("P0's GetS was not queued when P1's ordered")
+	}
+	if v := rec.got[r0].val; v != 5 {
+		t.Fatalf("P0 read %d, want 5", v)
+	}
+	if st := stateOf(p0, line); st != cache.Shared {
+		t.Fatalf("P0 state = %v, want S", st)
+	}
+	if err := s.CheckCoherence(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueuedReaderSharedAfterCopyGone: as TestQueuedReaderInstallsShared,
+// but the other reader's copy is gone by the time P0's GetS is ordered, so
+// no cache answers the sharer poll at P0's order point. P0 still installs
+// Shared: another reader's GetS was ordered while P0's request was
+// outstanding, and that, not the state at P0's order point, decides. In
+// "evicted", P1 writes its copy and evicts it with a write-back that is
+// still pending when P0's GetS orders; in "invalidated", P2's GetX
+// invalidates P1's copy, and P2 then evicts the line the same way. Either
+// way the pending write-back supplies P0.
+func TestQueuedReaderSharedAfterCopyGone(t *testing.T) {
+	const line, a, b = memsys.Addr(0x000), memsys.Addr(0x100), memsys.Addr(0x200) // one set
+	for _, tc := range []struct {
+		name   string
+		writer int
+	}{{"evicted", 1}, {"invalidated", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, s := queuedReadRig(3)
+			p0, p1, w := s.Ctrls[0], s.Ctrls[1], s.Ctrls[tc.writer]
+			// Issued in this order, the requests are ordered in this order.
+			var tags []uint64
+			issue := func(op func(n uint64)) {
+				n := rec.next()
+				tags = append(tags, n)
+				op(n)
+			}
+			issue(func(n uint64) { p1.Load(line, false, rec.sink, n) })
+			issue(func(n uint64) { w.Store(line, 9, rec.sink, n) })
+			issue(func(n uint64) { w.Load(a, false, rec.sink, n) })
+			issue(func(n uint64) { w.Load(b, false, rec.sink, n) })
+			r0 := rec.next()
+			tags = append(tags, r0)
+			p0.Load(line, false, rec.sink, r0)
+
+			gone, checked := false, false
+			if !k.RunUntil(func() bool {
+				if m := p0.mshrFor(line); !checked && m != nil && m.ordered {
+					checked = true
+					gone = !p1.SnoopShared(line) && !w.SnoopShared(line) && w.wbPendingFor(line) != nil
+				}
+				for _, n := range tags {
+					if !rec.got[n].done {
+						return false
+					}
+				}
+				return true
+			}) {
+				t.Fatal("operations never completed")
+			}
+			k.RunUntil(s.Quiescent)
+			if !gone {
+				t.Fatal("another copy was live, or no write-back pending, at P0's order point")
+			}
+			if v := rec.got[r0].val; v != 9 {
+				t.Fatalf("P0 read %d, want 9", v)
+			}
+			if st := stateOf(p0, line); st != cache.Shared {
+				t.Fatalf("P0 state = %v, want S (P1's GetS was ordered while P0's was queued)", st)
+			}
+			if err := s.CheckCoherence(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

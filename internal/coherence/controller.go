@@ -94,9 +94,16 @@ type mshr struct {
 	// shared (GetS only): the fill installs Shared, not Exclusive. This is
 	// the one place that decision lives. It is set at our own order point
 	// from the bus's verdict that another cache holds (or is about to hold)
-	// the line, and by any other reader's GetS ordered while ours is
-	// pending. Suppliers have no say.
+	// the line, and when any other reader's GetS was ordered while ours was
+	// among the outstanding misses: the line's read count moved past the
+	// reads snapshot (readSeen, at our order point, at a drain-detach and
+	// at fill). Suppliers have no say.
 	shared bool
+
+	// slot is the line's snoop-filter slot, found once at issue; reads is
+	// the slot's ordered-GetS count as of the last snapshot.
+	slot  int
+	reads uint64
 
 	// nackRetries counts NACK-and-retry rounds (NACK retention mode); the
 	// backoff grows with it and a cap forces the lock fallback.
@@ -868,8 +875,9 @@ func (c *Controller) issue(line memsys.Addr, kind bus.Kind, spec, specWrite bool
 	m.specWrite = specWrite
 	m.wantWritable = kind != bus.GetS
 	m.upstream = bus.MemID
+	m.slot = c.sys.holders.at(line)
+	m.reads = *c.sys.holders.reads(m.slot)
 	c.mshrs = append(c.mshrs, m)
-	c.hold(line)
 	c.noteMSHRs()
 	c.issueTxn(m)
 	// If we are speculating and just created a miss on a second line while
@@ -927,7 +935,7 @@ func (c *Controller) freeMSHR(m *mshr) {
 	clear(m.waiters)
 	if bus.Poison {
 		*m = mshr{
-			line: ^memsys.Addr(0), kind: bus.Kind(-1), txnID: ^uint64(0), upstream: -2,
+			line: ^memsys.Addr(0), kind: bus.Kind(-1), txnID: ^uint64(0), upstream: -2, slot: -1,
 			ordered: true, upgradeAfterFill: true, handedOff: true,
 			chain: m.chain[:0], pendingProbes: m.pendingProbes[:0], waiters: m.waiters[:0],
 		}

@@ -3,23 +3,43 @@ package coherence
 import (
 	"slices"
 
+	"tlrsim/internal/bus"
 	"tlrsim/internal/memsys"
 )
 
-// holderSet is the snoop filter behind bus.Holders: per line, a bitmask of
-// controllers that is always a superset of those holding state for the
-// line — a valid cache copy, an MSHR, or a pending write-back. A bit is
-// set wherever a controller gains such state and cleared (release) only
-// once the controller is found to hold none of the three. A controller
-// outside the mask answers false to both snoop questions and its Snoop is
-// a no-op, so the bus skipping it changes nothing.
+// holderSet is the snoop filter behind bus.Holders. Each line has a slot of
+// three parts, written only by the controllers whose bits they hold:
 //
-// Each line owns words consecutive words of one slab, found through the
-// line index. A line keeps its slot once assigned (clearing bits never
-// frees it), so steady-state traffic allocates nothing, and reset keeps
-// both the index's and the slab's arrays for the next run.
+//   - holders: a superset of the controllers that can act on a GetX or an
+//     Upgrade of the line: a valid cache copy, a pending write-back, or an
+//     ordered request that has not handed ownership on. A queued request
+//     (issued, not yet ordered) is not one: it takes its bit at its own
+//     order point, which the bus always dispatches to it.
+//   - owners: a superset of the owner candidates, the controllers that can
+//     answer SnoopOwner or act on a GetS: an owned copy (E, M or O,
+//     masked or not), a pending write-back, or an ordered GetX that has not
+//     handed ownership on.
+//   - reads: the number of GetS transactions for the line ordered without
+//     a NACK so far. A GetS MSHR snapshots the count when it enters the
+//     outstanding misses and installs Shared if the count moved by more
+//     than its own GetS (readSeen): another reader's GetS was ordered while
+//     it was outstanding. So a pending reader needs no snoop to learn it.
+//
+// A bit is set wherever its state appears and cleared (release) once the
+// controller is found to hold none of it. A controller outside holders
+// acts on no GetX or Upgrade; one outside owners answers false to
+// SnoopOwner and acts on no GetS. A handed-off
+// pending owner still answers SnoopShared, but outside both sets: the
+// request it handed off to is ordered, not handed off (else follow the
+// chain to its tail), and answers too, so the sharer poll over holders
+// finds someone either way.
+//
+// A line keeps its slot once assigned (clearing bits never frees it), so
+// steady-state traffic allocates nothing, an MSHR can keep its line's slot
+// instead of looking it up, and reset keeps both the index's and the
+// slab's arrays for the next run.
 type holderSet struct {
-	words int // ⌈procs/64⌉
+	words int // ⌈procs/64⌉: holders at slot, owners at slot+words, reads at slot+2*words
 	slot  lineIndex
 	bits  []uint64
 }
@@ -29,38 +49,65 @@ func newHolderSet(procs int) *holderSet {
 }
 
 // Holders implements bus.Holders.
-func (h *holderSet) Holders(line memsys.Addr) []uint64 {
+func (h *holderSet) Holders(line memsys.Addr) (holders, owners []uint64) {
 	i, ok := h.slot.get(line)
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	return h.bits[i : i+h.words]
+	return h.bits[i : i+h.words], h.bits[i+h.words : i+2*h.words]
 }
 
-// add sets controller id's bit for line.
-func (h *holderSet) add(line memsys.Addr, id int) {
+// at returns line's slot, assigning one on first use.
+func (h *holderSet) at(line memsys.Addr) int {
 	i, ok := h.slot.get(line)
 	if !ok {
+		n := 2*h.words + 1
 		i = len(h.bits)
 		h.slot.put(line, i)
-		h.bits = slices.Grow(h.bits, h.words)[:i+h.words]
+		h.bits = slices.Grow(h.bits, n)[:i+n]
 		clear(h.bits[i:])
 	}
-	h.bits[i+id/64] |= 1 << (id % 64)
+	return i
 }
 
-// remove clears controller id's bit for line.
-func (h *holderSet) remove(line memsys.Addr, id int) {
-	if i, ok := h.slot.get(line); ok {
-		h.bits[i+id/64] &^= 1 << (id % 64)
+// add sets controller id's holder bit in slot i, and its owner-candidate
+// bit too when owner is set.
+func (h *holderSet) add(i, id int, owner bool) {
+	w, bit := id/64, uint64(1)<<(id%64)
+	h.bits[i+w] |= bit
+	if owner {
+		h.bits[i+h.words+w] |= bit
 	}
 }
 
-// has reports whether controller id's bit for line is set.
-func (h *holderSet) has(line memsys.Addr, id int) bool {
+// drop clears controller id's holder bit for line when holder is false and
+// its owner-candidate bit when owner is false.
+func (h *holderSet) drop(line memsys.Addr, id int, holder, owner bool) {
 	i, ok := h.slot.get(line)
+	if !ok {
+		return
+	}
+	w, bit := id/64, uint64(1)<<(id%64)
+	if !holder {
+		h.bits[i+w] &^= bit
+	}
+	if !owner {
+		h.bits[i+h.words+w] &^= bit
+	}
+}
+
+// has reports whether controller id's holder bit (owner-candidate bit when
+// owner is set) for line is set.
+func (h *holderSet) has(line memsys.Addr, id int, owner bool) bool {
+	i, ok := h.slot.get(line)
+	if owner {
+		i += h.words
+	}
 	return ok && h.bits[i+id/64]&(1<<(id%64)) != 0
 }
+
+// reads returns slot i's ordered-GetS count.
+func (h *holderSet) reads(i int) *uint64 { return &h.bits[i+2*h.words] }
 
 func (h *holderSet) reset() {
 	h.slot.reset()
@@ -144,14 +191,29 @@ func (x *lineIndex) reset() {
 	x.n = 0
 }
 
-// hold records that the controller gained state for line.
-func (c *Controller) hold(line memsys.Addr) { c.sys.holders.add(line, c.id) }
-
-// release clears the controller's holder bit for line if it no longer
-// holds a cache copy, an MSHR or a pending write-back for it.
+// release clears the controller's holder and owner-candidate bits for line
+// as far as its remaining state allows.
 func (c *Controller) release(line memsys.Addr) {
-	if c.mshrFor(line) != nil || c.wbPendingFor(line) != nil || c.cache.Probe(line) != nil {
-		return
+	l := c.cache.Probe(line)
+	wb := c.wbPendingFor(line) != nil
+	m := c.mshrFor(line)
+	pending := m != nil && m.ordered && !m.handedOff
+	holder := l != nil || wb || pending
+	owner := wb || l != nil && l.State.IsOwner() || pending && m.kind != bus.GetS
+	if !holder || !owner {
+		c.sys.holders.drop(line, c.id, holder, owner)
 	}
-	c.sys.holders.remove(line, c.id)
+}
+
+// readSeen reports whether a GetS other than m's own has been ordered for
+// m's line since m's snapshot, and takes a new snapshot. own says whether
+// m's own GetS has been counted since: it has at m's order point.
+func (c *Controller) readSeen(m *mshr, own bool) bool {
+	n := *c.sys.holders.reads(m.slot)
+	seen := n != m.reads
+	if own {
+		seen = n != m.reads+1
+	}
+	m.reads = n
+	return seen
 }

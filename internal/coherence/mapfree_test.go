@@ -29,7 +29,7 @@ func TestCheckCoherenceReportsLowestLine(t *testing.T) {
 			if _, _, ok := h.c.cache.Insert(line, h.st, memsys.LineData{}); !ok {
 				t.Fatalf("P%d: insert of %s failed", h.c.id, line)
 			}
-			h.c.hold(line)
+			s.holders.add(s.holders.at(line), h.c.id, h.st.IsOwner())
 		}
 	}
 	msgs := map[string]bool{}

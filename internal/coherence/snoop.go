@@ -131,18 +131,17 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 			c.chainAtPending(m, t)
 			if t.Kind != bus.GetS {
 				// Ownership of record moves on; later requests chain at
-				// the new pending owner.
+				// the new pending owner, and this one leaves the filter
+				// unless it holds the line otherwise.
 				m.handedOff = true
+				c.release(line)
 			}
 		}
 		return
 	}
 
-	// A pending GetS loses exclusivity eligibility when another reader's
-	// GetS is ordered behind it.
-	if m != nil && m.kind == bus.GetS && t.Kind == bus.GetS {
-		m.shared = true
-	}
+	// Another reader's GetS makes a pending GetS install Shared through the
+	// line's read count (readSeen), so a GetS needs no action here.
 
 	// A pending ORDERED GetS is invalidated by a later-ordered ownership
 	// request: detach it so its (pre-writer) data only reaches the waiters
@@ -150,6 +149,7 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 	// (e.g. awaiting a NACK retry) has no data coming and stays put.
 	if m != nil && m.ordered && m.kind == bus.GetS && t.Kind != bus.GetS {
 		m.invalidated = true
+		m.shared = m.shared || c.readSeen(m, false)
 		c.removeMSHR(m)
 		c.release(line)
 		c.noteMSHRs()
@@ -185,6 +185,34 @@ func (c *Controller) Snoop(t *bus.Txn, owner int, shared bool) {
 	}
 }
 
+// SnoopReacts implements bus.Reactor: it reports, without side effects,
+// whether Snoop(t) would change this controller's state, following Snoop's
+// cases in order. The exclusivity mark a pending reader took from another
+// reader's GetS is not a reaction: the line's read count carries it.
+func (c *Controller) SnoopReacts(t *bus.Txn) bool {
+	if t.Src == c.id {
+		return true
+	}
+	if t.Kind == bus.WriteBack || t.Nacked || t.Kind == bus.Upgrade && !t.SrcHolds {
+		return false
+	}
+	l := c.cache.Probe(t.Line)
+	if l != nil && !l.Masked && l.State.IsOwner() {
+		return true
+	}
+	m := c.mshrFor(t.Line)
+	if m != nil && m.ordered && m.kind != bus.GetS {
+		return t.Kind != bus.Upgrade && !m.handedOff
+	}
+	if m != nil && m.ordered && m.kind == bus.GetS && t.Kind != bus.GetS {
+		return true
+	}
+	if c.wbPendingFor(t.Line) != nil {
+		return t.Kind != bus.Upgrade
+	}
+	return l != nil && !l.Masked && t.Kind != bus.GetS
+}
+
 // snoopOwn handles the controller's own transaction reaching its global
 // order point.
 func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
@@ -210,6 +238,7 @@ func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 			// Upgrade succeeds instantly: all other sharers invalidate at
 			// this same snoop event.
 			l.State = cache.Modified
+			c.sys.holders.add(m.slot, c.id, true)
 			c.finishMSHR(m, l)
 			return
 		}
@@ -230,10 +259,18 @@ func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 		}
 		m := c.mshrFor(t.Line)
 		if m == nil || m.txnID != t.ID {
+			if t.Kind == bus.GetS {
+				*c.sys.holders.reads(c.sys.holders.at(t.Line))++
+			}
 			return
 		}
 		m.ordered = true
-		m.shared = m.shared || shared
+		c.sys.holders.add(m.slot, c.id, m.kind != bus.GetS)
+		if t.Kind == bus.GetS {
+			*c.sys.holders.reads(m.slot)++
+			seen := c.readSeen(m, true)
+			m.shared = m.shared || shared || seen
+		}
 		if wb := c.wbPendingFor(t.Line); wb != nil && owner == c.id {
 			// Our own just-evicted dirty data races our re-fetch: no one
 			// else can supply, so self-supply from the write-back buffer.
@@ -273,8 +310,8 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 			dm.spec = false
 			dm.specWrite = false
 		}
+		dm.reads = *c.sys.holders.reads(dm.slot)
 		c.mshrs = append(c.mshrs, dm)
-		c.hold(dm.line)
 		c.noteMSHRs()
 		m = dm
 	}
@@ -554,7 +591,7 @@ func (c *Controller) deliverData(r *bus.DataResp) {
 	// verdict, whoever supplied the data.
 	var st cache.State
 	if m.kind == bus.GetS {
-		if m.shared {
+		if m.shared || c.readSeen(m, false) {
 			st = cache.Shared
 		} else {
 			st = cache.Exclusive
@@ -580,7 +617,7 @@ func (c *Controller) deliverData(r *bus.DataResp) {
 			panic("coherence: insert failed after abort cleared pins")
 		}
 	}
-	c.hold(line)
+	c.sys.holders.add(m.slot, c.id, st.IsOwner())
 	if ev != nil {
 		c.handleEviction(ev)
 	}
@@ -732,7 +769,7 @@ func (c *Controller) handleEviction(ev *cache.Evicted) {
 	} else {
 		c.wbPending = append(c.wbPending, wbEntry{ev.Tag, ev.Data})
 	}
-	c.hold(ev.Tag)
+	c.sys.holders.add(c.sys.holders.at(ev.Tag), c.id, true)
 	t := c.sys.Bus.NewTxn()
 	t.Kind, t.Line, t.Src, t.WBData = bus.WriteBack, ev.Tag, c.id, ev.Data
 	c.sys.Bus.Issue(t)

@@ -193,29 +193,54 @@ func (s *System) CheckCoherence() error {
 	return nil
 }
 
-// CheckHolders reports a controller that holds a valid cache line, an MSHR
-// or a pending write-back for a line whose holder set lacks its bit: the
-// bus would skip that controller's snoops for the line. It holds after
+// CheckHolders reports a controller whose state the snoop filter does not
+// cover, so that the bus would skip a snoop that mattered:
+//
+//   - a valid cache line, a pending write-back, or an ordered request that
+//     has not handed ownership on, without the holder bit;
+//   - an owned line (E, M or O), a pending write-back, or an ordered GetX
+//     that has not handed ownership on, without the owner-candidate bit;
+//   - an outstanding MSHR that does not name its line's filter slot, or
+//     whose read-count snapshot is ahead of the line's count.
+//
+// Queued requests (issued, not yet ordered) need no bit. It holds after
 // every kernel event, not only at quiescent points.
 func (s *System) CheckHolders() error {
+	h := s.holders
 	var err error
 	for _, c := range s.Ctrls {
 		c.cache.ForEachValid(func(l *cache.Line) {
-			if err == nil && !s.holders.has(l.Tag, c.id) {
+			switch {
+			case err != nil:
+			case !h.has(l.Tag, c.id, false):
 				err = fmt.Errorf("P%d holds line %s in %s but is not in its holder set", c.id, l.Tag, l.State)
+			case l.State.IsOwner() && !h.has(l.Tag, c.id, true):
+				err = fmt.Errorf("P%d holds line %s in %s but is not an owner candidate", c.id, l.Tag, l.State)
 			}
 		})
 		if err != nil {
 			return err
 		}
 		for _, m := range c.mshrs {
-			if !s.holders.has(m.line, c.id) {
-				return fmt.Errorf("P%d has an MSHR for line %s but is not in its holder set", c.id, m.line)
+			if i, ok := h.slot.get(m.line); !ok || i != m.slot {
+				return fmt.Errorf("P%d has an MSHR for line %s outside the line's filter slot", c.id, m.line)
+			}
+			if m.reads > *h.reads(m.slot) {
+				return fmt.Errorf("P%d has an MSHR for line %s with read snapshot %d past the line's count %d", c.id, m.line, m.reads, *h.reads(m.slot))
+			}
+			if !m.ordered || m.handedOff {
+				continue
+			}
+			if !h.has(m.line, c.id, false) {
+				return fmt.Errorf("P%d has an ordered %v for line %s but is not in its holder set", c.id, m.kind, m.line)
+			}
+			if m.kind != bus.GetS && !h.has(m.line, c.id, true) {
+				return fmt.Errorf("P%d is the pending owner of line %s but not an owner candidate", c.id, m.line)
 			}
 		}
 		for _, wb := range c.wbPending {
-			if !s.holders.has(wb.line, c.id) {
-				return fmt.Errorf("P%d has a pending write-back of line %s but is not in its holder set", c.id, wb.line)
+			if !h.has(wb.line, c.id, false) || !h.has(wb.line, c.id, true) {
+				return fmt.Errorf("P%d has a pending write-back of line %s but is not in its holder and owner sets", c.id, wb.line)
 			}
 		}
 	}

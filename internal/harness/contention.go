@@ -80,12 +80,17 @@ func ContentionMatrix(o Options) (*Result, error) {
 			jobs = append(jobs, runner.Job{Label: label(row.label, k), Config: o.apply(cfg), Build: row.build})
 		}
 	}
-	// Open-loop service rows: one recorder per point for the e2e tail.
-	svcRecs := make([]*telemetry.Recorder, len(rates)*perRow)
+	// Open-loop service rows: one recorder per point for the e2e tail, of
+	// which the matrix keeps only the p99.
+	svcP99 := make([]uint64, len(rates)*perRow)
 	for rj, rate := range rates {
 		for k, cfg := range configs {
+			p99 := &svcP99[rj*perRow+k]
 			jobs = append(jobs, serviceJob(o, label("service-"+rate.Label, k), cfg, rate,
-				telemetry.Config{}, &svcRecs[rj*perRow+k]))
+				telemetry.Config{}, func(r *telemetry.Recorder) {
+					e2e, _ := r.Summary()
+					*p99 = e2e.P99
+				}))
 		}
 	}
 	runs, err := o.pool().Run(jobs)
@@ -123,8 +128,7 @@ func ContentionMatrix(o Options) (*Result, error) {
 	for rj, rate := range rates {
 		cells := svcRuns[rj*perRow : (rj+1)*perRow]
 		addRow("service-"+rate.Label, cells[0], cells[1:], func(i int) string {
-			e2e, _ := svcRecs[rj*perRow+i+1].Summary()
-			return fmt.Sprintf("%d", e2e.P99)
+			return fmt.Sprintf("%d", svcP99[rj*perRow+i+1])
 		})
 	}
 

@@ -88,7 +88,8 @@ func ServiceSweep(o Options, so ServiceOptions) (*Result, error) {
 					tcfg.Sink = j
 				}
 			}
-			jobs = append(jobs, serviceJob(o, label, proc.BaselineConfig(o.AppProcs, scheme, o.Seed), rate, tcfg, &recs[i]))
+			jobs = append(jobs, serviceJob(o, label, proc.BaselineConfig(o.AppProcs, scheme, o.Seed), rate, tcfg,
+				func(r *telemetry.Recorder) { recs[i] = r }))
 		}
 	}
 	runs, err := o.pool().Run(jobs)
@@ -163,9 +164,10 @@ const serviceRequests = 4096
 
 // serviceJob is the runner job of one open-loop service point: the Service
 // workload at rate on cfg (with o's machine options applied) and a fresh
-// telemetry recorder attached, finished at the run's last cycle and stored
-// in *rec. A window sink in tcfg is closed after the run.
-func serviceJob(o Options, label string, cfg proc.Config, rate ServiceRate, tcfg telemetry.Config, rec **telemetry.Recorder) runner.Job {
+// telemetry recorder attached, finished at the run's last cycle and passed
+// to done, which keeps what it needs of it. A window sink in tcfg is closed
+// after the run.
+func serviceJob(o Options, label string, cfg proc.Config, rate ServiceRate, tcfg telemetry.Config, done func(*telemetry.Recorder)) runner.Job {
 	requests := o.scaled(serviceRequests)
 	return runner.Job{
 		Label:  label,
@@ -182,7 +184,7 @@ func serviceJob(o Options, label string, cfg proc.Config, rate ServiceRate, tcfg
 					return fmt.Errorf("telemetry export: %w", err)
 				}
 			}
-			*rec = r
+			done(r)
 			return nil
 		},
 	}

@@ -7,10 +7,14 @@ import (
 	"tlrsim/internal/fault"
 )
 
-// TestHolderSetCoversState pins the exactness of the bus's snoop filter:
-// after every kernel event, every valid cache line, MSHR and pending
-// write-back must have its controller's bit set in the line's holder set.
-// A missing bit would make the bus skip a snoop that mattered. The runs
+// TestHolderSetCoversState pins the exactness of the bus's snoop filter
+// (System.CheckHolders) after every kernel event: every valid cache line,
+// pending write-back and ordered request that has not handed off has its
+// controller's holder bit; every owned line, pending write-back and pending
+// owner its owner-candidate bit; and every outstanding MSHR names its
+// line's slot with a read-count snapshot no later than the count. A queued
+// request needs no bit: it takes one at its own order point. A missing bit
+// would make the bus skip a snoop that mattered. The runs
 // cover BASE, SLE and TLR with the default policy, NACK retention, the
 // TSO store buffer and every chaos fault config, on a small cache that
 // forces evictions, victim spills and write-backs; one TLR machine has

@@ -286,3 +286,28 @@ func TestStoreBufferAllSchemes(t *testing.T) {
 		})
 	}
 }
+
+// TestSnoopFilterHostWork pins the snoop filter's host work on one small
+// fixed machine, Figure 9's single counter under BASE at 16 CPUs: the bus
+// transactions, the controller Snoop calls and the SnoopOwner calls. A
+// broadcast makes 16 of each per polled transaction. The release burst of
+// test&test&set spinning is where a filter pays: a change that quietly
+// re-broadcasts, or stops trimming a set, moves these numbers although every
+// simulated result stays the same.
+func TestSnoopFilterHostWork(t *testing.T) {
+	m, err := Run(proc.BaselineConfig(16, proc.Base, 2002), &SingleCounter{TotalOps: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := m.Sys.Bus.Stats()
+	var txns uint64
+	for _, n := range bs.Txns {
+		txns += n
+	}
+	t.Logf("%d transactions, %.3f Snoop calls and %.3f owner polls per transaction",
+		txns, float64(bs.SnoopCalls)/float64(txns), float64(bs.OwnerPolls)/float64(txns))
+	got := [3]uint64{txns, bs.SnoopCalls, bs.OwnerPolls}
+	if want := [3]uint64{10578, 23690, 7949}; got != want {
+		t.Fatalf("transactions, Snoop calls, owner polls = %v, want %v", got, want)
+	}
+}
